@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exact import BETA_POW, BETA_SHIFT, le_scaled_pow
-from ..graph_core import Graph, canon_edge
+from ..graph_core import Graph
 
 # display-only approximation; every predicate goes through exact arithmetic
 BETA = 2.0 ** (BETA_SHIFT / BETA_POW)
@@ -62,8 +62,7 @@ class LabelPair:
         for labels in (self.c1, self.c2):
             if len(labels) != g.n:
                 raise ValueError("label array length differs from vertex count")
-            for v, c in enumerate(labels):
-                lam = lambda_of(g.degree(v)) if g.degree(v) >= 1 else 1
+            for v, (c, lam) in enumerate(zip(labels, label_moduli(g))):
                 if not (0 <= c < lam):
                     raise ValueError(f"label {c} at vertex {v} outside [0, {lam})")
 
@@ -75,16 +74,22 @@ class LabelPair:
         return cls(c1=list(obj["c1"]), c2=list(obj["c2"]))
 
 
-def sample_labels(g: Graph, seed) -> LabelPair:
-    """Draw all c1 values in vertex order, then all c2 values.
+def label_moduli(g: Graph) -> list:
+    """lam(v) per vertex; isolated vertices get modulus 1 (label 0)."""
+    return [lambda_of(d) if d >= 1 else 1 for d in g.degrees()]
 
-    Isolated vertices get label 0 (their modulus is taken as 1).
-    """
-    rng = random.Random(seed)
-    lams = [lambda_of(g.degree(v)) if g.degree(v) >= 1 else 1 for v in range(g.n)]
+
+def draw_labels(g: Graph, rng: random.Random) -> LabelPair:
+    """Draw all c1 values in vertex order, then all c2 values, from rng."""
+    lams = label_moduli(g)
     c1 = [rng.randrange(lam) for lam in lams]
     c2 = [rng.randrange(lam) for lam in lams]
     return LabelPair(c1, c2)
+
+
+def sample_labels(g: Graph, seed) -> LabelPair:
+    """The labels draw_labels takes from a fresh random.Random(seed)."""
+    return draw_labels(g, random.Random(seed))
 
 
 def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
@@ -95,28 +100,38 @@ def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
     return r < b or r > k - b
 
 
-def _risky_core(rtype: int, du, dv, eu, ev, c1u, c1v, c2u, c2v) -> bool:
-    """Congruence tests; the ratio gate has already passed."""
-    emin = min(eu, ev)
-    if rtype == 1:
-        return ((c1u << eu) - (c1v << ev)) % (1 << (2 * emin)) == 0
-    if rtype == 2:
-        return ((c2u << eu) - (c2v << ev)) % (1 << (2 * emin)) == 0
-    if rtype == 3:
-        a = du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)
-        return symmetric_mod_predicate(a, 3 << emin, 3 << (2 * emin))
-    raise ValueError(f"risky type must be 1, 2 or 3, got {rtype}")
+def risk_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
+    """(type 1, type 2, type 3) riskiness of an edge whose ratio gate has
+    already passed, with eu, ev = ceil_log_beta of the endpoint degrees.
+
+    Type i in (1, 2) asks that 4^emin divides ci(u)*2^eu - ci(v)*2^ev.
+    Type 3 asks that d(u) - 3*2^eu*(c1u + c2u) - d(v) + 3*2^ev*(c1v + c2v)
+    is congruent mod 3*4^emin to one of -3*2^emin+1, ..., 3*2^emin-1
+    (symmetric_mod_predicate, inlined: this is the classifier's inner loop).
+    """
+    emin = eu if eu < ev else ev
+    mask = (1 << (2 * emin)) - 1
+    k = 3 << (2 * emin)
+    b = 3 << emin
+    r = (du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)) % k
+    return (
+        ((c1u << eu) - (c1v << ev)) & mask == 0,
+        ((c2u << eu) - (c2v << ev)) & mask == 0,
+        r < b or r > k - b,
+    )
 
 
 def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
+    if rtype not in (1, 2, 3):
+        raise ValueError(f"risky type must be 1, 2 or 3, got {rtype}")
     if not g.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an edge")
     du, dv = g.degree(u), g.degree(v)
     if not ratio_gate(du, dv):
         return False
-    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    return _risky_core(rtype, du, dv, eu, ev,
+    flags = risk_flags(du, dv, ceil_log_beta(du), ceil_log_beta(dv),
                        labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
+    return flags[rtype - 1]
 
 
 class RiskyClassification:
@@ -160,20 +175,25 @@ class RiskyClassification:
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
     labels.validate(g)
     deg = g.degrees()
-    es = {v: ceil_log_beta(d) if d >= 1 else 0 for v, d in enumerate(deg)}
-    r1, r2, r3 = set(), set(), set()
-    for u, v in g.edges:
-        if not ratio_gate(deg[u], deg[v]):
+    es = [ceil_log_beta(d) if d >= 1 else 0 for d in deg]
+    c1, c2 = labels.c1, labels.c2
+    gate = {}
+    r1, r2, r3 = [], [], []
+    for e in g.edges:
+        u, v = e
+        du, dv = deg[u], deg[v]
+        ok = gate.get((du, dv))
+        if ok is None:
+            ok = gate[du, dv] = ratio_gate(du, dv)
+        if not ok:
             continue
-        args = (deg[u], deg[v], es[u], es[v],
-                labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
-        e = canon_edge(u, v)
-        if _risky_core(1, *args):
-            r1.add(e)
-        if _risky_core(2, *args):
-            r2.add(e)
-        if _risky_core(3, *args):
-            r3.add(e)
+        t1, t2, t3 = risk_flags(du, dv, es[u], es[v], c1[u], c1[v], c2[u], c2[v])
+        if t1:
+            r1.append(e)
+        if t2:
+            r2.append(e)
+        if t3:
+            r3.append(e)
     return RiskyClassification(g, r1, r2, r3)
 
 

@@ -17,8 +17,10 @@ from ..labeling import (
     RiskyClassification,
     ceil_log_beta,
     classify,
-    lambda_of,
+    draw_labels,
+    label_moduli,
     ratio_gate,
+    risk_flags,
     symmetric_mod_predicate,
 )
 
@@ -65,43 +67,49 @@ def make_event(g: Graph, v: int, kind: str) -> BadEvent:
     return BadEvent(v, kind, event_scope(g, v, kind))
 
 
-def _thresholds(slack, d: int):
-    """Largest allowed |a|/|b|/|c| and |f| at a vertex of degree d.
+def _vertex_limits(g: Graph, slack) -> list:
+    """Per vertex, the largest allowed |a|/|b|/|c| and |f|.
 
-    None means unbounded (the infinity sentinel turns the check off).
+    (None, None) means unbounded (the infinity sentinel turns the check off).
     """
     if slack == math.inf:
-        return None, None
+        return [(None, None)] * g.n
     s = Fraction(slack)
-    return (
-        floor_scaled_pow(8 * s, d, 31, 50),
-        floor_scaled_pow(12 * s, d, 12, 50),
-    )
+    cache = {}
+    out = []
+    for d in g.degrees():
+        if d not in cache:
+            cache[d] = (floor_scaled_pow(8 * s, d, 31, 50),
+                        floor_scaled_pow(12 * s, d, 12, 50))
+        out.append(cache[d])
+    return out
+
+
+def _violated_kinds(limits, a, b, c) -> list:
+    """Kinds of the events at one vertex whose size bound fails, in KINDS
+    order, from its limits and its risky neighbour sets a, b, c."""
+    t_abc, t_f = limits
+    if t_abc is None:
+        return []
+    sizes = (len(a), len(b), len(c), len(b & c))
+    return [k for k, size, t in zip(KINDS, sizes, (t_abc, t_abc, t_abc, t_f)) if size > t]
 
 
 def violated_events(g: Graph, labels: LabelPair, slack,
                     cls: RiskyClassification | None = None) -> list:
-    """Events whose size bound (scaled by slack) fails, in (vertex, kind) order."""
+    """Events whose size bound (scaled by slack) fails, in (vertex, kind) order.
+
+    Classifies from scratch unless cls is given; moser_tardos keeps the same
+    verdicts incrementally and is tested against this function.
+    """
     if cls is None:
         cls = classify(g, labels)
-    out = []
-    cache = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        if d not in cache:
-            cache[d] = _thresholds(slack, d)
-        t_abc, t_f = cache[d]
-        if t_abc is None:
-            continue
-        if len(cls.a_of(v)) > t_abc:
-            out.append(make_event(g, v, "A"))
-        if len(cls.b_of(v)) > t_abc:
-            out.append(make_event(g, v, "B"))
-        if len(cls.c_of(v)) > t_abc:
-            out.append(make_event(g, v, "C"))
-        if len(cls.f_of(v)) > t_f:
-            out.append(make_event(g, v, "F"))
-    return out
+    limits = _vertex_limits(g, slack)
+    return [
+        make_event(g, v, kind)
+        for v in range(g.n)
+        for kind in _violated_kinds(limits[v], cls.a_of(v), cls.b_of(v), cls.c_of(v))
+    ]
 
 
 @dataclass
@@ -120,22 +128,40 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     of the lexicographically least violated event, in sorted slot order.
     observer, when given, is called as observer(round_no, event, before,
     after) with label snapshots around each resampling.
+
+    The first classification is a full classify; later rounds are local.
+    Resampling changes labels only at the scope vertices, so a round
+    reclassifies just the gated edges at those vertices and rechecks the
+    events of the endpoints whose risky neighbour sets changed.  At slack
+    inf no event has a bound, and the initial draw is returned unclassified.
     """
     if not (slack == math.inf or slack > 0):
         raise ValueError("slack must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     rng = random.Random(seed)
-    lams = [lambda_of(g.degree(v)) if g.degree(v) >= 1 else 1 for v in range(g.n)]
-    c1 = [rng.randrange(lam) for lam in lams]
-    c2 = [rng.randrange(lam) for lam in lams]
-    labels = LabelPair(c1, c2)
+    labels = draw_labels(g, rng)
+    if slack == math.inf:
+        return labels
+    c1, c2 = labels.c1, labels.c2
+    lams = label_moduli(g)
+    deg = g.degrees()
+    es = [ceil_log_beta(d) if d >= 1 else 0 for d in deg]
+    limits = _vertex_limits(g, slack)
+    cls = classify(g, labels)
+    risky = [[set(cls.a_of(v)), set(cls.b_of(v)), set(cls.c_of(v))] for v in range(g.n)]
+    bad = {}  # vertex -> its violated kinds, for every vertex that has any
+    for v in range(g.n):
+        kinds = _violated_kinds(limits[v], *risky[v])
+        if kinds:
+            bad[v] = kinds
+    gated = {}
     trajectory = []
     for round_no in range(max_rounds):
-        bad = violated_events(g, labels, slack)
         if not bad:
             return labels
-        ev = min(bad, key=BadEvent.sort_key)
+        v = min(bad)
+        ev = make_event(g, v, bad[v][0])
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
@@ -143,6 +169,34 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
             (c1 if slot == 1 else c2)[w] = value
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
+
+        scope_verts = {w for w, _ in ev.scope}
+        changed = set()
+        for w in scope_verts:
+            if w not in gated:
+                gated[w] = gated_neighbours(g, w)
+            for x in gated[w]:
+                if x in scope_verts and x < w:
+                    continue  # this edge is handled from x
+                lo, hi = (w, x) if w < x else (x, w)
+                flags = risk_flags(deg[lo], deg[hi], es[lo], es[hi],
+                                   c1[lo], c1[hi], c2[lo], c2[hi])
+                for view_lo, view_hi, now in zip(risky[lo], risky[hi], flags):
+                    if (hi in view_lo) != now:
+                        if now:
+                            view_lo.add(hi)
+                            view_hi.add(lo)
+                        else:
+                            view_lo.discard(hi)
+                            view_hi.discard(lo)
+                        changed.add(lo)
+                        changed.add(hi)
+        for x in changed:
+            kinds = _violated_kinds(limits[x], *risky[x])
+            if kinds:
+                bad[x] = kinds
+            else:
+                bad.pop(x, None)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from irrdec.labeling import (
     is_risky,
     lambda_of,
     ratio_gate,
+    risk_flags,
     sample_labels,
     symmetric_mod_predicate,
 )
+from irrdec.lll_engine import _holds
 
 
 class TestCeilLogBeta:
@@ -129,6 +132,25 @@ class TestRisky:
         labels = sample_labels(g, 5)
         assert not ratio_gate(7, 1)
         assert not any(is_risky(g, labels, 0, 1, t) for t in (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "du,dv,same_band",
+        [(3, 5, True), (20, 31, True), (7, 38, True), (60, 200, True),
+         (5, 7, False), (7, 5, False), (30, 41, False), (41, 30, False)],
+    )
+    def test_risk_flags_match_probability_predicate(self, du, dv, same_band):
+        # _holds is the enumeration's separate copy of the congruences
+        assert ratio_gate(du, dv)
+        eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+        assert (eu == ev) == same_band
+        for c1u, c2u in product(range(1 << eu), repeat=2):
+            for c1v, c2v in product(range(1 << ev), repeat=2):
+                args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
+                assert risk_flags(*args) == tuple(_holds(t, *args) for t in (1, 2, 3)), args
+
+    def test_rejects_unknown_type(self):
+        with pytest.raises(ValueError):
+            is_risky(path(1), sample_labels(path(1), 0), 0, 1, 4)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -6,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrdec.graph_core import Graph, complete, cycle, path, random_regular
-from irrdec.labeling import LabelPair, bounds_hold, classify, ratio_gate, sample_labels
+from irrdec import lll_engine
+from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
+from irrdec.labeling import (
+    LabelPair,
+    bounds_hold,
+    ceil_log_beta,
+    classify,
+    lambda_of,
+    ratio_gate,
+    sample_labels,
+)
 from irrdec.lll_engine import (
     KINDS,
+    BadEvent,
     Timeout,
     audit_constants,
     build_dependency_digraph,
@@ -58,7 +69,66 @@ class TestEvents:
         assert violated_events(g, labels, math.inf) == []
 
 
+def reference_moser_tardos(g, seed, slack, max_rounds, observer):
+    """Moser-Tardos as specified: every round classifies the whole graph
+    from scratch and resamples the least violated event."""
+    rng = random.Random(seed)
+    lams = [lambda_of(d) if d >= 1 else 1 for d in g.degrees()]
+    c1 = [rng.randrange(lam) for lam in lams]
+    c2 = [rng.randrange(lam) for lam in lams]
+    trajectory = []
+    for round_no in range(max_rounds):
+        bad = violated_events(g, LabelPair(c1, c2), slack)
+        if not bad:
+            return LabelPair(c1, c2)
+        ev = min(bad, key=BadEvent.sort_key)
+        trajectory.append((ev.vertex, ev.kind))
+        before = LabelPair(list(c1), list(c2))
+        for w, slot in sorted(ev.scope):
+            (c1 if slot == 1 else c2)[w] = rng.randrange(lams[w])
+        observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
+    return Timeout(rounds=max_rounds, trajectory=trajectory)
+
+
 class TestMoserTardos:
+    def test_incremental_rounds_match_full_reclassification(self):
+        rng = random.Random(2024)
+        rounds = 0
+        outcomes = set()
+        irregular_instances = 0  # resampled with gate-failing and mixed-band edges
+        for i in range(40):
+            if i % 2:
+                g = gnp(rng.randrange(30, 60), rng.uniform(0.08, 0.2), seed=i)
+            else:
+                g = random_regular(2 * rng.randrange(15, 35), rng.choice([8, 12, 16]), seed=i)
+            slack = rng.choice([0.1, 0.12, 0.15, 0.2, 0.3, 0.5, 1])
+            got_calls, want_calls = [], []
+            got = moser_tardos(g, i, slack, 40,
+                               observer=lambda *call: got_calls.append(call))
+            want = reference_moser_tardos(g, i, slack, 40,
+                                          lambda *call: want_calls.append(call))
+            assert got == want, (i, slack)
+            assert got_calls == want_calls, (i, slack)
+            rounds += len(got_calls)
+            if got_calls:
+                outcomes.add(type(got))
+                deg = g.degrees()
+                gates = [ratio_gate(deg[u], deg[v]) for u, v in g.edges]
+                mixed = any(ok and ceil_log_beta(deg[u]) != ceil_log_beta(deg[v])
+                            for ok, (u, v) in zip(gates, g.edges))
+                irregular_instances += mixed and not all(gates)
+        assert rounds > 300
+        assert outcomes == {LabelPair, Timeout}
+        assert irregular_instances >= 2
+
+    def test_infinite_slack_never_classifies(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("classify called at slack inf")
+
+        monkeypatch.setattr(lll_engine, "classify", fail)
+        g = random_regular(60, 12, seed=7)
+        assert moser_tardos(g, 42, math.inf, 1) == sample_labels(g, 42)
+
     def test_vacuous_bounds_return_initial_sample(self):
         g = random_regular(60, 12, seed=7)
         labels = moser_tardos(g, 42, 3, 10**5)
@@ -189,8 +259,6 @@ class TestWorstConditional:
         assert worst_conditional_risk(du, dv, which) == expected
 
     def test_matches_direct_enumeration(self):
-        from irrdec.labeling import lambda_of
-
         for du, dv in ((10, 14), (38, 39), (12, 12)):
             direct = max(
                 exact_edge_risk_probability(du, dv, 1, {"c1_v": x})
