@@ -26,6 +26,7 @@ from ..factor_solver import (
 from ..graph_core import (
     Decomposition,
     Graph,
+    InvariantViolated,
     canon_edge,
     is_locally_irregular,
 )
@@ -261,10 +262,13 @@ def decompose3(g: Graph, cfg: PipelineConfig):
     trace.h3_prime = h3_prime
 
     # structural consequences of the construction
-    assert not (h3_prime.edges & cls.r3), "type-3 risky edge escaped into part 3"
-    assert h1.edges | h2_prime.edges | h3_prime.edges == g.edges
-    assert not (h1.edges & h2_prime.edges) and not (h1.edges & h3_prime.edges)
-    assert not (h2_prime.edges & h3_prime.edges)
+    if h3_prime.edges & cls.r3:
+        raise InvariantViolated(f"{len(h3_prime.edges & cls.r3)} type-3 risky edge(s) in part 3")
+    covered = h1.edges | h2_prime.edges | h3_prime.edges
+    sizes = h1.m + h2_prime.m + h3_prime.m
+    if covered != g.edges or sizes != g.m:  # a cover whose sizes add up is a partition
+        raise InvariantViolated(f"parts hold {sizes} edges on {len(covered)} distinct edges "
+                                f"for a graph of {g.m}, {len(covered - g.edges)} of them non-edges")
 
     if cfg.strict:
         wr = window_report(trace)

@@ -102,13 +102,9 @@ def floor_scaled_pow(coeff, d: int, num: int, den: int) -> int:
     coeff = Fraction(coeff)
     if coeff < 0:
         return -1
+    if d < 0:
+        raise ValueError("negative degree")
     if coeff == 0 or d == 0:
         return 0
-    # float guess, then exact adjustment by a few steps
-    guess = int(float(coeff) * d ** (num / den))
-    m = max(guess, 0)
-    while cmp_scaled_pow(m, coeff, d, num, den) > 0:
-        m -= 1
-    while cmp_scaled_pow(m + 1, coeff, d, num, den) <= 0:
-        m += 1
-    return m
+    # for integer m: m <= coeff * d**(num/den) iff m**den <= floor(coeff**den * d**num)
+    return iroot(coeff.numerator ** den * d ** num // coeff.denominator ** den, den)

@@ -15,7 +15,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from ..graph_core import Graph
+from ..graph_core import Graph, InvariantViolated
 
 
 @dataclass
@@ -84,7 +84,9 @@ def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
     for v in range(g.n):
         w1, w2 = window_candidates(g.degree(v), spec.lam[v], spec.t[v])
         # nonemptiness is guaranteed: each window spans >= lam consecutive ints
-        assert w1 and w2, (v, g.degree(v), spec.lam[v])
+        if not (w1 and w2):
+            raise InvariantViolated(f"vertex {v} of degree {g.degree(v)}: a window holds no value "
+                                    f"congruent to {spec.t[v]} mod {spec.lam[v]}")
         out[v] = (w1[0], w2[0])
     return out
 
@@ -260,7 +262,8 @@ def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact"
     if isinstance(h, Failure):
         return h
     report = verify_factor(g, h, spec)
-    assert report.ok, f"solver produced a contract-violating subgraph: {report.bad_vertices()}"
+    if not report.ok:
+        raise InvariantViolated(f"solver result breaks the contract at {report.bad_vertices()}")
     return h
 
 

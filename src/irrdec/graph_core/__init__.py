@@ -8,6 +8,14 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from itertools import combinations
+
+
+MAX_VERTICES = 10**5  # parse_edge_list cap; Graph allocates adjacency per vertex
+
+
+class InvariantViolated(AssertionError):
+    """A broken structural invariant; unlike a bare assert, `python -O` keeps it."""
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
@@ -324,6 +332,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}") from None
     if n < 0:
         raise ValueError(f"line {hdr_no}: vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {hdr_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
     edges = set()
     for ln_no, body in lines[1:]:
         parts = body.split()
@@ -379,106 +389,43 @@ def recognize_exception(g: Graph):
 
 
 def is_t_member(g: Graph) -> bool:
-    """Membership in the triangle-based family, by reverse peeling.
+    """Membership in the triangle-based family, by its structure.
 
-    Strips one appended unit at a time (an even pendant path hanging at a
-    triangle vertex, or an odd pendant path ending in a glued triangle) and
-    accepts when a bare triangle remains.  Peel choices are searched with
-    memoized failure states, so an unlucky strip order cannot cause a miss.
+    A connected G is a member iff (a) its maximum degree is <= 3; (b) it has
+    t >= 1 triangles, pairwise vertex-disjoint; (c) m = n - 1 + t, so every
+    cycle of G is one of its triangles; (d) every degree-3 vertex lies on a
+    triangle; (e) without the triangle edges, G falls into paths, of odd
+    length between two triangle vertices and of even length to a leaf.
+    Necessity: the triangle has (a)-(e), and each construction step (an even
+    pendant path, or an odd path ending in a glued triangle, hung at a
+    degree-2 triangle vertex) keeps them.  Sufficiency: by (c), contracting
+    the triangles leaves a tree; rooted at a triangle, its deepest unit is
+    such a path or path-plus-triangle, removing it keeps (a)-(e), and
+    induction on m rebuilds G by construction steps.  Counting t as
+    floor(vertices on triangles / 3) makes (c) imply the disjointness in
+    (b): under (a), triangles sharing a vertex form a K4 - e or a K4, with 4
+    vertices but 2 or 3 independent cycles.  By (a), (c) and (d), what
+    remains in (e) is a forest of maximum degree 2, that is, paths.
     """
-    if g.n < 3 or not g.is_connected() or g.max_degree() > 3:
+    if g.max_degree() > 3 or not g.is_connected():
         return False
-    if g.m % 2 == 0:
-        return False  # every member has odd edge count (3 plus even units)
-    memo = {}
-
-    def still_on_triangle(edges, v):
-        nb = sorted({b for e in edges for a, b in (e, e[::-1]) if a == v})
-        return any(canon_edge(p, q) in edges for i, p in enumerate(nb) for q in nb[i + 1:])
-
-    def peel(edges: frozenset) -> bool:
-        if edges in memo:
-            return memo[edges]
-        if len(edges) == 3:
-            vs = {x for e in edges for x in e}
-            ok = len(vs) == 3
-            memo[edges] = ok
-            return ok
-        deg_now = {}
-        adj_now = {}
-        for u, v in edges:
-            deg_now[u] = deg_now.get(u, 0) + 1
-            deg_now[v] = deg_now.get(v, 0) + 1
-            adj_now.setdefault(u, set()).add(v)
-            adj_now.setdefault(v, set()).add(u)
-
-        def on_triangle(v):
-            nb = sorted(adj_now.get(v, ()))
-            return any(canon_edge(a, b) in edges for i, a in enumerate(nb) for b in nb[i + 1:])
-
-        units = []
-        # even pendant paths: walk from each leaf to the first degree-3 vertex
-        for leaf, dv in deg_now.items():
-            if dv != 1:
-                continue
-            walk = [leaf]
-            prev, cur = None, leaf
-            while deg_now.get(cur, 0) <= 2:
-                nxts = [w for w in adj_now[cur] if w != prev]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-                walk.append(cur)
-            if deg_now.get(cur, 0) != 3:
-                continue  # never reached a branch vertex; not a unit
-            length = len(walk) - 1
-            if length % 2 == 0 and on_triangle(cur):
-                # path interior vertices have both edges on the walk, so the
-                # triangle at cur survives the strip untouched
-                unit = frozenset(canon_edge(walk[i], walk[i + 1]) for i in range(length))
-                units.append(unit)
-        # odd pendant path ending in a glued triangle
-        for anchor, dv in deg_now.items():
-            if dv != 3:
-                continue
-            nb = sorted(adj_now[anchor])
-            for i, x in enumerate(nb):
-                for y in nb[i + 1:]:
-                    if canon_edge(x, y) not in edges:
-                        continue
-                    if deg_now[x] != 2 or deg_now[y] != 2:
-                        continue
-                    # triangle {anchor,x,y} with free corners x,y; follow the
-                    # third edge of the anchor back to the attach vertex
-                    (start,) = [w for w in adj_now[anchor] if w not in (x, y)]
-                    walk = [anchor, start]
-                    prev, cur = anchor, start
-                    while deg_now.get(cur, 0) == 2:
-                        nxts = [w for w in adj_now[cur] if w != prev]
-                        if not nxts:
-                            break
-                        prev, cur = cur, nxts[0]
-                        walk.append(cur)
-                    if deg_now.get(cur, 0) != 3:
-                        continue
-                    length = len(walk) - 1
-                    if length % 2 == 1:
-                        unit = set(canon_edge(walk[i], walk[i + 1]) for i in range(length))
-                        unit |= {canon_edge(anchor, x), canon_edge(anchor, y), canon_edge(x, y)}
-                        attach = cur
-                        rest = edges - frozenset(unit)
-                        if still_on_triangle(rest, attach):
-                            units.append(frozenset(unit))
-        result = False
-        for unit in units:
-            rest = edges - unit
-            if peel(rest):
-                result = True
-                break
-        memo[edges] = result
-        return result
-
-    return peel(frozenset(g.edges))
+    triangle_of = {v: (v, a, b) for v in range(g.n)
+                   for a, b in combinations(sorted(g.neighbours(v)), 2) if g.has_edge(a, b)}
+    t = len(triangle_of) // 3
+    if t == 0 or g.m != g.n - 1 + t or any(
+            g.degree(v) == 3 and v not in triangle_of for v in range(g.n)):
+        return False
+    for v, tri in triangle_of.items():
+        if g.degree(v) != 3:
+            continue
+        (cur,) = (w for w in g.neighbours(v) if w not in tri)
+        prev, length = v, 1
+        while cur not in triangle_of and g.degree(cur) == 2:
+            prev, cur = cur, next(w for w in g.neighbours(cur) if w != prev)
+            length += 1
+        if (cur in triangle_of) != (length % 2 == 1):
+            return False
+    return True
 
 
 def t_family_members(max_edges: int):

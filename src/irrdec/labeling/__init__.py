@@ -16,9 +16,6 @@ from fractions import Fraction
 from ..exact import BETA_POW, BETA_SHIFT, le_scaled_pow
 from ..graph_core import Graph
 
-# display-only approximation; every predicate goes through exact arithmetic
-BETA = 2.0 ** (BETA_SHIFT / BETA_POW)
-
 _CLB_CACHE = {}
 
 

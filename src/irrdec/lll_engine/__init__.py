@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..exact import floor_beta_mult, floor_scaled_pow, iroot, BETA_POW, BETA_SHIFT
-from ..graph_core import Graph
+from ..graph_core import Graph, InvariantViolated
 from ..labeling import (
     LabelPair,
     RiskyClassification,
@@ -236,22 +236,19 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
         arcs[(ev.vertex, ev.kind)] = targets
         d = g.degree(ev.vertex)
         bound = 3 + 4 * d * floor_beta_mult(d)
-        assert len(targets) <= bound, (ev, len(targets), bound)
+        if len(targets) > bound:
+            raise InvariantViolated(f"event ({ev.vertex}, {ev.kind}): out-degree "
+                                    f"{len(targets)} exceeds the bound {bound}")
         if d >= 1:
             pd = d ** BETA_POW
             for w, _ in targets:
                 if w == ev.vertex:
                     continue
                 pw = g.degree(w) ** BETA_POW
-                assert pw < (pd << (2 * BETA_SHIFT)) and pd < (pw << (2 * BETA_SHIFT)), (
-                    ev.vertex, w, d, g.degree(w),
-                )
+                if not (pw < (pd << (2 * BETA_SHIFT)) and pd < (pw << (2 * BETA_SHIFT))):
+                    raise InvariantViolated(f"arc {ev.vertex} -> {w}: degree ratio "
+                                            f"{d}/{g.degree(w)} is not within beta^2")
     return DependencyDigraph(events, arcs)
-
-
-def lll_weight(d: int) -> Fraction:
-    """Per-event weight used in the audit's feasibility chain."""
-    return Fraction(1, 1 + d ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import networkx
 from ..graph_core import (
     Decomposition,
     Graph,
+    InvariantViolated,
     cycle,
     path,
     recognize_exception,
@@ -181,7 +182,9 @@ def exceptions_never_decompose(max_edges: int, other_max_vertices: int = 7) -> d
     exception_verdicts = {}
     for name, g in exceptions:
         res = min_parts(g)
-        assert res.feasible_k is None and res.exhausted, f"{name} decomposed: {res}"
+        if res.feasible_k is not None or not res.exhausted:
+            raise InvariantViolated(f"exception {name} is not certified infeasible: "
+                                    f"least k {res.feasible_k}, exhausted {res.exhausted}")
         exception_verdicts[name] = {"edges": g.m, "infeasible": True}
 
     others = 0
@@ -197,9 +200,12 @@ def exceptions_never_decompose(max_edges: int, other_max_vertices: int = 7) -> d
                                   "oracle_k": res.feasible_k})
         if marked is None:
             others += 1
-            assert res.feasible_k is not None, f"non-exception infeasible: {sorted(g.edges)}"
+            if res.feasible_k is None:
+                raise InvariantViolated(f"non-exception graph is infeasible: {sorted(g.edges)}")
             feasible_hist[res.feasible_k] = feasible_hist.get(res.feasible_k, 0) + 1
-    assert not disagreements, disagreements
+    if disagreements:
+        raise InvariantViolated(f"recognizer and oracle disagree on {len(disagreements)} "
+                                f"graph(s): {disagreements[:3]}")
     return {
         "exceptions": exception_verdicts,
         "other_connected_graphs": others,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -121,6 +122,14 @@ class TestDecompose:
         src.write_text("3\n0 7\n")
         code, _, err = run(capsys, "decompose", str(src), "--seed", "1")
         assert code == 65 and "bad data" in err
+
+    def test_huge_vertex_count_fails_fast(self, capsys, tmp_path):
+        src = tmp_path / "huge.txt"
+        src.write_text("1000000000\n")
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "decompose", str(src), "--seed", "1")
+        assert code == 65 and "1000000000" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_out_record_digest(self, capsys, graph_file, tmp_path):
         src = graph_file("p4.txt", path(4))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,21 @@ class TestFloorScaledPow:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             floor_scaled_pow(math.inf, 5, 31, 50)
+
+    def test_degree_beyond_float_range(self):
+        # 8 * (10**400)**(31/50) = 8 * 10**248 exactly; a float of 10**400 overflows
+        assert floor_scaled_pow(8, 10**400, 31, 50) == 8 * 10**248
+        assert floor_scaled_pow(Fraction(21, 100), 10**400 + 1, 12, 50) == 21 * 10**94
+
+    def test_seeded_grid_is_the_floor(self):
+        rng = random.Random(1950)
+        for _ in range(400):
+            coeff = Fraction(rng.randint(0, 400), rng.randint(1, 50))
+            d = rng.choice([rng.randint(0, 3000), rng.randint(1, 10**12), 10 ** rng.randint(300, 420)])
+            num, den = rng.choice([(31, 50), (12, 50), (19, 50), (1, 2), (2, 3)])
+            m = floor_scaled_pow(coeff, d, num, den)
+            assert cmp_scaled_pow(m, coeff, d, num, den) <= 0
+            assert cmp_scaled_pow(m + 1, coeff, d, num, den) > 0
 
     @given(
         st.fractions(min_value=0, max_value=64, max_denominator=9),

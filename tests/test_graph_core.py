@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrdec.graph_core import (
+    MAX_VERTICES,
     Decomposition,
     ExceptionFamily,
     Graph,
+    _isomorphic,
     canon_edge,
     complete,
     complete_bipartite,
@@ -24,6 +28,7 @@ from irrdec.graph_core import (
     t_family,
     t_family_members,
 )
+from irrdec.oracle import atlas_connected_graphs
 
 
 class TestGraph:
@@ -174,6 +179,12 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert fragment in str(err.value)
 
+    def test_vertex_cap(self):
+        assert parse_edge_list(f"{MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(f"{10**9}\n")
+        assert str(10**9) in str(err.value) and str(MAX_VERTICES) in str(err.value)
+
 
 class TestExceptionFamilies:
     def test_odd_paths_and_cycles(self):
@@ -221,3 +232,79 @@ class TestExceptionFamilies:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             recognize_exception(Graph(4, [(0, 1)]))
+
+
+def _perturb(g: Graph, rng: random.Random) -> Graph:
+    """One to three steps of edge delete, edge add, subdivide or pendant edge."""
+    n, edges = g.n, set(g.edges)
+    for _ in range(rng.randint(1, 3)):
+        step = rng.randrange(4)
+        if step == 0 and edges:
+            edges.discard(rng.choice(sorted(edges)))
+        elif step == 1:
+            edges.add(canon_edge(*rng.sample(range(n), 2)))
+        elif step == 2 and edges:
+            u, v = rng.choice(sorted(edges))
+            edges -= {(u, v)}
+            edges |= {(u, n), (v, n)}
+            n += 1
+        else:
+            edges.add((rng.randrange(n), n))
+            n += 1
+    return Graph(n, edges)
+
+
+class TestTMemberStructure:
+    """is_t_member against the generator: a graph is a member exactly when
+    it is isomorphic to a generated member with the same edge count."""
+
+    MAX_EDGES = 15
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        return t_family_members(self.MAX_EDGES)
+
+    @pytest.fixture(scope="class")
+    def reference(self, members):
+        buckets = {}
+        for h in members:
+            buckets.setdefault((h.m, tuple(sorted(h.degrees()))), []).append(h)
+
+        def is_member(g):
+            key = (g.m, tuple(sorted(g.degrees())))
+            return any(_isomorphic(g, h) for h in buckets.get(key, ()))
+
+        return is_member
+
+    def test_agrees_with_generator(self, members, reference):
+        graphs = atlas_connected_graphs(7) + members
+        rng = random.Random(20150901)
+        perturbed = 0
+        while perturbed < 5000:
+            g = _perturb(rng.choice(members), rng)
+            if g.is_connected() and g.m <= self.MAX_EDGES and g.max_degree() <= 3:
+                graphs.append(g)
+                perturbed += 1
+        verdicts = [is_t_member(g) for g in graphs]
+        wrong = [sorted(g.edges) for g, got in zip(graphs, verdicts) if got != reference(g)]
+        assert not wrong, wrong[:3]
+        assert sum(verdicts) >= 300
+        assert len(verdicts) - sum(verdicts) >= 300
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(4).without_edges([(0, 1)]),                          # diamond K4 - e
+            Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),  # bowtie
+            Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),                  # triangle + pendant edge
+            Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4),            # triangles joined by
+                      (4, 5), (4, 6), (5, 6)]),                          # a path of length 2
+            Graph(10, list(cycle(3).edges) + [(0, 3), (3, 4)]            # a member beside a
+                  + [(5, 6), (6, 7), (7, 8), (8, 9), (5, 9)]),           # disjoint 5-cycle
+        ],
+        ids=["diamond", "bowtie", "pendant_edge", "even_bridge", "disconnected"],
+    )
+    def test_fixed_negatives(self, g, reference):
+        assert not is_t_member(g)
+        if g.is_connected():
+            assert not reference(g)

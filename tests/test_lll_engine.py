@@ -28,7 +28,6 @@ from irrdec.lll_engine import (
     event_scope,
     exact_binomial_tail,
     exact_edge_risk_probability,
-    lll_weight,
     make_event,
     moser_tardos,
     risk_bound_holds,
@@ -203,10 +202,6 @@ class TestDependencyDigraph:
         g = Graph(8, [(0, i) for i in range(1, 8)])  # no gated pairs
         dg = build_dependency_digraph(g)
         assert all(dg.out_degree(k) == 3 for k in dg.arcs)
-
-    def test_weight(self):
-        assert lll_weight(2) == Fraction(1, 9)
-        assert lll_weight(10**10) == Fraction(1, 1 + 10**30)
 
 
 class TestExactRiskProbability:

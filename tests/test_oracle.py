@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from irrdec.graph_core import (
@@ -91,3 +96,25 @@ class TestExceptionSweep:
         assert report["other_connected_graphs"] == 986
         assert report["feasible_k_histogram"] == {"0": 1, "1": 83, "2": 864, "3": 38}
         assert report["recognizer_agreement"] is True
+
+
+def test_sweep_invariants_survive_optimize_flag():
+    """Under `python -O` a bare assert vanishes; the sweep's checks must not."""
+    script = textwrap.dedent("""
+        import irrdec.oracle as oracle
+        from irrdec.graph_core import InvariantViolated
+
+        oracle.min_parts = lambda g: oracle.OracleResult(1, None, True)
+        try:
+            oracle.exceptions_never_decompose(3)
+        except InvariantViolated as exc:
+            print("raised:", exc)
+        else:
+            raise SystemExit("no InvariantViolated")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: exception path(1) is not certified infeasible" in proc.stdout
