@@ -157,8 +157,15 @@ def _stage_factor(host: Graph, lam: list, targets: list, cfg: PipelineConfig,
     if empty:
         trace.report(stage, False, precondition_failing=failing,
                      empty_target_vertices=empty[:20])
-        return Diagnostic(stage, "WindowTargetInfeasible",
-                          {"vertices": empty[:20], "count": len(empty)})
+        v = empty[0]
+        d = host.degree(v)
+        return Diagnostic(stage, "WindowTargetInfeasible", {
+            "vertices": empty[:20], "count": len(empty),
+            # first failing vertex: how many integers each window holds
+            # against the modulus a residue class needs to be hit
+            "degree": d, "window_widths": [d // 2 - d // 3, (2 * d) // 3 - d // 2],
+            "modulus": lam[v],
+        })
     trace.report(stage, True, precondition_failing=failing, exempt=exempt)
     result = find_degree_set_subgraph(
         host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
@@ -168,7 +175,7 @@ def _stage_factor(host: Graph, lam: list, targets: list, cfg: PipelineConfig,
         return Diagnostic(stage, "FactorSolverFailure", {
             "mode": result.mode, "reason": result.reason,
             "nodes_explored": result.nodes_explored,
-            "best_penalty": result.best_penalty,
+            "best_penalty": result.best_penalty, "flips": result.flips,
         })
     return result, exempt
 

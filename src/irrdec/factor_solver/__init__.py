@@ -7,6 +7,12 @@ to a four-value allowed set {a-, a-+1, a+, a++1} picked from the windows
 {floor(d/3)+1 .. floor(d/2)} and {floor(d/2) .. floor(2d/3)-1}; both
 windows hold at least lam(v) consecutive integers once 6*lam(v) <= d(v),
 so a congruent element always exists under that precondition.
+
+Costs: a window is built by arithmetic, O(window/lam) for the values it
+returns.  Exact mode prunes in O(1) per endpoint through a next-allowed-
+degree table per vertex.  Heuristic mode keeps each edge's flip delta in
+one of five bitmask buckets and after a flip of (u, v) recomputes only the
+edges at u and v, so an accepted flip costs O(d(u) + d(v)) delta updates.
 """
 
 from __future__ import annotations
@@ -65,14 +71,18 @@ class Failure:
     reason: str
     nodes_explored: int = 0
     best_penalty: int | None = None
+    flips: int = 0  # accepted flips a heuristic search used
+
+
+def _residues(lo: int, hi: int, lam: int, t: int) -> list:
+    """Every x in [lo, hi] with x = t mod lam: the first one, then steps of lam."""
+    return list(range(lo + (t - lo) % lam, hi + 1, lam))
 
 
 def window_candidates(d: int, lam: int, t: int) -> tuple:
     """Residue-matching values in the low and high windows (either may be
     empty when the 6*lam <= d precondition does not hold)."""
-    w1 = [x for x in range(d // 3 + 1, d // 2 + 1) if (x - t) % lam == 0]
-    w2 = [x for x in range(d // 2, (2 * d) // 3) if (x - t) % lam == 0]
-    return w1, w2
+    return _residues(d // 3 + 1, d // 2, lam, t), _residues(d // 2, (2 * d) // 3 - 1, lam, t)
 
 
 def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
@@ -91,55 +101,54 @@ def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
     return out
 
 
+def _incident_edges(n: int, edges: list) -> list:
+    """incident[v] = indices into edges of the edges at v, ascending."""
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
+
+
 # ---------------------------------------------------------------------------
 # exact branch-and-bound
 
-def _reachable(cur: int, rem: int, allowed) -> bool:
-    return any(cur <= s <= cur + rem for s in allowed)
+def _next_allowed(d: int, allowed) -> list:
+    """nxt[c] = least allowed degree >= c for c in 0..d, or d + 1 when none is
+    left; a vertex with cur chosen and rem undecided edges can still land in
+    its set exactly when nxt[cur] <= cur + rem."""
+    nxt = [d + 1] * (d + 2)
+    for c in range(d, -1, -1):
+        nxt[c] = c if c in allowed else nxt[c + 1]
+    return nxt
 
 
 def _exact_search(g: Graph, allowed: dict):
     n = g.n
     edges = sorted(g.edges)
-    incident = {v: [] for v in range(n)}
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
+    incident = _incident_edges(n, edges)
     cur = [0] * n
     rem = [len(incident[v]) for v in range(n)]
+    nxt = [_next_allowed(rem[v], allowed[v]) for v in range(n)]
     state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
     nodes = 0
 
     for v in range(n):
-        if not _reachable(0, rem[v], allowed[v]):
+        if nxt[v][0] > rem[v]:
             return Failure("exact", "no reachable degree at vertex %d" % v, 1)
 
     def pick_edge():
-        # fail-first: branch at the vertex with fewest undecided edges
-        best_v, best_rem = -1, None
-        for v in range(n):
-            if rem[v] > 0 and (best_rem is None or rem[v] < best_rem):
-                best_v, best_rem = v, rem[v]
-        for i in incident[best_v]:
+        # fail-first: branch at the least vertex with the fewest undecided edges
+        best_rem = min(filter(None, rem), default=0)
+        best_v = rem.index(best_rem)
+        for i in incident[best_v] if best_rem else ():
             if state[i] == 0:
                 return i
-        raise AssertionError("rem out of sync")
+        raise InvariantViolated(f"rem out of sync: the fewest undecided edges at a vertex is "
+                                f"{best_rem} (vertex {best_v}, cur {cur[best_v]}), but none of "
+                                f"its edges is undecided")
 
     mid = [sum(allowed[v]) / len(allowed[v]) for v in range(n)]
-
-    def assign(i, val):
-        state[i] = val
-        for w in edges[i]:
-            rem[w] -= 1
-            if val == 1:
-                cur[w] += 1
-
-    def undo(i, val):
-        state[i] = 0
-        for w in edges[i]:
-            rem[w] += 1
-            if val == 1:
-                cur[w] -= 1
 
     def solve(undecided):
         nonlocal nodes
@@ -150,12 +159,20 @@ def _exact_search(g: Graph, allowed: dict):
         u, v = edges[i]
         # try the direction that moves both endpoints toward their targets
         include_first = cur[u] < mid[u] and cur[v] < mid[v]
-        for val in ((1, -1) if include_first else (-1, 1)):
-            assign(i, val)
-            if _reachable(cur[u], rem[u], allowed[u]) and _reachable(cur[v], rem[v], allowed[v]):
-                if solve(undecided - 1):
-                    return True
-            undo(i, val)
+        rem[u] -= 1
+        rem[v] -= 1
+        for inc in ((1, 0) if include_first else (0, 1)):
+            state[i] = 1 if inc else -1
+            cu = cur[u] = cur[u] + inc
+            cv = cur[v] = cur[v] + inc
+            if (nxt[u][cu] <= cu + rem[u] and nxt[v][cv] <= cv + rem[v]
+                    and solve(undecided - 1)):
+                return True
+            cur[u] -= inc
+            cur[v] -= inc
+        state[i] = 0
+        rem[u] += 1
+        rem[v] += 1
         return False
 
     if solve(len(edges)):
@@ -171,49 +188,65 @@ def derived_seed(master_seed, restart_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _penalty_at(d: int, allowed) -> int:
-    return min(abs(d - s) for s in allowed)
+def _penalty_table(d: int, allowed) -> list:
+    """pen[x] = distance from x to the nearest allowed degree, x in 0..d."""
+    pen = [0 if x in allowed else d + 1 for x in range(d + 1)]
+    for x in range(1, d + 1):
+        pen[x] = min(pen[x], pen[x - 1] + 1)
+    for x in range(d - 1, -1, -1):
+        pen[x] = min(pen[x], pen[x + 1] + 1)
+    return pen
 
 
 def _local_search(g: Graph, allowed: dict, budget: int, seed):
     n = g.n
     edges = sorted(g.edges)
     m = len(edges)
+    pen = [_penalty_table(g.degree(v), allowed[v]) for v in range(n)]
     if m == 0:
         if all(0 in allowed[v] for v in range(n)):
             return Graph(n, [])
-        return Failure("heuristic", "empty graph cannot meet targets", best_penalty=sum(
-            _penalty_at(0, allowed[v]) for v in range(n)))
+        return Failure("heuristic", "empty graph cannot meet targets",
+                       best_penalty=sum(pen[v][0] for v in range(n)))
+    incident = _incident_edges(n, edges)
+    bias = [(sum(allowed[v]) / len(allowed[v])) / g.degree(v) if g.degree(v) else 0.0
+            for v in range(n)]
+    p_start = [(bias[u] + bias[v]) / 2 for u, v in edges]  # chance an edge starts chosen
+
+    def flip_delta(i):
+        # a flip keeps both degrees in 0..d: it adds an edge only where one is missing
+        u, v = edges[i]
+        pu, pv, du, dv = pen[u], pen[v], deg[u], deg[v]
+        step = -1 if chosen[i] else 1
+        return pu[du + step] - pu[du] + pv[dv + step] - pv[dv]
+
     flips = 0
     best_overall = None
     restart = 0
     while flips < budget:
         rng = random.Random(derived_seed(seed, restart))
         restart += 1
-        bias = {}
-        for v in range(n):
-            d = g.degree(v)
-            bias[v] = (sum(allowed[v]) / len(allowed[v])) / d if d else 0.0
-        chosen = [rng.random() < (bias[u] + bias[v]) / 2 for u, v in edges]
+        chosen = [rng.random() < p for p in p_start]
         deg = [0] * n
         for i, (u, v) in enumerate(edges):
             if chosen[i]:
                 deg[u] += 1
                 deg[v] += 1
-        penalty = sum(_penalty_at(deg[v], allowed[v]) for v in range(n))
+        penalty = sum(pen[v][deg[v]] for v in range(n))
+        # each endpoint's penalty moves by at most 1, so every delta lies in
+        # -2..2; bucket[delta + 2] is the bitmask of the edges with that delta
+        delta = [flip_delta(i) for i in range(m)]
+        bucket = [0] * 5
+        for i, dl in enumerate(delta):
+            bucket[dl + 2] |= 1 << i
         sideways = 0
         while penalty > 0 and flips < budget and sideways <= 2 * m:
-            best_i, best_delta = -1, None
-            for i, (u, v) in enumerate(edges):
-                step = -1 if chosen[i] else 1
-                delta = (
-                    _penalty_at(deg[u] + step, allowed[u]) - _penalty_at(deg[u], allowed[u])
-                    + _penalty_at(deg[v] + step, allowed[v]) - _penalty_at(deg[v], allowed[v])
-                )
-                if best_delta is None or delta < best_delta:
-                    best_i, best_delta = i, delta
+            # least index among the least delta
+            k = next(k for k in range(5) if bucket[k])
+            best_delta = k - 2
             if best_delta > 0:
                 break  # local minimum; restart
+            best_i = (bucket[k] & -bucket[k]).bit_length() - 1
             u, v = edges[best_i]
             step = -1 if chosen[best_i] else 1
             chosen[best_i] = not chosen[best_i]
@@ -222,11 +255,18 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
             penalty += best_delta
             flips += 1
             sideways = sideways + 1 if best_delta == 0 else 0
+            # only edges at u or v see a changed degree or a changed state
+            for i in incident[u] + incident[v]:
+                new = flip_delta(i)
+                if new != delta[i]:
+                    bucket[delta[i] + 2] ^= 1 << i
+                    bucket[new + 2] |= 1 << i
+                    delta[i] = new
         if penalty == 0:
             return Graph(n, [e for i, e in enumerate(edges) if chosen[i]])
         if best_overall is None or penalty < best_overall:
             best_overall = penalty
-    return Failure("heuristic", "flip budget exhausted", best_penalty=best_overall)
+    return Failure("heuristic", "flip budget exhausted", best_penalty=best_overall, flips=flips)
 
 
 def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exact",

@@ -7,6 +7,7 @@ from irrdec.decomposer import (
     Diagnostic,
     PipelineConfig,
     PipelineTrace,
+    _stage_factor,
     congruence_separation_check,
     decompose3,
     greedy_proper_colouring,
@@ -76,6 +77,28 @@ class TestPipelineOutcomes:
         assert out.stage == "part1_factor"
         assert out.code == "WindowTargetInfeasible"
         assert out.detail["count"] >= 1
+        # the first failing vertex keeps one edge: both windows are empty
+        assert trace.g_prime.degree(out.detail["vertices"][0]) == out.detail["degree"] == 1
+        assert out.detail["window_widths"] == [0, 0]
+        assert out.detail["modulus"] == 12
+
+    def test_window_diagnostic_names_widths_and_modulus(self):
+        # K14 stops at part 1 because a degree-9 vertex's windows hold 1 and
+        # 2 integers while a residue class mod 48 needs 48
+        out, trace = decompose3(complete(14), PipelineConfig(seed=3, **RELAXED))
+        assert out.code == "WindowTargetInfeasible" and out.detail["count"] == 14
+        assert trace.g_prime.degree(out.detail["vertices"][0]) == 9
+        assert (out.detail["degree"], out.detail["window_widths"], out.detail["modulus"]) \
+            == (9, [1, 2], 48)
+
+    def test_solver_failure_reports_flips(self):
+        g = complete(13)
+        cfg = PipelineConfig(seed=1, solver_mode="heuristic", solver_budget=3)
+        out = _stage_factor(g, [1] * 13, [0] * 13, cfg, "part1_factor", PipelineTrace(g, cfg),
+                            "part1")
+        assert out.code == "FactorSolverFailure"
+        assert out.detail == {"mode": "heuristic", "reason": "flip budget exhausted",
+                              "nodes_explored": 0, "best_penalty": 1, "flips": 3}
 
     def test_exempt_vertices_are_not_reported_infeasible(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])  # triangle plus isolated 3

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrdec.factor_solver import (
@@ -15,7 +16,7 @@ from irrdec.factor_solver import (
     verify_factor,
     window_candidates,
 )
-from irrdec.graph_core import Graph, complete, cycle, gnp, path
+from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
 
 
 class TestWindows:
@@ -139,6 +140,7 @@ class TestHeuristicSearch:
         out = find_degree_set_subgraph(g, spec, mode="heuristic", budget=50, seed=0)
         assert isinstance(out, Failure)
         assert out.mode == "heuristic" and out.best_penalty >= 1
+        assert out.flips == 50  # infeasible, so the search spends its whole budget
 
     def test_derived_seeds_are_stable(self):
         assert derived_seed(7, 0) == 17725994237439495539
@@ -178,3 +180,220 @@ class TestVerify:
         assert spec.to_json() == {"t": [0, 1], "lambda": [3, 3]}
         dspec = DegreeTargetSpec({0: {2, 1}})
         assert dspec.to_json() == {"allowed": {"0": [1, 2]}}
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the solver kernels against the direct forms they
+# replaced (an O(m) scan per flip, an any() reachability scan, a filter over
+# every integer of a window), kept here as references.
+
+def _ref_window_candidates(d, lam, t):
+    w1 = [x for x in range(d // 3 + 1, d // 2 + 1) if (x - t) % lam == 0]
+    w2 = [x for x in range(d // 2, (2 * d) // 3) if (x - t) % lam == 0]
+    return w1, w2
+
+
+def _ref_reachable(cur, rem, allowed):
+    return any(cur <= s <= cur + rem for s in allowed)
+
+
+def _ref_exact_search(g, allowed):
+    n = g.n
+    edges = sorted(g.edges)
+    incident = {v: [] for v in range(n)}
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    cur = [0] * n
+    rem = [len(incident[v]) for v in range(n)]
+    state = [0] * len(edges)
+    nodes = 0
+    for v in range(n):
+        if not _ref_reachable(0, rem[v], allowed[v]):
+            return Failure("exact", "no reachable degree at vertex %d" % v, 1)
+
+    def pick_edge():
+        best_v, best_rem = -1, None
+        for v in range(n):
+            if rem[v] > 0 and (best_rem is None or rem[v] < best_rem):
+                best_v, best_rem = v, rem[v]
+        for i in incident[best_v]:
+            if state[i] == 0:
+                return i
+        raise AssertionError("rem out of sync")
+
+    mid = [sum(allowed[v]) / len(allowed[v]) for v in range(n)]
+
+    def assign(i, val):
+        state[i] = val
+        for w in edges[i]:
+            rem[w] -= 1
+            if val == 1:
+                cur[w] += 1
+
+    def undo(i, val):
+        state[i] = 0
+        for w in edges[i]:
+            rem[w] += 1
+            if val == 1:
+                cur[w] -= 1
+
+    def solve(undecided):
+        nonlocal nodes
+        nodes += 1
+        if undecided == 0:
+            return all(cur[v] in allowed[v] for v in range(n))
+        i = pick_edge()
+        u, v = edges[i]
+        include_first = cur[u] < mid[u] and cur[v] < mid[v]
+        for val in ((1, -1) if include_first else (-1, 1)):
+            assign(i, val)
+            if (_ref_reachable(cur[u], rem[u], allowed[u])
+                    and _ref_reachable(cur[v], rem[v], allowed[v])):
+                if solve(undecided - 1):
+                    return True
+            undo(i, val)
+        return False
+
+    if solve(len(edges)):
+        return Graph(n, [edges[i] for i in range(len(edges)) if state[i] == 1])
+    return Failure("exact", "search space exhausted", nodes)
+
+
+def _ref_local_search(g, allowed, budget, seed, stats):
+    """The O(m)-per-flip penalty descent; stats counts restarts, restarts
+    cut by the sideways limit and accepted flips."""
+    def pen(d, s):
+        return min(abs(d - x) for x in s)
+
+    n = g.n
+    edges = sorted(g.edges)
+    m = len(edges)
+    flips = 0
+    best_overall = None
+    restart = 0
+    while flips < budget:
+        rng = random.Random(derived_seed(seed, restart))
+        restart += 1
+        bias = {v: (sum(allowed[v]) / len(allowed[v])) / g.degree(v) if g.degree(v) else 0.0
+                for v in range(n)}
+        chosen = [rng.random() < (bias[u] + bias[v]) / 2 for u, v in edges]
+        deg = [0] * n
+        for i, (u, v) in enumerate(edges):
+            if chosen[i]:
+                deg[u] += 1
+                deg[v] += 1
+        penalty = sum(pen(deg[v], allowed[v]) for v in range(n))
+        sideways = 0
+        while penalty > 0 and flips < budget and sideways <= 2 * m:
+            best_i, best_delta = -1, None
+            for i, (u, v) in enumerate(edges):
+                step = -1 if chosen[i] else 1
+                delta = (pen(deg[u] + step, allowed[u]) - pen(deg[u], allowed[u])
+                         + pen(deg[v] + step, allowed[v]) - pen(deg[v], allowed[v]))
+                if best_delta is None or delta < best_delta:
+                    best_i, best_delta = i, delta
+            if best_delta > 0:
+                break
+            u, v = edges[best_i]
+            step = -1 if chosen[best_i] else 1
+            chosen[best_i] = not chosen[best_i]
+            deg[u] += step
+            deg[v] += step
+            penalty += best_delta
+            flips += 1
+            sideways = sideways + 1 if best_delta == 0 else 0
+        stats["restarts"] += 1
+        stats["sideways_cut"] += sideways > 2 * m
+        if penalty == 0:
+            return Graph(n, [e for i, e in enumerate(edges) if chosen[i]])
+        if best_overall is None or penalty < best_overall:
+            best_overall = penalty
+    return Failure("heuristic", "flip budget exhausted", best_penalty=best_overall, flips=flips)
+
+
+def _differential_instance(seed):
+    """Seeded gnp or random regular host with random allowed sets; every
+    third instance is made feasible by planting a random subgraph's degrees."""
+    rng = random.Random(seed)
+    if seed % 2:
+        g = gnp(rng.randint(5, 12), rng.uniform(0.3, 0.8), seed=rng.getrandbits(32))
+    else:
+        n = rng.choice((6, 8, 10, 12))
+        g = random_regular(n, rng.randint(3, 5), seed=rng.getrandbits(32))
+    planted = [0] * g.n
+    for u, v in g.edges:
+        if rng.random() < 0.5:
+            planted[u] += 1
+            planted[v] += 1
+    allowed = {}
+    for v in range(g.n):
+        s = set(rng.sample(range(g.degree(v) + 1), rng.randint(1, min(3, g.degree(v) + 1))))
+        if seed % 3 == 0:
+            s.add(planted[v])
+        allowed[v] = frozenset(s)
+    return g, allowed, rng
+
+
+def _outcome(r):
+    if isinstance(r, Failure):
+        return (r.mode, r.reason, r.nodes_explored, r.best_penalty, r.flips)
+    return sorted(r.edges)
+
+
+class TestAgainstReferences:
+    SEEDS = range(160)
+
+    def test_exact_search_matches_reference(self):
+        infeasible, infeasible_nodes = 0, 0
+        for seed in self.SEEDS:
+            g, allowed, _ = _differential_instance(seed)
+            got = find_degree_set_subgraph(g, DegreeTargetSpec(allowed), mode="exact")
+            want = _ref_exact_search(g, allowed)
+            assert _outcome(got) == _outcome(want), f"seed {seed}"
+            if isinstance(want, Failure):
+                infeasible += 1
+                infeasible_nodes += want.nodes_explored
+        # both outcomes occur, and the node counts compared on infeasible
+        # instances come from real searches
+        assert 20 <= infeasible <= len(self.SEEDS) - 40 and infeasible_nodes >= 1000
+
+    def test_local_search_matches_reference(self):
+        stats = {"restarts": 0, "sideways_cut": 0}
+        kinds = set()
+        for seed in self.SEEDS:
+            g, allowed, rng = _differential_instance(seed)
+            budget = rng.choice((0, 1, 7, 60, 400, 2000))
+            restarts = stats["restarts"]
+            got = find_degree_set_subgraph(g, DegreeTargetSpec(allowed), mode="heuristic",
+                                           budget=budget, seed=seed)
+            want = _ref_local_search(g, allowed, budget, seed, stats)
+            assert _outcome(got) == _outcome(want), f"seed {seed}"
+            kinds.add((isinstance(want, Failure), stats["restarts"] - restarts > 1))
+        # found and exhausted, each both within the first descent and after
+        # restarts; and some descents were cut by the sideways limit
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+        assert stats["sideways_cut"] >= 20
+
+    def test_local_search_matches_reference_on_dense_hosts(self):
+        # higher degrees give long descents with many changed buckets per flip
+        stats = {"restarts": 0, "sideways_cut": 0}
+        for seed in range(12):
+            g = random_regular(24, 10 + seed % 3, seed=seed)
+            rng = random.Random(seed)
+            allowed = {v: frozenset(rng.sample(range(3, 9), 2)) for v in range(g.n)}
+            got = find_degree_set_subgraph(g, DegreeTargetSpec(allowed), mode="heuristic",
+                                           budget=600, seed=seed)
+            want = _ref_local_search(g, allowed, 600, seed, stats)
+            assert _outcome(got) == _outcome(want), f"seed {seed}"
+        assert stats["restarts"] > 12 and stats["sideways_cut"] >= 5
+
+    @given(st.integers(0, 600), st.integers(1, 80), st.integers(-200, 400))
+    @settings(max_examples=400, deadline=None)
+    @example(5, 1, 0)  # d < 6: both windows empty
+    @example(0, 3, 2)
+    @example(47, 5, 13)  # t >= lam, lam not dividing d
+    @example(1000, 7, -3)
+    def test_windows_match_brute_force(self, d, lam, t):
+        assert window_candidates(d, lam, t) == _ref_window_candidates(d, lam, t)
+
