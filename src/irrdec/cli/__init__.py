@@ -29,7 +29,7 @@ from ..graph_core import (
     recognize_exception,
     serialize_edge_list,
 )
-from ..labeling import ratio_gate
+from ..labeling import ceil_log_beta, ratio_gate
 from ..lll_engine import (
     audit_constants,
     exact_edge_risk_probability,
@@ -44,6 +44,12 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 RANDOMIZED_FAMILIES = ("gnp", "random_regular")
+
+# riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
+# moduli lam = 2^e above 128.  Its conditional tables cost about 8^e steps:
+# all four types answer within 1.3 s at e = 7 and take up to 10 s at e = 8
+# (2-vCPU Intel Xeon).
+RISKPROB_MAX_EXPONENT = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,6 +258,11 @@ def cmd_riskprob(args) -> int:
         record = make_record("riskprob", params, None, result, time.perf_counter() - t0)
         _emit(record, args, [f"degrees {du}, {dv} are not within the ratio gate"])
         return EXIT_DIAGNOSTIC
+    e = max(ceil_log_beta(du), ceil_log_beta(dv))
+    if e > RISKPROB_MAX_EXPONENT:
+        raise CommandError(EXIT_USAGE,
+                           f"degree {max(du, dv)} has lam = 2^{e}; riskprob is capped at "
+                           f"lam = 2^{RISKPROB_MAX_EXPONENT} = {1 << RISKPROB_MAX_EXPONENT}")
     which, rtype, bound_desc = _RISK_KIND[args.type]
     unconditional = exact_edge_risk_probability(du, dv, rtype)
     worst = worst_conditional_risk(du, dv, which)

@@ -244,8 +244,15 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
             # least index among the least delta
             k = next(k for k in range(5) if bucket[k])
             best_delta = k - 2
+            # While penalty > 0 some vertex x is off target.  Its nearest
+            # allowed degree a lies in [0, d(x)] (find_degree_set_subgraph
+            # checks that), so x has an edge to add if a > deg[x] and one to
+            # drop if a < deg[x].  That flip lowers x's penalty by exactly 1;
+            # a penalty is a distance, so the other endpoint's rises by at
+            # most 1, and that flip's delta is <= 0.
             if best_delta > 0:
-                break  # local minimum; restart
+                raise InvariantViolated(f"least flip delta is {best_delta} at penalty {penalty}: "
+                                        f"an off-target vertex always has a flip of delta <= 0")
             best_i = (bucket[k] & -bucket[k]).bit_length() - 1
             u, v = edges[best_i]
             step = -1 if chosen[best_i] else 1
@@ -282,8 +289,9 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
         s = spec.allowed.get(v) if isinstance(spec.allowed, dict) else spec.allowed[v]
         if s is None or len(s) == 0:
             raise ValueError(f"vertex {v}: empty allowed set")
-        if any(not (0 <= x <= g.degree(v)) for x in s):
-            raise ValueError(f"vertex {v}: allowed set {sorted(s)} outside [0, d(v)]")
+        # integers in [0, d(v)]: _local_search's invariant rests on this
+        if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
+            raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in [0, d(v)]")
     allowed = {v: frozenset(spec.allowed[v]) for v in range(g.n)}
     if mode == "exact":
         return _exact_search(g, allowed)

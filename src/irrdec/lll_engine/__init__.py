@@ -1,6 +1,14 @@
 """Bad events over risky neighbourhoods, their dependency digraph, a
-Moser-Tardos resampler, exact risk-probability enumeration, and the
-numeric audit of every closed-form constant the machinery relies on.
+Moser-Tardos resampler, exact risk probabilities, and the numeric audit of
+every closed-form constant the machinery relies on.
+
+An edge's risk probability is a count of label assignments, taken over
+only the coordinates each type reads and decided by labeling.risk_flags:
+O(lam(u)*lam(v)) predicate calls for every type, against the
+lam(u)^2 * lam(v)^2 assignments of the full label space.  Types 1 and 2
+read (ci(u), ci(v)); type 3 reads the sums c1 + c2 at both endpoints; the
+joint type "23" counts, per c2 pair risky of type 2, the c1 pairs risky of
+type 3.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from ..exact import floor_beta_mult, floor_scaled_pow, iroot, BETA_POW, BETA_SHIFT
 from ..graph_core import Graph, InvariantViolated
@@ -21,7 +30,6 @@ from ..labeling import (
     label_moduli,
     ratio_gate,
     risk_flags,
-    symmetric_mod_predicate,
 )
 
 KINDS = ("A", "B", "C", "F")
@@ -257,32 +265,29 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
 _SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
 
 
-def _type3_offset(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> int:
-    return du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)
-
-
-def _holds(rtype, du, dv, eu, ev, c1u, c1v, c2u, c2v) -> bool:
-    emin = min(eu, ev)
-    if rtype == 1:
-        return ((c1u << eu) - (c1v << ev)) % (1 << (2 * emin)) == 0
-    if rtype == 2:
-        return ((c2u << eu) - (c2v << ev)) % (1 << (2 * emin)) == 0
-    if rtype == 3:
-        a = _type3_offset(du, dv, eu, ev, c1u, c1v, c2u, c2v)
-        return symmetric_mod_predicate(a, 3 << emin, 3 << (2 * emin))
-    if rtype == "23":
-        return _holds(2, du, dv, eu, ev, c1u, c1v, c2u, c2v) and _holds(
-            3, du, dv, eu, ev, c1u, c1v, c2u, c2v
-        )
-    raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
+def _sum_weights(a: range, b: range) -> dict:
+    """s -> the number of (x, y) in a x b with x + y = s, for intervals a, b."""
+    return {s: len(range(max(a.start, s - b[-1]), min(a.stop, s - b.start + 1)))
+            for s in range(a.start + b.start, a[-1] + b[-1] + 1)}
 
 
 def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
     """Probability that an edge with endpoint degrees (du, dv) is risky of
-    the given type, by enumeration over the unconditioned label slots.
+    the given type, counted exactly over the unconditioned label slots.
 
     conditioned maps slot names from {"c1_u","c2_u","c1_v","c2_v"} to fixed
     values; remaining slots are uniform on their label ranges.
+
+    Each type is counted over the coordinates it reads, with every verdict
+    taken from labeling.risk_flags.  With lu, lv the label moduli, the cost
+    in predicate calls is at most:
+      1, 2  lu*lv: every ci(u) x ci(v), times the range of each free slot
+            the type does not read.
+      3     (2lu-1)(2lv-1): every pair of sums s = c1 + c2 of the two
+            endpoints, weighted by the number of label pairs giving it.
+      "23"  (2lu-1)(2lv-1) + lu*lv: the type-3 verdicts of all sum pairs as
+            a prefix-sum table, then for each c2(u) x c2(v) pair risky of
+            type 2, a rectangle sum over the c1 pairs.
     """
     if not ratio_gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -294,25 +299,44 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
             raise ValueError(f"unknown slot {name!r}")
         if not 0 <= value < lam[name]:
             raise ValueError(f"{name}={value} outside [0, {lam[name]})")
-    free = [n for n in _SLOT_NAMES if n not in conditioned]
-    total = 1
-    for n in free:
-        total *= lam[n]
-    count = 0
+    # the values each slot ranges over: its fixed value, or all of [0, lam)
+    span = {n: range(conditioned[n], conditioned[n] + 1) if n in conditioned else range(lam[n])
+            for n in _SLOT_NAMES}
+    c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
 
-    def rec(i, assign):
-        nonlocal count
-        if i == len(free):
-            count += _holds(rtype, du, dv, eu, ev,
-                            assign["c1_u"], assign["c1_v"], assign["c2_u"], assign["c2_v"])
-            return
-        name = free[i]
-        for value in range(lam[name]):
-            assign[name] = value
-            rec(i + 1, assign)
+    def type3(su, sv):
+        # type 3 reads c1 and c2 only through their sum
+        return risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2]
 
-    rec(0, dict(conditioned))
-    return Fraction(count, total)
+    if rtype in (1, 2):
+        read, flag = (("c1_u", "c1_v"), 0) if rtype == 1 else (("c2_u", "c2_v"), 1)
+        # types 1 and 2 are one congruence on c1 or on c2: feed (x, y) to both
+        hits = sum(risk_flags(du, dv, eu, ev, x, y, x, y)[flag]
+                   for x in span[read[0]] for y in span[read[1]])
+        count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
+    elif rtype == 3:
+        wu, wv = _sum_weights(c1u, c2u), _sum_weights(c1v, c2v)
+        count = sum(wu[su] * wv[sv] for su in wu for sv in wv if type3(su, sv))
+    elif rtype == "23":
+        # rect[i][j] = number of type-3 sum pairs among the first i sums of u
+        # and the first j sums of v, over every sum either endpoint can reach
+        sus = range(c1u.start + c2u.start, c1u[-1] + c2u[-1] + 1)
+        svs = range(c1v.start + c2v.start, c1v[-1] + c2v[-1] + 1)
+        rect = [[0] * (len(svs) + 1)]
+        for su in sus:
+            row = accumulate((type3(su, sv) for sv in svs), initial=0)
+            rect.append([a + b for a, b in zip(rect[-1], row)])
+        count = 0
+        for x in c2u:
+            for y in c2v:
+                if risk_flags(du, dv, eu, ev, 0, 0, x, y)[1]:
+                    # the c1 pairs put the sums in (x + c1u) x (y + c1v)
+                    i0, i1 = x + c1u.start - sus.start, x + c1u.stop - sus.start
+                    j0, j1 = y + c1v.start - svs.start, y + c1v.stop - svs.start
+                    count += rect[i1][j1] - rect[i0][j1] - rect[i1][j0] + rect[i0][j0]
+    else:
+        raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
+    return Fraction(count, math.prod(len(r) for r in span.values()))
 
 
 # worst-case conditional probabilities; results depend on the degrees only

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from irrdec.cli import canonical_json, main
+from irrdec.cli import RISKPROB_MAX_EXPONENT, canonical_json, main
+from irrdec.exact import iroot
 from irrdec.graph_core import complete, parse_edge_list, path, serialize_edge_list, spider
 
 
@@ -206,3 +211,32 @@ class TestRiskProb:
         code, out, _ = run(capsys, "riskprob", du, dv, "--json")
         assert code == 2
         assert json.loads(out)["result"]["gated"] is False
+
+    def test_degrees_above_the_cap_fail_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "riskprob", str(10**9), str(10**9))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 64 and out == ""
+        assert "has lam = 2^12;" in err and f"capped at lam = 2^{RISKPROB_MAX_EXPONENT}" in err
+
+    # d <= beta^e exactly when d^19 <= 2^(50e): the last degree of band 4 and
+    # the first degree past the cap
+    LAST_E4 = iroot(1 << 200, 19)
+    FIRST_OVER_CAP = iroot(1 << (50 * RISKPROB_MAX_EXPONENT), 19) + 1
+
+    @given(st.one_of(st.integers(max_value=LAST_E4), st.integers(min_value=FIRST_OVER_CAP)),
+           st.one_of(st.integers(max_value=LAST_E4), st.integers(min_value=FIRST_OVER_CAP)),
+           st.sampled_from(["1", "2", "3", "23"]))
+    @settings(max_examples=150, deadline=None)
+    @example(LAST_E4, LAST_E4, "23")  # the costliest pair the draws can reach
+    @example(FIRST_OVER_CAP, FIRST_OVER_CAP, "23")
+    @example(LAST_E4, FIRST_OVER_CAP, "1")  # ungated
+    @example(-3, 0, "2")
+    def test_any_integer_pair_exits_cleanly(self, du, dv, rtype):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["riskprob", str(du), str(dv), "--type", rtype])
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+        assert code in (0, 2, 64), (code, err.getvalue())

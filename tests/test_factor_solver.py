@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irrdec import factor_solver
 from irrdec.factor_solver import (
     DegreeTargetSpec,
     Failure,
@@ -16,7 +17,7 @@ from irrdec.factor_solver import (
     verify_factor,
     window_candidates,
 )
-from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
+from irrdec.graph_core import Graph, InvariantViolated, complete, cycle, gnp, path, random_regular
 
 
 class TestWindows:
@@ -98,6 +99,11 @@ class TestExactSearch:
             find_degree_set_subgraph(g, DegreeTargetSpec({0: {2}, 1: {0}}))
         with pytest.raises(ValueError):
             find_degree_set_subgraph(g, DegreeTargetSpec({0: {0}, 1: {0}}), mode="simulated")
+        # a degree 1.5 is never met, and the local search's invariant needs
+        # every off-target vertex to have a flip that helps it
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ValueError, match="not integers"):
+                find_degree_set_subgraph(g, DegreeTargetSpec({0: {0.5}, 1: {0}}), mode=mode)
 
     @given(st.integers(0, 10**9), st.integers(4, 7))
     @settings(max_examples=40, deadline=None)
@@ -141,6 +147,18 @@ class TestHeuristicSearch:
         assert isinstance(out, Failure)
         assert out.mode == "heuristic" and out.best_penalty >= 1
         assert out.flips == 50  # infeasible, so the search spends its whole budget
+
+    def test_uphill_least_delta_is_an_invariant_violation(self, monkeypatch):
+        # the descent relies on the penalty being a distance; a table that is
+        # not one leaves every flip on P3 uphill, and the search says so
+        monkeypatch.setattr(factor_solver, "_penalty_table",
+                            lambda d, allowed: [0 if x in allowed else d + 1
+                                                for x in range(d + 1)])
+        spec = DegreeTargetSpec({0: {1}, 1: {0}, 2: {1}})
+        # no edge chosen at the start: +1 at penalty 4; both: +2 at penalty 3
+        uphill = "least flip delta is (1 at penalty 4|2 at penalty 3)"
+        with pytest.raises(InvariantViolated, match=uphill):
+            find_degree_set_subgraph(path(2), spec, mode="heuristic", budget=50)
 
     def test_derived_seeds_are_stable(self):
         assert derived_seed(7, 0) == 17725994237439495539

@@ -19,7 +19,28 @@ from irrdec.labeling import (
     sample_labels,
     symmetric_mod_predicate,
 )
-from irrdec.lll_engine import _holds
+
+
+# The congruences as the probability enumeration wrote them before it moved
+# onto risk_flags, kept as an independent reference for risk_flags.
+def _type3_offset(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> int:
+    return du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)
+
+
+def _holds(rtype, du, dv, eu, ev, c1u, c1v, c2u, c2v) -> bool:
+    emin = min(eu, ev)
+    if rtype == 1:
+        return ((c1u << eu) - (c1v << ev)) % (1 << (2 * emin)) == 0
+    if rtype == 2:
+        return ((c2u << eu) - (c2v << ev)) % (1 << (2 * emin)) == 0
+    if rtype == 3:
+        a = _type3_offset(du, dv, eu, ev, c1u, c1v, c2u, c2v)
+        return symmetric_mod_predicate(a, 3 << emin, 3 << (2 * emin))
+    if rtype == "23":
+        return _holds(2, du, dv, eu, ev, c1u, c1v, c2u, c2v) and _holds(
+            3, du, dv, eu, ev, c1u, c1v, c2u, c2v
+        )
+    raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
 
 
 class TestCeilLogBeta:
@@ -139,7 +160,7 @@ class TestRisky:
          (5, 7, False), (7, 5, False), (30, 41, False), (41, 30, False)],
     )
     def test_risk_flags_match_probability_predicate(self, du, dv, same_band):
-        # _holds is the enumeration's separate copy of the congruences
+        # _holds is the separate reference copy of the congruences above
         assert ratio_gate(du, dv)
         eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
         assert (eu == ev) == same_band

@@ -35,6 +35,8 @@ from irrdec.lll_engine import (
     worst_conditional_risk,
 )
 
+from test_labeling import _holds  # the reference copy of the risk congruences
+
 INSTRUMENTED = (14, 0.1)  # complete(14) at slack 0.1: tight but terminating
 
 
@@ -235,6 +237,81 @@ class TestExactRiskProbability:
             return
         p = exact_edge_risk_probability(du, dv, 3)
         assert 0 <= p <= 1
+
+
+_SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
+
+
+def reference_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
+    """Probability that an edge with endpoint degrees (du, dv) is risky of
+    the given type, by enumeration over the unconditioned label slots.
+
+    conditioned maps slot names from {"c1_u","c2_u","c1_v","c2_v"} to fixed
+    values; remaining slots are uniform on their label ranges.
+    """
+    if not ratio_gate(du, dv):
+        raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    lam = {"c1_u": 1 << eu, "c2_u": 1 << eu, "c1_v": 1 << ev, "c2_v": 1 << ev}
+    conditioned = dict(conditioned or {})
+    for name, value in conditioned.items():
+        if name not in lam:
+            raise ValueError(f"unknown slot {name!r}")
+        if not 0 <= value < lam[name]:
+            raise ValueError(f"{name}={value} outside [0, {lam[name]})")
+    free = [n for n in _SLOT_NAMES if n not in conditioned]
+    total = 1
+    for n in free:
+        total *= lam[n]
+    count = 0
+
+    def rec(i, assign):
+        nonlocal count
+        if i == len(free):
+            count += _holds(rtype, du, dv, eu, ev,
+                            assign["c1_u"], assign["c1_v"], assign["c2_u"], assign["c2_v"])
+            return
+        name = free[i]
+        for value in range(lam[name]):
+            assign[name] = value
+            rec(i + 1, assign)
+
+    rec(0, dict(conditioned))
+    return Fraction(count, total)
+
+
+class TestCountingMatchesEnumeration:
+    # same band, mixed band in both orientations (e differing by 1), the
+    # lam = 1 pair (1, 1), and e = 4 pairs
+    PAIRS = [(20, 31), (60, 200), (3, 5), (5, 7), (7, 5), (30, 41), (41, 30),
+             (39, 238), (238, 39), (1, 1), (238, 300)]
+
+    def test_every_type_and_conditioning(self):
+        rng = random.Random(505)
+        seen = {rtype: set() for rtype in (1, 2, 3, "23")}
+        for du, dv in self.PAIRS:
+            lam_u, lam_v = lambda_of(du), lambda_of(dv)
+            lam = {"c1_u": lam_u, "c2_u": lam_u, "c1_v": lam_v, "c2_v": lam_v}
+            for rtype in seen:
+                for subset in range(16):
+                    cond = {n: rng.randrange(lam[n])
+                            for i, n in enumerate(_SLOT_NAMES) if subset >> i & 1}
+                    want = reference_edge_risk_probability(du, dv, rtype, cond)
+                    got = exact_edge_risk_probability(du, dv, rtype, cond)
+                    assert got == want, (du, dv, rtype, cond)
+                    seen[rtype].add(want == 0)
+        # every type meets both zero and non-zero counts
+        assert all(zeros == {True, False} for zeros in seen.values()), seen
+
+    def test_contract_errors_unchanged(self):
+        for args in ((10, 10, 1, {"c9_u": 0}), (10, 10, 1, {"c1_v": 4}),
+                     (10, 10, 1, {"c1_v": -1}), (2, 5000, 1, None), (10, 10, 4, None),
+                     (10, 10, "3", {"c2_u": 1})):
+            with pytest.raises(ValueError) as want:
+                reference_edge_risk_probability(*args)
+            with pytest.raises(ValueError) as got:
+                exact_edge_risk_probability(*args)
+            assert str(got.value) == str(want.value), args
 
 
 class TestWorstConditional:
