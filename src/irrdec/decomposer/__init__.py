@@ -4,10 +4,24 @@ leave the remainder as the third.  Success is never assumed: an independent
 final gate re-checks local irregularity of every part, and the separation /
 window reports re-derive why adjacent degrees differ.
 
-Per-vertex moduli and residue targets always come from the ORIGINAL graph's
-degrees; interval windows always come from the degrees of the host graph the
-part is carved out of.  The helpers below take both graphs explicitly so the
-asymmetry is visible at every call site.
+decompose3 runs the stage functions of STAGES in order and stops at the
+first one that returns a Diagnostic:
+
+  stage_preflight          minimum degree (the strict floor)
+  stage_labels             resampled labels and their fresh classification
+  stage_part1              h1, carved out of g' = g - R1
+  stage_overlap_colouring  g1 = g - h1, the overlap graphs C and F, and h
+  stage_part2              h2, carved out of g'' = g1 - (R2 | R3)
+  stage_assembly           h2' = h2 + C and h3' = g1 - h2'
+  stage_windows            the degree windows of every part (strict only)
+  stage_final_gate         local irregularity of every part
+
+Each stage reads only the PipelineTrace fields that earlier stages recorded
+(or a test set by hand) and records its own outputs there.  The trace holds
+e = labeling.exponents(g); the factor moduli 3*4^e, the residue targets
+3*c*2^e and the colour caps 2^(e-1) - 1 all come from it, so they follow the
+ORIGINAL graph's degrees, while interval windows follow the degrees of the
+host graph a part is carved out of (an explicit argument of _stage_factor).
 """
 
 from __future__ import annotations
@@ -23,14 +37,8 @@ from ..factor_solver import (
     find_degree_set_subgraph,
     window_candidates,
 )
-from ..graph_core import (
-    Decomposition,
-    Graph,
-    InvariantViolated,
-    canon_edge,
-    is_locally_irregular,
-)
-from ..labeling import LabelPair, ceil_log_beta, classify, ratio_gate
+from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge
+from ..labeling import LabelPair, classify, exponents, ratio_gate
 from ..lll_engine import Timeout, moser_tardos
 
 STRICT_MIN_DEGREE = 10 ** 10
@@ -48,8 +56,12 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.slack > 0:
             raise ValueError("slack must be positive")
+        if self.solver_mode not in ("exact", "heuristic"):
+            raise ValueError(f"unknown solver mode {self.solver_mode!r}")
         if self.solver_budget < 0:
             raise ValueError("solver budget must be >= 0")
+        if self.lll_rounds < 1:
+            raise ValueError("lll rounds must be >= 1")
 
 
 @dataclass
@@ -66,6 +78,7 @@ class Diagnostic:
 class PipelineTrace:
     graph: Graph
     config: PipelineConfig
+    exponents: list = field(init=False)
     stage_reports: list = field(default_factory=list)
     labels: LabelPair | None = None
     classification: object = None
@@ -74,7 +87,6 @@ class PipelineTrace:
     g1: Graph | None = None
     overlap_c: Graph | None = None
     overlap_f: Graph | None = None
-    c_count: list | None = None
     h: dict | None = None
     g_dprime: Graph | None = None
     h2: Graph | None = None
@@ -82,11 +94,19 @@ class PipelineTrace:
     h3_prime: Graph | None = None
     decomposition: Decomposition | None = None
 
+    def __post_init__(self):
+        self.exponents = exponents(self.graph)
+
     def part(self, i: int) -> Graph:
         return {1: self.h1, 2: self.h2_prime, 3: self.h3_prime}[i]
 
     def report(self, stage: str, ok: bool, **detail):
         self.stage_reports.append({"stage": stage, "ok": ok, **detail})
+
+    def fail(self, stage: str, code: str, detail: dict, **report) -> Diagnostic:
+        """Report the stage as failed and return its Diagnostic."""
+        self.report(stage, False, **report)
+        return Diagnostic(stage, code, detail)
 
 
 @dataclass
@@ -112,41 +132,34 @@ def greedy_proper_colouring(f_graph: Graph, cap):
     return h
 
 
-def _lambda_modulus(e: int) -> int:
-    return 3 << (2 * e)
+def _residue_spec(trace: PipelineTrace, label_terms: list) -> ModularTargetSpec:
+    """Targets label_terms[v] mod 3*4^e(v), each over its modulus."""
+    lam = [3 << (2 * e) for e in trace.exponents]
+    return ModularTargetSpec([t % m for t, m in zip(label_terms, lam)], lam)
 
 
-def _colour_cap(e: int) -> int:
-    return max(0, (1 << (e - 1)) - 1) if e >= 1 else 0
+def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTargetSpec):
+    """Carve a spanning subgraph of host whose degrees are spec.t or spec.t+1
+    mod spec.lam and lie in the middle-third windows of host degrees; returns
+    it or a Diagnostic.  The solver is seeded by the config seed and stage.
 
-
-def _stage_factor(host: Graph, lam: list, targets: list, cfg: PipelineConfig,
-                  stage: str, trace: PipelineTrace, seed_tag: str):
-    """Carve a spanning subgraph of host with degree == target or target+1
-    mod lam at every vertex, landing in the middle-third windows of host
-    degrees.  Returns (subgraph, exempt) or a Diagnostic.
-
-    exempt lists vertices released from the residue contract because the
-    host leaves them no edges at all (degree 0 gets the singleton {0});
-    this only happens in relaxed mode on small inputs.
+    The report's exempt lists vertices released from the residue contract
+    because the host leaves them no edges at all (degree 0 gets the
+    singleton {0}); this only happens in relaxed mode on small inputs.
     """
-    n = host.n
-    spec = ModularTargetSpec([targets[v] for v in range(n)], [lam[v] for v in range(n)])
+    cfg = trace.config
     failing = spec.check_precondition(host)
     if cfg.strict and failing:
-        trace.report(stage, False, precondition_failing=failing)
-        return Diagnostic(stage, "ModulusPreconditionViolated",
-                          {"vertices": failing[:20], "count": len(failing)})
+        return trace.fail(stage, "ModulusPreconditionViolated",
+                          {"vertices": failing[:20], "count": len(failing)},
+                          precondition_failing=failing)
     allowed = {}
     exempt = []
     empty = []
-    for v in range(n):
+    for v in range(host.n):
         d = host.degree(v)
-        w1, w2 = window_candidates(d, lam[v], targets[v])
-        values = set()
-        for x in w1 + w2:
-            values.add(x)
-            values.add(x + 1)
+        w1, w2 = window_candidates(d, spec.lam[v], spec.t[v])
+        values = {y for x in w1 + w2 for y in (x, x + 1)}
         if not values:
             if d == 0:
                 values = {0}
@@ -155,21 +168,19 @@ def _stage_factor(host: Graph, lam: list, targets: list, cfg: PipelineConfig,
                 empty.append(v)
         allowed[v] = values
     if empty:
-        trace.report(stage, False, precondition_failing=failing,
-                     empty_target_vertices=empty[:20])
         v = empty[0]
         d = host.degree(v)
-        return Diagnostic(stage, "WindowTargetInfeasible", {
+        return trace.fail(stage, "WindowTargetInfeasible", {
             "vertices": empty[:20], "count": len(empty),
             # first failing vertex: how many integers each window holds
             # against the modulus a residue class needs to be hit
             "degree": d, "window_widths": [d // 2 - d // 3, (2 * d) // 3 - d // 2],
-            "modulus": lam[v],
-        })
+            "modulus": spec.lam[v],
+        }, precondition_failing=failing, empty_target_vertices=empty[:20])
     trace.report(stage, True, precondition_failing=failing, exempt=exempt)
     result = find_degree_set_subgraph(
         host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
-        budget=cfg.solver_budget, seed=f"{cfg.seed}:{seed_tag}",
+        budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",
     )
     if isinstance(result, Failure):
         return Diagnostic(stage, "FactorSolverFailure", {
@@ -177,12 +188,118 @@ def _stage_factor(host: Graph, lam: list, targets: list, cfg: PipelineConfig,
             "nodes_explored": result.nodes_explored,
             "best_penalty": result.best_penalty, "flips": result.flips,
         })
-    return result, exempt
+    return result
 
 
 def _irregularity_offences(part: Graph) -> list:
     deg = part.degrees()
     return sorted((u, v) for u, v in part.edges if deg[u] == deg[v])
+
+
+# ---------------------------------------------------------------------------
+# the stages: each takes the trace and returns a Diagnostic or None
+
+def stage_preflight(trace: PipelineTrace):
+    deg = trace.graph.degrees()
+    min_deg = min(deg) if deg else 0
+    if trace.config.strict and min_deg < STRICT_MIN_DEGREE:
+        return trace.fail("preflight", "MinDegreeTooSmall",
+                          {"min_degree": min_deg, "required": STRICT_MIN_DEGREE},
+                          min_degree=min_deg)
+    trace.report("preflight", True, min_degree=min_deg)
+
+
+def stage_labels(trace: PipelineTrace):
+    g, cfg = trace.graph, trace.config
+    labels = moser_tardos(g, cfg.seed, cfg.slack, cfg.lll_rounds)
+    if isinstance(labels, Timeout):
+        return trace.fail("labels", "ClaimBoundsUnachieved",
+                          {"rounds": labels.rounds, "trajectory_tail": labels.trajectory[-10:]},
+                          rounds=labels.rounds)
+    # classified afresh: the independent check on the resampler's bookkeeping
+    cls = classify(g, labels)
+    trace.labels = labels
+    trace.classification = cls
+    trace.report("labels", True, r1=len(cls.r1), r2=len(cls.r2), r3=len(cls.r3))
+
+
+def stage_part1(trace: PipelineTrace):
+    trace.g_prime = trace.graph.without_edges(trace.classification.r1)
+    spec = _residue_spec(trace, [3 * (c << e) for c, e in zip(trace.labels.c1, trace.exponents)])
+    out = _stage_factor(trace, "part1_factor", trace.g_prime, spec)
+    if isinstance(out, Diagnostic):
+        return out
+    trace.h1 = out
+
+
+def stage_overlap_colouring(trace: PipelineTrace):
+    g, cls = trace.graph, trace.classification
+    g1 = trace.g1 = g.without_edges(trace.h1.edges)
+    trace.overlap_c = g.spanning(g1.edges & cls.r3)
+    trace.overlap_f = g.spanning(g1.edges & cls.r2 & cls.r3)
+    caps = [max((1 << e) // 2 - 1, 0) for e in trace.exponents]
+    h = greedy_proper_colouring(trace.overlap_f, caps)
+    if isinstance(h, ColouringFailure):
+        return trace.fail("overlap_colouring", "ColouringCapExceeded",
+                          {"vertex": h.vertex, "cap": h.cap, "blocked_values": h.blocked_values},
+                          vertex=h.vertex, cap=h.cap)
+    trace.h = h
+    trace.report("overlap_colouring", True, colours_used=len(set(h.values())))
+
+
+def stage_part2(trace: PipelineTrace):
+    g1, cls = trace.g1, trace.classification
+    trace.g_dprime = g1.without_edges(g1.edges & (cls.r2 | cls.r3))
+    spec = _residue_spec(trace, [
+        3 * (c << e) + 3 * trace.h[v] - trace.overlap_c.degree(v)
+        for v, (c, e) in enumerate(zip(trace.labels.c2, trace.exponents))])
+    out = _stage_factor(trace, "part2_factor", trace.g_dprime, spec)
+    if isinstance(out, Diagnostic):
+        return out
+    trace.h2 = out
+
+
+def stage_assembly(trace: PipelineTrace):
+    g, h1 = trace.graph, trace.h1
+    h2_prime = trace.h2_prime = g.spanning(trace.h2.edges | trace.overlap_c.edges)
+    h3_prime = trace.h3_prime = g.spanning(trace.g1.edges - h2_prime.edges)
+    risky3 = h3_prime.edges & trace.classification.r3
+    if risky3:
+        raise InvariantViolated(f"{len(risky3)} type-3 risky edge(s) in part 3")
+    covered = h1.edges | h2_prime.edges | h3_prime.edges
+    sizes = h1.m + h2_prime.m + h3_prime.m
+    if covered != g.edges or sizes != g.m:  # a cover whose sizes add up is a partition
+        raise InvariantViolated(f"parts hold {sizes} edges on {len(covered)} distinct edges "
+                                f"for a graph of {g.m}, {len(covered - g.edges)} of them non-edges")
+
+
+def stage_windows(trace: PipelineTrace):
+    if not trace.config.strict:
+        return
+    windows = ("h1_window", "h2_window", "h3_window", "final_window")
+    bad = [v for v, rec in window_report(trace).items() if not all(rec[w] for w in windows)]
+    if bad:
+        return trace.fail("windows", "WindowTargetInfeasible",
+                          {"vertices": bad[:20], "count": len(bad)}, vertices=bad[:20])
+    trace.report("windows", True)
+
+
+def stage_final_gate(trace: PipelineTrace):
+    offences = {i: _irregularity_offences(trace.part(i)) for i in (1, 2, 3)}
+    bad_parts = {i: offs for i, offs in offences.items() if offs}
+    if bad_parts:
+        return trace.fail("final_gate", "PartNotIrregular",
+                          {"parts": {str(i): offs[:20] for i, offs in bad_parts.items()}},
+                          offending={i: offs[:10] for i, offs in bad_parts.items()})
+    colour = {e: i for i in (1, 2, 3) for e in trace.part(i).edges}
+    dec = Decomposition(trace.graph, 3, colour)
+    dec.validate()
+    trace.decomposition = dec
+    trace.report("final_gate", True)
+
+
+STAGES = (stage_preflight, stage_labels, stage_part1, stage_overlap_colouring,
+          stage_part2, stage_assembly, stage_windows, stage_final_gate)
 
 
 def decompose3(g: Graph, cfg: PipelineConfig):
@@ -195,121 +312,11 @@ def decompose3(g: Graph, cfg: PipelineConfig):
     target degree, relying on the final gate for soundness.
     """
     trace = PipelineTrace(g, cfg)
-    deg = g.degrees()
-    min_deg = min(deg) if deg else 0
-
-    if cfg.strict and min_deg < STRICT_MIN_DEGREE:
-        trace.report("preflight", False, min_degree=min_deg)
-        return Diagnostic("preflight", "MinDegreeTooSmall", {
-            "min_degree": min_deg, "required": STRICT_MIN_DEGREE,
-        }), trace
-    trace.report("preflight", True, min_degree=min_deg)
-
-    mt = moser_tardos(g, cfg.seed, cfg.slack, cfg.lll_rounds)
-    if isinstance(mt, Timeout):
-        trace.report("labels", False, rounds=mt.rounds)
-        return Diagnostic("labels", "ClaimBoundsUnachieved", {
-            "rounds": mt.rounds, "trajectory_tail": mt.trajectory[-10:],
-        }), trace
-    labels = mt
-    cls = classify(g, labels)
-    trace.labels = labels
-    trace.classification = cls
-    trace.report("labels", True, r1=len(cls.r1), r2=len(cls.r2), r3=len(cls.r3))
-
-    evec = [ceil_log_beta(d) if d >= 1 else 0 for d in deg]
-    lam = [_lambda_modulus(e) for e in evec]
-    t1 = [(3 * (labels.c1[v] << evec[v])) % lam[v] for v in range(g.n)]
-
-    g_prime = g.without_edges(cls.r1)
-    trace.g_prime = g_prime
-
-    out = _stage_factor(g_prime, lam, t1, cfg, "part1_factor", trace, "part1")
-    if isinstance(out, Diagnostic):
-        return out, trace
-    h1, _ = out
-    trace.h1 = h1
-
-    g1 = g.without_edges(h1.edges)
-    trace.g1 = g1
-    c_edges = g1.edges & cls.r3
-    f_edges = g1.edges & cls.r2 & cls.r3
-    overlap_c = g.spanning(c_edges)
-    overlap_f = g.spanning(f_edges)
-    trace.overlap_c = overlap_c
-    trace.overlap_f = overlap_f
-    c_count = [overlap_c.degree(v) for v in range(g.n)]
-    trace.c_count = c_count
-
-    caps = [_colour_cap(evec[v]) for v in range(g.n)]
-    h = greedy_proper_colouring(overlap_f, caps)
-    if isinstance(h, ColouringFailure):
-        trace.report("overlap_colouring", False, vertex=h.vertex, cap=h.cap)
-        return Diagnostic("overlap_colouring", "ColouringCapExceeded", {
-            "vertex": h.vertex, "cap": h.cap, "blocked_values": h.blocked_values,
-        }), trace
-    trace.h = h
-    trace.report("overlap_colouring", True,
-                 colours_used=len(set(h.values())) if h else 0)
-
-    t2 = [(3 * (labels.c2[v] << evec[v]) + 3 * h[v] - c_count[v]) % lam[v]
-          for v in range(g.n)]
-    g_dprime = g1.without_edges(g1.edges & (cls.r2 | cls.r3))
-    trace.g_dprime = g_dprime
-
-    out = _stage_factor(g_dprime, lam, t2, cfg, "part2_factor", trace, "part2")
-    if isinstance(out, Diagnostic):
-        return out, trace
-    h2, _ = out
-    trace.h2 = h2
-
-    h2_prime = g.spanning(h2.edges | c_edges)
-    h3_prime = g.spanning(g1.edges - h2_prime.edges)
-    trace.h2_prime = h2_prime
-    trace.h3_prime = h3_prime
-
-    # structural consequences of the construction
-    if h3_prime.edges & cls.r3:
-        raise InvariantViolated(f"{len(h3_prime.edges & cls.r3)} type-3 risky edge(s) in part 3")
-    covered = h1.edges | h2_prime.edges | h3_prime.edges
-    sizes = h1.m + h2_prime.m + h3_prime.m
-    if covered != g.edges or sizes != g.m:  # a cover whose sizes add up is a partition
-        raise InvariantViolated(f"parts hold {sizes} edges on {len(covered)} distinct edges "
-                                f"for a graph of {g.m}, {len(covered - g.edges)} of them non-edges")
-
-    if cfg.strict:
-        wr = window_report(trace)
-        bad = [v for v, rec in wr.items()
-               if not (rec["h1_window"] and rec["h2_window"] and rec["h3_window"]
-                       and rec["final_window"])]
-        if bad:
-            trace.report("windows", False, vertices=bad[:20])
-            return Diagnostic("windows", "WindowTargetInfeasible", {
-                "vertices": bad[:20], "count": len(bad),
-            }), trace
-        trace.report("windows", True)
-
-    offences = {i: _irregularity_offences(trace.part(i)) for i in (1, 2, 3)}
-    bad_parts = {i: offs for i, offs in offences.items() if offs}
-    if bad_parts:
-        trace.report("final_gate", False,
-                     offending={i: offs[:10] for i, offs in bad_parts.items()})
-        return Diagnostic("final_gate", "PartNotIrregular", {
-            "parts": {str(i): offs[:20] for i, offs in bad_parts.items()},
-        }), trace
-
-    colour = {}
-    for e in h1.edges:
-        colour[e] = 1
-    for e in h2_prime.edges:
-        colour[e] = 2
-    for e in h3_prime.edges:
-        colour[e] = 3
-    dec = Decomposition(g, 3, colour)
-    dec.validate()
-    trace.decomposition = dec
-    trace.report("final_gate", True)
-    return dec, trace
+    for stage in STAGES:
+        diag = stage(trace)
+        if diag is not None:
+            return diag, trace
+    return trace.decomposition, trace
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +351,7 @@ def congruence_separation_check(trace: PipelineTrace, part: int, edge) -> Separa
     g = trace.graph
     du, dv = g.degree(u), g.degree(v)
     pdu, pdv = part_graph.degree(u), part_graph.degree(v)
-    gated = du >= 1 and dv >= 1 and ratio_gate(du, dv)
-    if not gated:
+    if not ratio_gate(du, dv):  # both ends of an edge have degree >= 1
         case = "window_separation"
     elif part == 2 and (u, v) in trace.overlap_f.edges:
         case = "properness_of_h"

@@ -134,8 +134,10 @@ def _exact_search(g: Graph, allowed: dict):
     nodes = 0
 
     for v in range(n):
+        # find_degree_set_subgraph admits only allowed values in [0, d(v)]
         if nxt[v][0] > rem[v]:
-            return Failure("exact", "no reachable degree at vertex %d" % v, 1)
+            raise InvariantViolated(f"vertex {v} of degree {rem[v]} can reach no value of its "
+                                    f"allowed set {sorted(allowed[v])}")
 
     def pick_edge():
         # fail-first: branch at the least vertex with the fewest undecided edges

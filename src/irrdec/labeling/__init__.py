@@ -3,7 +3,7 @@
 Everything here is built around the constant beta = 2^(50/19), chosen so that
 powers of beta are powers of two raised to rational exponents: comparisons
 against beta^k reduce to big-integer comparisons and no predicate ever touches
-a float.  The per-vertex modulus is lam(v) = 2^ceil_log_beta(d(v)).
+a float.  The per-vertex modulus is lam(v) = 2^e(v), with e = exponents(g).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exact import BETA_POW, BETA_SHIFT, le_scaled_pow
+from ..exact import BETA_POW, BETA_SHIFT, floor_scaled_pow
 from ..graph_core import Graph
 
 _CLB_CACHE = {}
@@ -35,6 +35,12 @@ def ceil_log_beta(d: int) -> int:
 
 def lambda_of(d: int) -> int:
     return 1 << ceil_log_beta(d)
+
+
+def exponents(g: Graph) -> list:
+    """e(v) = ceil_log_beta(d(v)) per vertex, 0 when isolated: the one map
+    from degrees to the exponent every per-vertex modulus derives from."""
+    return [ceil_log_beta(d) if d >= 1 else 0 for d in g.degrees()]
 
 
 def ratio_gate(du: int, dv: int) -> bool:
@@ -72,8 +78,8 @@ class LabelPair:
 
 
 def label_moduli(g: Graph) -> list:
-    """lam(v) per vertex; isolated vertices get modulus 1 (label 0)."""
-    return [lambda_of(d) if d >= 1 else 1 for d in g.degrees()]
+    """lam(v) = 2^e(v) per vertex; isolated vertices get modulus 1 (label 0)."""
+    return [1 << e for e in exponents(g)]
 
 
 def draw_labels(g: Graph, rng: random.Random) -> LabelPair:
@@ -172,7 +178,7 @@ class RiskyClassification:
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
     labels.validate(g)
     deg = g.degrees()
-    es = [ceil_log_beta(d) if d >= 1 else 0 for d in deg]
+    es = exponents(g)
     c1, c2 = labels.c1, labels.c2
     gate = {}
     r1, r2, r3 = [], [], []
@@ -192,6 +198,9 @@ def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
         if t3:
             r3.append(e)
     return RiskyClassification(g, r1, r2, r3)
+
+
+KINDS = ("A", "B", "C", "F")  # the sizes bounded: |A(v)|, |B(v)|, |C(v)|, |F(v)|
 
 
 @dataclass
@@ -214,9 +223,7 @@ class BoundsReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(
-            all(d.values()) for d in (self.a_ok, self.b_ok, self.c_ok, self.f_ok)
-        )
+        return not self.failing_vertices()
 
     def failing_vertices(self) -> list:
         bad = set()
@@ -225,26 +232,43 @@ class BoundsReport:
         return sorted(bad)
 
 
-def _bound_coeff(slack, base: int):
+def size_limits(g: Graph, slack) -> list:
+    """Per vertex, the largest allowed |A|, |B|, |C| and |F|: the exact
+    floors of slack*8*d^0.62 and slack*12*d^0.24, or (None, None) for the
+    infinity sentinel, which turns the bounds off."""
     if slack == math.inf:
-        return math.inf
-    return Fraction(slack) * base
+        return [(None, None)] * g.n
+    s = Fraction(slack)
+    cache = {}
+    out = []
+    for d in g.degrees():
+        if d not in cache:
+            cache[d] = (floor_scaled_pow(8 * s, d, 31, 50),
+                        floor_scaled_pow(12 * s, d, 12, 50))
+        out.append(cache[d])
+    return out
+
+
+def violated_kinds(limits, a, b, c) -> list:
+    """The kinds (in KINDS order) whose size bound fails at one vertex, from
+    its size_limits entry and its risky neighbour sets a, b, c; F is b & c."""
+    t_abc, t_f = limits
+    if t_abc is None:
+        return []
+    sizes = (len(a), len(b), len(c), len(b & c))
+    return [k for k, size, t in zip(KINDS, sizes, (t_abc, t_abc, t_abc, t_f)) if size > t]
 
 
 def bounds_hold(g: Graph, cls: RiskyClassification, slack) -> BoundsReport:
     if not (slack == math.inf or slack > 0):
         raise ValueError("slack must be positive")
-    c8 = _bound_coeff(slack, 8)
-    c12 = _bound_coeff(slack, 12)
-    deg = g.degrees()
-    a_ok, b_ok, c_ok, f_ok = {}, {}, {}, {}
+    ok = {k: {} for k in KINDS}
     flagged = []
-    for v in range(g.n):
-        d = deg[v]
-        a_ok[v] = le_scaled_pow(len(cls.a_of(v)), c8, d, 31, 50)
-        b_ok[v] = le_scaled_pow(len(cls.b_of(v)), c8, d, 31, 50)
-        c_ok[v] = le_scaled_pow(len(cls.c_of(v)), c8, d, 31, 50)
-        f_ok[v] = le_scaled_pow(len(cls.f_of(v)), c12, d, 12, 50)
-        if d == 1 and (cls.a_of(v) or cls.b_of(v) or cls.c_of(v)):
+    for v, limits in enumerate(size_limits(g, slack)):
+        a, b, c = cls.a_of(v), cls.b_of(v), cls.c_of(v)
+        bad = violated_kinds(limits, a, b, c)
+        for k in KINDS:
+            ok[k][v] = k not in bad
+        if g.degree(v) == 1 and (a or b or c):
             flagged.append(v)
-    return BoundsReport(slack, a_ok, b_ok, c_ok, f_ok, flagged)
+    return BoundsReport(slack, *ok.values(), flagged)

@@ -19,21 +19,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from ..exact import floor_beta_mult, floor_scaled_pow, iroot, BETA_POW, BETA_SHIFT
+from ..exact import floor_beta_mult, iroot, BETA_POW, BETA_SHIFT
 from ..graph_core import Graph, InvariantViolated
 from ..labeling import (
+    KINDS,
     LabelPair,
     RiskyClassification,
     ceil_log_beta,
     classify,
     draw_labels,
-    label_moduli,
+    exponents,
     ratio_gate,
     risk_flags,
+    size_limits,
+    violated_kinds,
 )
-
-KINDS = ("A", "B", "C", "F")
-_KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class BadEvent:
     scope: frozenset
 
     def sort_key(self):
-        return (self.vertex, _KIND_RANK[self.kind])
+        return (self.vertex, KINDS.index(self.kind))
 
 
 def gated_neighbours(g: Graph, v: int) -> list:
@@ -58,49 +58,17 @@ def gated_neighbours(g: Graph, v: int) -> list:
     return [u for u in sorted(g.neighbours(v)) if ratio_gate(g.degree(u), dv)]
 
 
+_KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels each kind reads
+
+
 def event_scope(g: Graph, v: int, kind: str) -> frozenset:
-    verts = [v] + gated_neighbours(g, v)
-    if kind == "A":
-        slots = (1,)
-    elif kind == "B":
-        slots = (2,)
-    elif kind in ("C", "F"):
-        slots = (1, 2)
-    else:
+    if kind not in _KIND_SLOTS:
         raise ValueError(f"unknown event kind {kind!r}")
-    return frozenset((w, s) for w in verts for s in slots)
+    return frozenset((w, s) for w in [v] + gated_neighbours(g, v) for s in _KIND_SLOTS[kind])
 
 
 def make_event(g: Graph, v: int, kind: str) -> BadEvent:
     return BadEvent(v, kind, event_scope(g, v, kind))
-
-
-def _vertex_limits(g: Graph, slack) -> list:
-    """Per vertex, the largest allowed |a|/|b|/|c| and |f|.
-
-    (None, None) means unbounded (the infinity sentinel turns the check off).
-    """
-    if slack == math.inf:
-        return [(None, None)] * g.n
-    s = Fraction(slack)
-    cache = {}
-    out = []
-    for d in g.degrees():
-        if d not in cache:
-            cache[d] = (floor_scaled_pow(8 * s, d, 31, 50),
-                        floor_scaled_pow(12 * s, d, 12, 50))
-        out.append(cache[d])
-    return out
-
-
-def _violated_kinds(limits, a, b, c) -> list:
-    """Kinds of the events at one vertex whose size bound fails, in KINDS
-    order, from its limits and its risky neighbour sets a, b, c."""
-    t_abc, t_f = limits
-    if t_abc is None:
-        return []
-    sizes = (len(a), len(b), len(c), len(b & c))
-    return [k for k, size, t in zip(KINDS, sizes, (t_abc, t_abc, t_abc, t_f)) if size > t]
 
 
 def violated_events(g: Graph, labels: LabelPair, slack,
@@ -112,11 +80,11 @@ def violated_events(g: Graph, labels: LabelPair, slack,
     """
     if cls is None:
         cls = classify(g, labels)
-    limits = _vertex_limits(g, slack)
+    limits = size_limits(g, slack)
     return [
         make_event(g, v, kind)
         for v in range(g.n)
-        for kind in _violated_kinds(limits[v], cls.a_of(v), cls.b_of(v), cls.c_of(v))
+        for kind in violated_kinds(limits[v], cls.a_of(v), cls.b_of(v), cls.c_of(v))
     ]
 
 
@@ -152,17 +120,22 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     if slack == math.inf:
         return labels
     c1, c2 = labels.c1, labels.c2
-    lams = label_moduli(g)
     deg = g.degrees()
-    es = [ceil_log_beta(d) if d >= 1 else 0 for d in deg]
-    limits = _vertex_limits(g, slack)
+    es = exponents(g)
+    limits = size_limits(g, slack)
     cls = classify(g, labels)
     risky = [[set(cls.a_of(v)), set(cls.b_of(v)), set(cls.c_of(v))] for v in range(g.n)]
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
-    for v in range(g.n):
-        kinds = _violated_kinds(limits[v], *risky[v])
-        if kinds:
-            bad[v] = kinds
+
+    def recheck(vertices):
+        for x in vertices:
+            kinds = violated_kinds(limits[x], *risky[x])
+            if kinds:
+                bad[x] = kinds
+            else:
+                bad.pop(x, None)
+
+    recheck(range(g.n))
     gated = {}
     trajectory = []
     for round_no in range(max_rounds):
@@ -173,8 +146,7 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
-            value = rng.randrange(lams[w])
-            (c1 if slot == 1 else c2)[w] = value
+            (c1 if slot == 1 else c2)[w] = rng.randrange(1 << es[w])
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 
@@ -199,12 +171,7 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
                             view_hi.discard(lo)
                         changed.add(lo)
                         changed.add(hi)
-        for x in changed:
-            kinds = _violated_kinds(limits[x], *risky[x])
-            if kinds:
-                bad[x] = kinds
-            else:
-                bad.pop(x, None)
+        recheck(changed)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
 

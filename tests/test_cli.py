@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from irrdec.cli import RISKPROB_MAX_EXPONENT, canonical_json, main
 from irrdec.exact import iroot
-from irrdec.graph_core import complete, parse_edge_list, path, serialize_edge_list, spider
+from irrdec.graph_core import (
+    Graph,
+    complete,
+    parse_edge_list,
+    path,
+    serialize_edge_list,
+    spider,
+)
 
 
 def run(capsys, *argv):
@@ -240,3 +247,45 @@ class TestRiskProb:
             except SystemExit as exc:  # argparse refusing the arguments
                 code = exc.code
         assert code in (0, 2, 64), (code, err.getvalue())
+
+
+# edge-list text over at most 8 vertices: a valid file, or one with a stray
+# line (an out-of-range id, a self-loop, a repeated edge, a comment, junk)
+_STRAY = st.one_of(
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from(["", "# note", "0 1 # c", "x y", "3", "1 2 3", "0x1 2"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _edge_list_text(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    lines = [str(n)] + [f"{u} {v}" for u, v in edges]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_STRAY))
+    return "\n".join(lines) + "\n"
+
+
+class TestInputContract:
+    @given(st.one_of(st.text(), _edge_list_text()))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_returns_a_graph_or_raises_value_error(self, text):
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            return
+        assert isinstance(g, Graph)
+
+    @given(_edge_list_text(), st.sampled_from(["decompose", "oracle"]))
+    @settings(max_examples=120, deadline=None)
+    def test_commands_exit_with_documented_codes(self, tmp_path_factory, text, command):
+        src = tmp_path_factory.mktemp("fuzz") / "g.el"
+        src.write_text(text)
+        argv = [command, str(src)] + (["--seed", "1"] if command == "decompose" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 64, 65), (code, err.getvalue())

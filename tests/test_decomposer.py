@@ -11,9 +11,26 @@ from irrdec.decomposer import (
     congruence_separation_check,
     decompose3,
     greedy_proper_colouring,
+    stage_assembly,
+    stage_final_gate,
+    stage_overlap_colouring,
+    stage_part2,
+    stage_windows,
     window_report,
 )
-from irrdec.graph_core import Decomposition, Graph, complete, cycle, gnp, path
+from irrdec.factor_solver import ModularTargetSpec
+from irrdec.graph_core import (
+    Decomposition,
+    Graph,
+    InvariantViolated,
+    complete,
+    complete_bipartite,
+    cycle,
+    gnp,
+    is_locally_irregular_decomposition,
+    path,
+)
+from irrdec.labeling import LabelPair, RiskyClassification, exponents
 
 RELAXED = dict(slack=math.inf)
 
@@ -24,6 +41,10 @@ class TestConfig:
             PipelineConfig(slack=0)
         with pytest.raises(ValueError):
             PipelineConfig(solver_budget=-1)
+        with pytest.raises(ValueError):
+            PipelineConfig(solver_mode="bogus")
+        with pytest.raises(ValueError):
+            PipelineConfig(lll_rounds=0)
         cfg = PipelineConfig()
         assert cfg.solver_mode == "exact" and not cfg.strict
 
@@ -67,6 +88,7 @@ class TestPipelineOutcomes:
         assert out.stage == "overlap_colouring"
         assert out.code == "ColouringCapExceeded"
         assert out.detail["cap"] == 0
+        assert trace.exponents == exponents(path(1)) == [0, 0]  # cap 2^(e-1) - 1 floors at 0
         # both label slots collapse to 0, so the single edge is risky of
         # every type and survives into the overlap graph
         assert trace.overlap_f.m == 1
@@ -94,8 +116,8 @@ class TestPipelineOutcomes:
     def test_solver_failure_reports_flips(self):
         g = complete(13)
         cfg = PipelineConfig(seed=1, solver_mode="heuristic", solver_budget=3)
-        out = _stage_factor(g, [1] * 13, [0] * 13, cfg, "part1_factor", PipelineTrace(g, cfg),
-                            "part1")
+        out = _stage_factor(PipelineTrace(g, cfg), "part1_factor", g,
+                            ModularTargetSpec([0] * 13, [1] * 13))
         assert out.code == "FactorSolverFailure"
         assert out.detail == {"mode": "heuristic", "reason": "flip budget exhausted",
                               "nodes_explored": 0, "best_penalty": 1, "flips": 3}
@@ -220,3 +242,134 @@ class TestWindowReport:
         trace = PipelineTrace(complete(4), PipelineConfig(seed=0))
         with pytest.raises(ValueError):
             window_report(trace)
+
+
+def _octahedron_trace(strict: bool):
+    """K6 minus a perfect matching, handed to the late stages as if parts 1
+    and 2 had been carved: each part is two disjoint paths of length 2, so
+    every part is locally irregular and every part degree (1 or 2 of 4)
+    lies in its window.  Two part-2 edges come from the overlap graph C,
+    one of them also in F."""
+    g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                  if (u, v) not in {(0, 1), (2, 3), (4, 5)}])
+    trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
+    trace.classification = RiskyClassification(g, [], [(1, 2)], [(1, 2), (0, 3)])
+    trace.h1 = g.spanning([(0, 2), (0, 4), (1, 3), (1, 5)])
+    trace.g1 = g.without_edges(trace.h1.edges)
+    trace.overlap_c = g.spanning([(1, 2), (0, 3)])
+    trace.overlap_f = g.spanning([(1, 2)])
+    trace.h2 = g.spanning([(2, 4), (3, 5)])
+    return trace
+
+
+def _one_part_trace(g: Graph, strict: bool):
+    """Every edge of g in part 1, nothing at risk."""
+    trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
+    trace.classification = RiskyClassification(g, [], [], [])
+    trace.h1 = g.spanning(g.edges)
+    trace.g1 = g.spanning([])
+    trace.overlap_c = trace.h2 = g.spanning([])
+    return trace
+
+
+def _part2_trace():
+    """A triangle 2-3-4 whose vertices have degree 7, 16 and 19 (e = 2, so
+    the part-2 modulus is 48 and the colour cap 1), with part 1 and the
+    risky sets handed in: 3 pendant edges per triangle vertex form h1; the
+    overlap C is 2, 11 and 14 pendant edges, of which 0-2 and 1-4 are also
+    in F.  Greedy colouring gives h = 1 at 2 and 4, 0 at 3, so with c2 =
+    0, 1, 1 every triangle vertex has target 12*c2 + 3*h - |C(v)| = 1 mod 48,
+    which its host degree 2 reaches (window {1}, allowed {1, 2})."""
+    leaves = iter(range(5, 39))
+    c_edges = [(0, 2), (1, 4), (2, next(leaves))]
+    c_edges += [(3, next(leaves)) for _ in range(11)] + [(4, next(leaves)) for _ in range(13)]
+    h1 = [(v, next(leaves)) for v in (2, 3, 4) for _ in range(3)]
+    g = Graph(39, [(2, 3), (2, 4), (3, 4)] + c_edges + h1)
+    trace = PipelineTrace(g, PipelineConfig(seed=0))
+    trace.labels = LabelPair([0] * 39, [0, 0, 0, 1, 1] + [0] * 34)
+    trace.classification = RiskyClassification(g, [], [(0, 2), (1, 4)], c_edges)
+    trace.h1 = g.spanning(h1)
+    return trace
+
+
+class TestLateStages:
+    """Assembly, the windows gate, the final gate and the separation
+    certificates on hand-built traces with edges; no input reaches them
+    through the earlier stages at desk scale."""
+
+    def test_octahedron_passes_every_late_stage(self):
+        trace = _octahedron_trace(strict=True)
+        assert trace.exponents == exponents(trace.graph) == [1] * 6
+        assert stage_assembly(trace) is None
+        assert trace.h2_prime.edges == {(1, 2), (2, 4), (0, 3), (3, 5)}
+        assert trace.h3_prime.edges == {(1, 4), (3, 4), (0, 5), (2, 5)}
+        assert stage_windows(trace) is None
+        assert stage_final_gate(trace) is None
+        assert trace.stage_reports == [{"stage": "windows", "ok": True},
+                                       {"stage": "final_gate", "ok": True}]
+        dec = trace.decomposition
+        assert isinstance(dec, Decomposition) and is_locally_irregular_decomposition(dec)
+        assert {i: dec.class_edges(i) for i in (1, 2, 3)} == \
+            {i: trace.part(i).edges for i in (1, 2, 3)}
+
+        cases = {}
+        for e, part in dec.colour.items():
+            rec = congruence_separation_check(trace, part, e)
+            assert rec.separated and rec.final_window_ok == (True, True)
+            assert sorted(rec.part_degrees) == [1, 2]
+            cases[rec.case] = cases.get(rec.case, 0) + 1
+        assert cases == {"type1_congruence_separation": 4, "properness_of_h": 1,
+                         "type2_congruence_separation": 3, "type3_window_separation": 4}
+
+    def test_part2_through_the_final_gate(self):
+        trace = _part2_trace()
+        assert [trace.graph.degree(v) for v in (2, 3, 4)] == [7, 16, 19]
+        assert trace.exponents[2:5] == [2, 2, 2]
+        for stage in (stage_overlap_colouring, stage_part2, stage_assembly, stage_windows,
+                      stage_final_gate):
+            assert stage(trace) is None, stage.__name__
+        assert [trace.h[v] for v in (0, 1, 2, 3, 4)] == [0, 0, 1, 0, 1]
+        assert trace.h2.edges == {(2, 3), (2, 4), (3, 4)}
+        assert [r["stage"] for r in trace.stage_reports] == \
+            ["overlap_colouring", "part2_factor", "final_gate"]
+        assert trace.h3_prime.m == 0
+        dec = trace.decomposition
+        assert is_locally_irregular_decomposition(dec)
+        cases = set()
+        for e, part in dec.colour.items():
+            rec = congruence_separation_check(trace, part, e)
+            assert rec.separated
+            cases.add(rec.case)
+        # the triangle edges pass the ratio gate, every pendant edge fails it
+        assert cases == {"type2_congruence_separation", "window_separation"}
+
+    def test_final_gate_names_the_offending_edge(self):
+        trace = _one_part_trace(path(3), strict=False)
+        assert stage_assembly(trace) is None
+        assert stage_windows(trace) is None and trace.stage_reports == []
+        out = stage_final_gate(trace)
+        assert isinstance(out, Diagnostic)
+        assert (out.stage, out.code) == ("final_gate", "PartNotIrregular")
+        assert out.detail == {"parts": {"1": [(1, 2)]}}
+        assert trace.decomposition is None
+
+    def test_strict_windows_gate_fails(self):
+        # K1,3 in one part: each vertex has degree 0 in parts 2 and 3,
+        # below the final window's 4d/37
+        trace = _one_part_trace(complete_bipartite(1, 3), strict=True)
+        assert stage_assembly(trace) is None
+        out = stage_windows(trace)
+        assert (out.stage, out.code) == ("windows", "WindowTargetInfeasible")
+        assert out.detail == {"vertices": [0, 1, 2, 3], "count": 4}
+        assert trace.stage_reports == [{"stage": "windows", "ok": False,
+                                        "vertices": [0, 1, 2, 3]}]
+
+    def test_assembly_checks_its_invariants(self):
+        trace = _octahedron_trace(strict=False)
+        trace.classification = RiskyClassification(trace.graph, [], [], [(1, 4)])
+        with pytest.raises(InvariantViolated, match="type-3 risky edge"):
+            stage_assembly(trace)
+        trace = _octahedron_trace(strict=False)
+        trace.h2 = trace.graph.spanning(trace.h2.edges | {(0, 2)})  # also in part 1
+        with pytest.raises(InvariantViolated, match="parts hold 13 edges"):
+            stage_assembly(trace)
