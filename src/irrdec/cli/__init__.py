@@ -211,13 +211,15 @@ def cmd_oracle(args) -> int:
     result = res.to_json()
     record = make_record("oracle", {"in_path": args.in_path, "kmax": args.kmax},
                          None, result, time.perf_counter() - t0)
+    # one [k, nodes, found] per search, in probe order; outside the digest
+    record["manifest"]["searches"] = res.searches
+    counts = [f"  nodes explored: {res.nodes_explored}",
+              f"  searched k: {', '.join(str(s[0]) for s in res.searches) or 'none'}"]
     if res.feasible_k is None:
         scope = "any k" if res.exhausted else f"k <= {args.kmax}"
-        _emit(record, args, [f"infeasible: no decomposition for {scope}",
-                             f"  nodes explored: {res.nodes_explored}"])
+        _emit(record, args, [f"infeasible: no decomposition for {scope}"] + counts)
         return EXIT_DIAGNOSTIC
-    _emit(record, args, [f"least parts: {res.feasible_k}",
-                         f"  nodes explored: {res.nodes_explored}"])
+    _emit(record, args, [f"least parts: {res.feasible_k}"] + counts)
     return EXIT_OK
 
 

@@ -149,10 +149,11 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
     """
     cfg = trace.config
     failing = spec.check_precondition(host)
+    capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
     if cfg.strict and failing:
         return trace.fail(stage, "ModulusPreconditionViolated",
                           {"vertices": failing[:20], "count": len(failing)},
-                          precondition_failing=failing)
+                          **capped)
     allowed = {}
     exempt = []
     empty = []
@@ -176,8 +177,8 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
             # against the modulus a residue class needs to be hit
             "degree": d, "window_widths": [d // 2 - d // 3, (2 * d) // 3 - d // 2],
             "modulus": spec.lam[v],
-        }, precondition_failing=failing, empty_target_vertices=empty[:20])
-    trace.report(stage, True, precondition_failing=failing, exempt=exempt)
+        }, empty_target_vertices=empty[:20], **capped)
+    trace.report(stage, True, exempt=exempt, **capped)
     result = find_degree_set_subgraph(
         host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",

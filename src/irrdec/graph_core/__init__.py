@@ -302,10 +302,32 @@ GENERATORS = {
 }
 
 
+MAX_GENERATED_EDGES = 10**6
+
+# (vertices, edges or the pairs scanned) of each family with numeric
+# parameters, known before building, so that a huge request fails fast
+_GENERATED_SIZE = {
+    "path": lambda m: (m + 1, m),
+    "cycle": lambda m: (m, m),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "complete_bipartite": lambda a, b: (a + b, a * b),
+    "gnp": lambda n, p: (n, n * (n - 1) // 2),
+    "random_regular": lambda n, d: (n, n * d // 2),
+    "spider": lambda length: (4 * length + 2, 4 * length + 1),
+}
+
+
 def generate(family: str, params: dict, seed: int | None = None) -> Graph:
-    """Dispatch wrapper used by the CLI; seeded families require a seed."""
+    """Dispatch wrapper used by the CLI; seeded families require a seed, and
+    requests over MAX_VERTICES vertices or MAX_GENERATED_EDGES edges are
+    refused before anything is built."""
     if family not in GENERATORS:
         raise ValueError(f"unknown family {family!r}")
+    if family in _GENERATED_SIZE:
+        n, m = _GENERATED_SIZE[family](**params)
+        if n > MAX_VERTICES or m > MAX_GENERATED_EDGES:
+            raise ValueError(f"{family} {params} has {n} vertices and up to {m} edges; the limits "
+                             f"are {MAX_VERTICES} and {MAX_GENERATED_EDGES}")
     fn = GENERATORS[family]
     if family in ("gnp", "random_regular"):
         if seed is None:

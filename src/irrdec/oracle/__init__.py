@@ -5,12 +5,19 @@ The search is complete, so a failed search is a certificate.  Since empty
 colour classes are allowed, feasibility is monotone in k, and a graph
 infeasible at k = |E| is infeasible for every k: each nonempty class needs
 at least one edge, so more classes than edges cannot help.
+
+`min_parts` probes k = 1, 2, 3 in turn, since almost every decomposable
+small graph needs at most 3 parts, then searches once at the top k: a
+failure there settles every k at or below it, so an infeasible graph costs
+four searches instead of |E|.  A graph that needs 4 or more parts (some
+cacti do, such as two bow-ties with their centres joined) is bisected
+between 4 and the colours the top search's witness used.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx
 
@@ -39,6 +46,7 @@ class OracleResult:
     witness: Decomposition | None
     exhausted: bool
     nodes_explored: int = 0
+    searches: list = field(default_factory=list)  # (k, nodes, found) per probe
 
     def to_json(self) -> dict:
         wit = None
@@ -62,21 +70,30 @@ def _edge_order(g: Graph) -> list:
     return order
 
 
-def _search(g: Graph, k: int):
-    """Colour assignment search at exactly k available colours.
-
-    Returns (colour list | None, nodes).  Symmetry breaking: colour c may be
-    used on an edge only if colours 1..c-1 already appear earlier, so each
-    colour partition is tried once.  Pruning: once both endpoints of an edge
-    have all incident edges decided, their class degrees are frozen; an
-    adjacent equal pair at that point can never be repaired.
-    """
-    edges = _edge_order(g)
-    m = len(edges)
+def _incidence(g: Graph, edges: list) -> dict:
+    """Vertex -> positions in edges of its incident edges."""
     adj_idx = {v: [] for v in range(g.n)}
     for i, (u, v) in enumerate(edges):
         adj_idx[u].append(i)
         adj_idx[v].append(i)
+    return adj_idx
+
+
+def _search(g: Graph, k: int, edges: list, adj_idx: dict):
+    """Colour assignment search at exactly k available colours, over edges
+    in the order given (`_edge_order`) with their `_incidence` lists.
+
+    Returns (colour dict | None, nodes).  Symmetry breaking: colour c may be
+    used on an edge only if colours 1..c-1 already appear earlier, so each
+    colour partition is tried once.  Pruning: once both endpoints of an edge
+    have all incident edges decided, their class degrees are frozen; an
+    adjacent equal pair at that point can never be repaired.
+
+    Colours are tried in ascending order and the pruning does not depend on
+    k, so the colouring returned is the lexicographically least valid one
+    (edge by edge) among those using at most k colours.
+    """
+    m = len(edges)
     undecided = [g.degree(v) for v in range(g.n)]
     class_deg = [[0] * (k + 1) for _ in range(g.n)]
     colour = [0] * m
@@ -127,7 +144,19 @@ def min_parts(g: Graph, k_max: int | None = None, edge_limit: int | None = None)
 
     exhausted means the verdict is final: either a least k was found, or
     every k was ruled out (the search reached k = |E|).
+
+    Probe order: k = 1, 2, 3; if all fail, one search at top = min(k_max,
+    |E|).  Feasibility is monotone in k, so a failure at top rules out
+    every k <= top.  A success there is bisected on [4, colours used],
+    lowering the upper end to the colours each successful probe's witness
+    uses.  The witness at the least k* equals the one a k = 1, 2, ... scan
+    would return: `_search` returns the least valid colouring among those
+    with at most k colours, and a least one with exactly k* colours found
+    at some k >= k* is also least among those with at most k* colours.
+    searches lists every probe as (k, nodes, found).
     """
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     m = g.m
     limit = _edge_limit(edge_limit)
     if m > limit:
@@ -135,15 +164,38 @@ def min_parts(g: Graph, k_max: int | None = None, edge_limit: int | None = None)
     if m == 0:
         return OracleResult(0, Decomposition(g, 0, {}), True)
     top = m if k_max is None else min(k_max, m)
-    nodes_total = 0
-    for k in range(1, top + 1):
-        colouring, nodes = _search(g, k)
-        nodes_total += nodes
+    edges = _edge_order(g)
+    adj_idx = _incidence(g, edges)
+    searches = []
+
+    def probe(k: int):
+        colouring, nodes = _search(g, k, edges, adj_idx)
+        searches.append((k, nodes, colouring is not None))
+        return colouring
+
+    def finish(k, colouring) -> OracleResult:
+        nodes = sum(s[1] for s in searches)
+        if colouring is None:
+            return OracleResult(None, None, top >= m, nodes, searches)
+        witness = Decomposition(g, k, colouring)
+        witness.validate()
+        return OracleResult(k, witness, True, nodes, searches)
+
+    for k in range(1, min(3, top) + 1):
+        colouring = probe(k)
         if colouring is not None:
-            witness = Decomposition(g, k, colouring)
-            witness.validate()
-            return OracleResult(k, witness, True, nodes_total)
-    return OracleResult(None, None, top >= m, nodes_total)
+            return finish(k, colouring)
+    if top <= 3 or (best := probe(top)) is None:
+        return finish(None, None)
+    lo, hi = 4, max(best.values())
+    while lo < hi:
+        mid = (lo + hi) // 2
+        colouring = probe(mid)
+        if colouring is None:
+            lo = mid + 1
+        else:
+            best, hi = colouring, max(colouring.values())
+    return finish(hi, best)
 
 
 def atlas_connected_graphs(max_vertices: int = 7):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import time
@@ -11,8 +12,12 @@ from hypothesis import strategies as st
 from irrdec.cli import RISKPROB_MAX_EXPONENT, canonical_json, main
 from irrdec.exact import iroot
 from irrdec.graph_core import (
+    GENERATORS,
     Graph,
+    MAX_GENERATED_EDGES,
+    MAX_VERTICES,
     complete,
+    cycle,
     parse_edge_list,
     path,
     serialize_edge_list,
@@ -177,6 +182,28 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", src)
         assert code == 64 and "edge" in err
 
+    @pytest.mark.parametrize("kmax", ["-5", "0"])
+    def test_kmax_below_one_is_usage_error(self, capsys, graph_file, kmax):
+        src = graph_file("p4.txt", path(4))
+        code, out, err = run(capsys, "oracle", src, "--kmax", kmax)
+        assert code == 64 and out == ""
+        assert f"k_max must be >= 1, got {kmax}" in err
+
+    def test_searches_are_in_the_manifest_only(self, capsys, graph_file):
+        src = graph_file("c7.txt", cycle(7))
+        code, out, _ = run(capsys, "oracle", src, "--json")
+        assert code == 2
+        rec = json.loads(out)
+        searches = rec["manifest"]["searches"]
+        assert [(k, found) for k, _, found in searches] == \
+            [(1, False), (2, False), (3, False), (7, False)]
+        assert sum(nodes for _, nodes, _ in searches) == rec["result"]["nodes_explored"]
+        assert set(rec["result"]) == {"k", "witness", "exhausted", "nodes_explored"}
+        body = canonical_json(rec["result"]).encode()
+        assert rec["manifest"]["result_digest"] == "sha256:" + hashlib.sha256(body).hexdigest()
+        code, out, _ = run(capsys, "oracle", src)
+        assert "  searched k: 1, 2, 3, 7\n" in out
+
 
 class TestAudit:
     def test_all_pass(self, capsys):
@@ -269,6 +296,44 @@ def _edge_list_text(draw):
     return "\n".join(lines) + "\n"
 
 
+# a generator parameter token: half the time a small integer, else a
+# fraction, a value over every size limit, any float or any text
+_PARAM = st.one_of(
+    st.integers(-1, 20).map(str),
+    st.one_of(
+        st.floats(0, 1).map(repr),
+        st.one_of(st.integers(min_value=10**6), st.integers(max_value=-10**6)).map(str),
+        st.floats().map(repr),
+        st.text(max_size=5),
+    ),
+)
+
+
+@st.composite
+def _gen_argv(draw):
+    """gen arguments: any family name, and half the time for a real family
+    as many parameter tokens as it takes; any seed or none."""
+    family = draw(st.one_of(st.sampled_from(sorted(GENERATORS)), st.text(max_size=12)))
+    if family in GENERATORS and draw(st.booleans()):
+        count = len([p for p in inspect.signature(GENERATORS[family]).parameters if p != "seed"])
+    else:
+        count = draw(st.integers(0, 3))
+    params = draw(st.lists(_PARAM, min_size=count, max_size=count))
+    seed = draw(st.one_of(st.none(), st.integers(-5, 5).map(str), st.integers().map(str),
+                          st.text(max_size=5)))
+    return ["gen", family, *params] + ([] if seed is None else ["--seed", seed])
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestInputContract:
     @given(st.one_of(st.text(), _edge_list_text()))
     @settings(max_examples=200, deadline=None)
@@ -289,3 +354,28 @@ class TestInputContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 64, 65), (code, err.getvalue())
+
+    @given(_gen_argv())
+    @settings(max_examples=150, deadline=None)
+    @example(["gen", "gnp", "9", "0.5", "--seed", "2"])
+    @example(["gen", "spider", "4"])
+    @example(["gen", "complete", "100000"])
+    @example(["gen", "gnp", "2000", "0.5", "--seed", "1"])
+    @example(["gen", "path", "1e400"])
+    @example(["gen", "random_regular", "-1000000", "-1000000", "--seed", "3"])
+    def test_gen_exits_with_documented_codes(self, argv):
+        code, err = _exit_code(argv)
+        assert code in (0, 64, 65), (code, err)
+
+    def test_gen_refuses_huge_requests_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "gen", "complete", "100000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 64 and out == ""
+        assert f"the limits are {MAX_VERTICES} and {MAX_GENERATED_EDGES}" in err
+
+    @given(st.one_of(st.text(), st.sampled_from(["f10", "F10_POSITIVE", "", "_", "zzz"])))
+    @settings(max_examples=50, deadline=None)
+    def test_audit_exits_with_documented_codes(self, claim):
+        code, err = _exit_code(["audit", "--claim", claim])
+        assert code in (0, 64, 65), (code, err)

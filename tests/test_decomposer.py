@@ -29,6 +29,7 @@ from irrdec.graph_core import (
     gnp,
     is_locally_irregular_decomposition,
     path,
+    random_regular,
 )
 from irrdec.labeling import LabelPair, RiskyClassification, exponents
 
@@ -121,6 +122,14 @@ class TestPipelineOutcomes:
         assert out.code == "FactorSolverFailure"
         assert out.detail == {"mode": "heuristic", "reason": "flip budget exhausted",
                               "nodes_explored": 0, "best_penalty": 1, "flips": 3}
+
+    def test_precondition_failing_is_capped(self):
+        # every vertex fails 6*lam <= d here; the report keeps 20 ids and the count
+        g = random_regular(400, 40, seed=1)
+        out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+        report = next(r for r in trace.stage_reports if r["stage"] == "part1_factor")
+        assert report["precondition_failing"] == list(range(20))
+        assert report["precondition_failing_count"] == 400
 
     def test_exempt_vertices_are_not_reported_infeasible(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])  # triangle plus isolated 3

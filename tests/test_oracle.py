@@ -1,24 +1,37 @@
+import functools
 import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import irrdec.oracle as oracle
 from irrdec.graph_core import (
+    Decomposition,
     Graph,
     complete,
     cycle,
     is_locally_irregular_decomposition,
     path,
     spider,
+    t_family_members,
 )
 from irrdec.oracle import (
     OracleResult,
+    _edge_order,
     atlas_connected_graphs,
     exceptions_never_decompose,
     min_parts,
 )
+
+# Two bow-ties (pairs of triangles sharing a vertex) whose centres 0 and 5 are
+# joined by an edge: a connected cactus outside the exception families that
+# needs 4 parts.
+TWO_BOWTIES = Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5),
+                         (5, 6), (6, 7), (5, 7), (5, 8), (8, 9), (5, 9)])
 
 
 class TestMinParts:
@@ -67,12 +80,169 @@ class TestMinParts:
         assert res.feasible_k is None and not res.exhausted
         assert min_parts(big, k_max=1, edge_limit=25).feasible_k is None
 
+    @pytest.mark.parametrize("k_max", [-5, 0])
+    def test_kmax_below_one_is_rejected(self, k_max):
+        with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
+            min_parts(path(4), k_max=k_max)
+
+    def test_four_parts(self):
+        res = min_parts(TWO_BOWTIES)
+        assert res.feasible_k == 4 and res.exhausted
+        assert res.witness.k == 4 and set(res.witness.colour.values()) == {1, 2, 3, 4}
+        assert is_locally_irregular_decomposition(res.witness)
+        assert [k for k, _, _ in res.searches] == [1, 2, 3, 13]
+        assert min_parts(TWO_BOWTIES, k_max=3).feasible_k is None
+
+    def test_probe_order(self):
+        res = min_parts(cycle(7))
+        assert [(k, found) for k, _, found in res.searches] == \
+            [(1, False), (2, False), (3, False), (7, False)]
+        assert sum(nodes for _, nodes, _ in res.searches) == res.nodes_explored
+        assert [k for k, _, _ in min_parts(cycle(7), k_max=5).searches] == [1, 2, 3, 5]
+        assert [k for k, _, _ in min_parts(cycle(7), k_max=2).searches] == [1, 2]
+        assert [k for k, _, _ in min_parts(spider(2)).searches] == [1, 2, 3]
+
     def test_to_json(self):
         js = min_parts(path(2)).to_json()
         assert js["k"] == 1 and js["exhausted"] is True
         assert js["witness"] == {"0-1": 1, "1-2": 1}
         js = min_parts(path(3)).to_json()
         assert js["k"] is None and js["witness"] is None
+
+
+@functools.cache  # the differential test runs the scan at six k_max values
+def _reference_search(g, k):
+    # verbatim copy of the per-k search before it took a shared edge order
+    edges = _edge_order(g)
+    m = len(edges)
+    adj_idx = {v: [] for v in range(g.n)}
+    for i, (u, v) in enumerate(edges):
+        adj_idx[u].append(i)
+        adj_idx[v].append(i)
+    undecided = [g.degree(v) for v in range(g.n)]
+    class_deg = [[0] * (k + 1) for _ in range(g.n)]
+    colour = [0] * m
+    nodes = 0
+
+    def frozen_conflict(w) -> bool:
+        # w just became finished; compare against finished neighbours
+        for i in adj_idx[w]:
+            c = colour[i]
+            a, b = edges[i]
+            x = b if a == w else a
+            if undecided[x] == 0 and class_deg[w][c] == class_deg[x][c]:
+                return True
+        return False
+
+    def rec(i: int, max_used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if i == m:
+            return True
+        u, v = edges[i]
+        for c in range(1, min(max_used + 1, k) + 1):
+            colour[i] = c
+            class_deg[u][c] += 1
+            class_deg[v][c] += 1
+            undecided[u] -= 1
+            undecided[v] -= 1
+            bad = (undecided[u] == 0 and frozen_conflict(u)) or (
+                undecided[v] == 0 and frozen_conflict(v))
+            if not bad and rec(i + 1, max(max_used, c)):
+                return True
+            undecided[u] += 1
+            undecided[v] += 1
+            class_deg[u][c] -= 1
+            class_deg[v][c] -= 1
+        colour[i] = 0
+        return False
+
+    if rec(0, 0):
+        return {e: colour[i] for i, e in enumerate(edges)}, nodes
+    return None, nodes
+
+
+def _reference_min_parts(g, k_max=None):
+    # verbatim copy of the k = 1, 2, ..., top scan that the probe order replaced
+    m = g.m
+    if m == 0:
+        return OracleResult(0, Decomposition(g, 0, {}), True)
+    top = m if k_max is None else min(k_max, m)
+    nodes_total = 0
+    for k in range(1, top + 1):
+        colouring, nodes = _reference_search(g, k)
+        nodes_total += nodes
+        if colouring is not None:
+            witness = Decomposition(g, k, colouring)
+            witness.validate()
+            return OracleResult(k, witness, True, nodes_total)
+    return OracleResult(None, None, top >= m, nodes_total)
+
+
+class TestAgainstLinearScan:
+    def test_same_verdicts_and_witnesses(self):
+        graphs = (atlas_connected_graphs(6) + t_family_members(13) + [TWO_BOWTIES]
+                  + [path(m) for m in range(1, 14, 2)] + [cycle(m) for m in range(3, 14, 2)])
+        verdicts = set()
+        _reference_search.cache_clear()
+        for g in graphs:
+            for k_max in sorted({1, 2, 3, 4, 5, max(g.m, 1)}):
+                want = _reference_min_parts(g, k_max)
+                got = min_parts(g, k_max)
+                assert (got.feasible_k, got.exhausted) == (want.feasible_k, want.exhausted)
+                assert (got.witness is None) == (want.witness is None)
+                if want.witness is not None:
+                    assert got.witness.k == want.witness.k
+                    assert got.witness.colour == want.witness.colour
+                if want.feasible_k is None:
+                    assert got.nodes_explored <= want.nodes_explored
+                verdicts.add((want.feasible_k, want.exhausted))
+        _reference_search.cache_clear()
+        # every least k up to 4, and both kinds of infeasible verdict
+        assert {0, 1, 2, 3, 4, (None, True), (None, False)} <= \
+            {k for k, ex in verdicts if k is not None} | {v for v in verdicts if v[0] is None}
+
+
+class TestBisection:
+    """The probe logic alone, over a stand-in search: feasible from k_star
+    on, and at each k the least colouring with at most k colours uses the
+    largest record value r <= k, with k_star the smallest record (the shape
+    a lexicographically least witness has)."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_finds_the_least_k(self, data):
+        m = data.draw(st.integers(1, 22))
+        k_star = data.draw(st.integers(1, m + 1))  # m + 1: infeasible at every k
+        records = {k_star} | set(data.draw(st.lists(st.integers(k_star, m), max_size=4))
+                                 if k_star <= m else [])
+        k_max = data.draw(st.one_of(st.none(), st.integers(1, m + 2)))
+        probes = []
+
+        def fake_search(g, k, edges, adj_idx):
+            probes.append(k)
+            if k < k_star:
+                return None, 1
+            used = max(r for r in records if r <= k)
+            return {e: min(i + 1, used) for i, e in enumerate(edges)}, 1
+
+        real = oracle._search
+        oracle._search = fake_search
+        try:
+            res = min_parts(path(m), k_max)
+        finally:
+            oracle._search = real
+        top = m if k_max is None else min(k_max, m)
+        head = list(range(1, min(3, top, k_star) + 1)) + ([top] if min(top, k_star) > 3 else [])
+        assert probes[:len(head)] == head
+        assert len(probes) == len(set(probes)) <= 4 + m.bit_length()
+        assert res.nodes_explored == len(probes)
+        assert [k for k, _, _ in res.searches] == probes
+        if k_star > top:
+            assert res.feasible_k is None and res.exhausted == (top >= m)
+        else:
+            assert res.feasible_k == k_star and res.exhausted
+            assert set(res.witness.colour.values()) == set(range(1, k_star + 1))
 
 
 class TestAtlas:
