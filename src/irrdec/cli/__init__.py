@@ -46,10 +46,10 @@ EXIT_DATA = 65
 RANDOMIZED_FAMILIES = ("gnp", "random_regular")
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
-# moduli lam = 2^e above 128.  Its conditional tables cost about 8^e steps:
-# all four types answer within 1.3 s at e = 7 and take up to 10 s at e = 8
-# (2-vCPU Intel Xeon).
-RISKPROB_MAX_EXPONENT = 7
+# moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
+# (d = 10^6 and 2*10^6) each of the four types computes in at most about 1 s
+# and each step of e costs about 4x (2-vCPU Intel Xeon).
+RISKPROB_MAX_EXPONENT = 8
 
 
 class _Parser(argparse.ArgumentParser):

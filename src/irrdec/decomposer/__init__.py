@@ -145,7 +145,8 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
 
     The report's exempt lists vertices released from the residue contract
     because the host leaves them no edges at all (degree 0 gets the
-    singleton {0}); this only happens in relaxed mode on small inputs.
+    singleton {0}); this only happens in relaxed mode on small inputs.  Like
+    precondition_failing, it keeps the first 20 ids and a count.
     """
     cfg = trace.config
     failing = spec.check_precondition(host)
@@ -178,7 +179,7 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
             "degree": d, "window_widths": [d // 2 - d // 3, (2 * d) // 3 - d // 2],
             "modulus": spec.lam[v],
         }, empty_target_vertices=empty[:20], **capped)
-    trace.report(stage, True, exempt=exempt, **capped)
+    trace.report(stage, True, exempt=exempt[:20], exempt_count=len(exempt), **capped)
     result = find_degree_set_subgraph(
         host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",

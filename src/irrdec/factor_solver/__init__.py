@@ -21,7 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from ..graph_core import Graph, InvariantViolated
+from ..graph_core import Graph, InvariantViolated, incident_edges
 
 
 @dataclass
@@ -101,15 +101,6 @@ def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
     return out
 
 
-def _incident_edges(n: int, edges: list) -> list:
-    """incident[v] = indices into edges of the edges at v, ascending."""
-    incident = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    return incident
-
-
 # ---------------------------------------------------------------------------
 # exact branch-and-bound
 
@@ -126,7 +117,7 @@ def _next_allowed(d: int, allowed) -> list:
 def _exact_search(g: Graph, allowed: dict):
     n = g.n
     edges = sorted(g.edges)
-    incident = _incident_edges(n, edges)
+    incident = incident_edges(n, edges)
     cur = [0] * n
     rem = [len(incident[v]) for v in range(n)]
     nxt = [_next_allowed(rem[v], allowed[v]) for v in range(n)]
@@ -210,7 +201,7 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
             return Graph(n, [])
         return Failure("heuristic", "empty graph cannot meet targets",
                        best_penalty=sum(pen[v][0] for v in range(n)))
-    incident = _incident_edges(n, edges)
+    incident = incident_edges(n, edges)
     bias = [(sum(allowed[v]) / len(allowed[v])) / g.degree(v) if g.degree(v) else 0.0
             for v in range(n)]
     p_start = [(bias[u] + bias[v]) / 2 for u, v in edges]  # chance an edge starts chosen

@@ -112,6 +112,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def incident_edges(n: int, edges: list) -> list:
+    """incident[v] = the positions in edges of the edges at v, ascending."""
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
+
+
 def is_locally_irregular(g: Graph) -> bool:
     """True iff every edge joins vertices of distinct degree."""
     deg = g.degrees()

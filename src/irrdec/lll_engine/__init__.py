@@ -8,7 +8,10 @@ O(lam(u)*lam(v)) predicate calls for every type, against the
 lam(u)^2 * lam(v)^2 assignments of the full label space.  Types 1 and 2
 read (ci(u), ci(v)); type 3 reads the sums c1 + c2 at both endpoints; the
 joint type "23" counts, per c2 pair risky of type 2, the c1 pairs risky of
-type 3.
+type 3.  The worst conditional risks reuse these counts: types 1 and 2 are
+maxima of conditioned probabilities, and type 3 and the joint scheme are
+rectangle sums over one prefix-sum table of type-3 verdicts, so every
+scheme costs about 4^e steps for e = max(e(u), e(v)).
 """
 
 from __future__ import annotations
@@ -238,6 +241,25 @@ def _sum_weights(a: range, b: range) -> dict:
             for s in range(a.start + b.start, a[-1] + b[-1] + 1)}
 
 
+def _type3_rectangles(du: int, dv: int, sus: range, svs: range):
+    """count(a, b) = the number of sum pairs in a x b risky of type 3, for
+    intervals a within sus and b within svs, where a sum is c1 + c2 at u or
+    at v.  The verdicts of all of sus x svs go into a 2-D prefix-sum table,
+    len(sus)*len(svs) predicate calls, and each count is four lookups."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    # rect[i][j] = risky pairs among the first i sums of sus and first j of svs
+    rect = [[0] * (len(svs) + 1)]
+    for su in sus:
+        row = accumulate((risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2] for sv in svs), initial=0)
+        rect.append([a + b for a, b in zip(rect[-1], row)])
+
+    def count(a: range, b: range) -> int:
+        i0, i1 = a.start - sus.start, a.stop - sus.start
+        j0, j1 = b.start - svs.start, b.stop - svs.start
+        return rect[i1][j1] - rect[i0][j1] - rect[i1][j0] + rect[i0][j0]
+    return count
+
+
 def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
     """Probability that an edge with endpoint degrees (du, dv) is risky of
     the given type, counted exactly over the unconditioned label slots.
@@ -271,10 +293,6 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
             for n in _SLOT_NAMES}
     c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
 
-    def type3(su, sv):
-        # type 3 reads c1 and c2 only through their sum
-        return risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2]
-
     if rtype in (1, 2):
         read, flag = (("c1_u", "c1_v"), 0) if rtype == 1 else (("c2_u", "c2_v"), 1)
         # types 1 and 2 are one congruence on c1 or on c2: feed (x, y) to both
@@ -283,24 +301,17 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
         count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
     elif rtype == 3:
         wu, wv = _sum_weights(c1u, c2u), _sum_weights(c1v, c2v)
-        count = sum(wu[su] * wv[sv] for su in wu for sv in wv if type3(su, sv))
+        # type 3 reads c1 and c2 only through their sum
+        count = sum(wu[su] * wv[sv] for su in wu for sv in wv
+                    if risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2])
     elif rtype == "23":
-        # rect[i][j] = number of type-3 sum pairs among the first i sums of u
-        # and the first j sums of v, over every sum either endpoint can reach
-        sus = range(c1u.start + c2u.start, c1u[-1] + c2u[-1] + 1)
-        svs = range(c1v.start + c2v.start, c1v[-1] + c2v[-1] + 1)
-        rect = [[0] * (len(svs) + 1)]
-        for su in sus:
-            row = accumulate((type3(su, sv) for sv in svs), initial=0)
-            rect.append([a + b for a, b in zip(rect[-1], row)])
-        count = 0
-        for x in c2u:
-            for y in c2v:
-                if risk_flags(du, dv, eu, ev, 0, 0, x, y)[1]:
-                    # the c1 pairs put the sums in (x + c1u) x (y + c1v)
-                    i0, i1 = x + c1u.start - sus.start, x + c1u.stop - sus.start
-                    j0, j1 = y + c1v.start - svs.start, y + c1v.stop - svs.start
-                    count += rect[i1][j1] - rect[i0][j1] - rect[i1][j0] + rect[i0][j0]
+        # the c1 pairs put the sums of a c2 pair (x, y) in (x + c1u) x (y + c1v)
+        count_type3 = _type3_rectangles(
+            du, dv, range(c1u.start + c2u.start, c1u[-1] + c2u[-1] + 1),
+            range(c1v.start + c2v.start, c1v[-1] + c2v[-1] + 1))
+        count = sum(count_type3(range(x + c1u.start, x + c1u.stop),
+                                range(y + c1v.start, y + c1v.stop))
+                    for x in c2u for y in c2v if risk_flags(du, dv, eu, ev, 0, 0, x, y)[1])
     else:
         raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
     return Fraction(count, math.prod(len(r) for r in span.values()))
@@ -311,26 +322,6 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
 _WORST_CACHE = {}
 
 
-def _window_count_table(eu, ev, emin):
-    """cnt[r] = number of c1(u) values with (r - 3*2^eu*c1u) mod k inside
-    the symmetric window; shared by the type-3 and joint enumerations."""
-    k = 3 << (2 * emin)
-    b = 3 << emin
-    lu = 1 << eu
-    step = (3 << eu) % k
-    cnt = [0] * k
-    for r in range(k):
-        x = r
-        c = 0
-        for _ in range(lu):
-            rr = x % k
-            if rr < b or rr > k - b:
-                c += 1
-            x -= step
-        cnt[r] = c
-    return cnt
-
-
 def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
     """Max over conditioned labels of the conditional risk probability.
 
@@ -339,12 +330,20 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
       "type2_given_c2v"     same with c2
       "type3_given_rest"    max over (c1v, c2v, c2u), free c1(u)
       "both23_given_c1v_c2v" max over (c1v, c2v), free (c1u, c2u)
+
+    Types 1 and 2 take the largest exact_edge_risk_probability over the
+    conditioned slot, lu*lv predicate calls in all.  Type 3 and the joint
+    scheme build one table of the type-3 verdicts of all (2lu-1)(2lv-1) sum
+    pairs; each conditioning then reads the column of its sum at v over the
+    lu sums that a free c1(u) gives at u.  Type 3 takes the largest such
+    column sum over (2lv-1)*lu of them; the joint scheme adds, for each
+    (c1v, c2v), the column sums of the c2(u) values risky of type 2
+    against c2(v).
     """
     if not ratio_gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    emin = min(eu, ev)
-    k = 3 << (2 * emin)
+    k = 3 << (2 * min(eu, ev))
     if which in ("type1_given_c1v", "type2_given_c2v"):
         key = (which, eu, ev)
     elif which in ("type3_given_rest", "both23_given_c1v_c2v"):
@@ -357,34 +356,24 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
 
     lu, lv = 1 << eu, 1 << ev
     if which in ("type1_given_c1v", "type2_given_c2v"):
-        mod = 1 << (2 * emin)
-        best = 0
-        for cv in range(lv):
-            c = sum(1 for cu in range(lu) if ((cu << eu) - (cv << ev)) % mod == 0)
-            best = max(best, c)
-        worst = Fraction(best, lu)
+        rtype, slot = (1, "c1_v") if which == "type1_given_c1v" else (2, "c2_v")
+        worst = max(exact_edge_risk_probability(du, dv, rtype, {slot: y}) for y in range(lv))
     else:
-        delta = (du - dv) % k
-        cnt = _window_count_table(eu, ev, emin)
+        # c1(u) is free in both schemes, so given c2(u) = x the sum at u
+        # ranges over [x, x + lu); (c1v, c2v) enters type 3 only as sv
+        count_type3 = _type3_rectangles(du, dv, range(2 * lu - 1), range(2 * lv - 1))
+
+        def column(x, sv):
+            return count_type3(range(x, x + lu), range(sv, sv + 1))
+
         if which == "type3_given_rest":
-            best = 0
-            for s in range(2 * lv - 1):  # s = c1v + c2v
-                for c2u in range(lu):
-                    r = (delta + 3 * (s << ev) - 3 * (c2u << eu)) % k
-                    best = max(best, cnt[r])
-            worst = Fraction(best, lu)
+            worst = Fraction(max(column(x, sv) for x in range(lu) for sv in range(2 * lv - 1)), lu)
         else:
-            mod2 = 1 << (2 * emin)
             best = 0
-            for c1v in range(lv):
-                for c2v in range(lv):
-                    tot = 0
-                    for c2u in range(lu):
-                        if ((c2u << eu) - (c2v << ev)) % mod2 != 0:
-                            continue
-                        r = (delta + 3 * ((c1v + c2v) << ev) - 3 * (c2u << eu)) % k
-                        tot += cnt[r]
-                    best = max(best, tot)
+            for c2v in range(lv):
+                risky = [x for x in range(lu) if risk_flags(du, dv, eu, ev, 0, 0, x, c2v)[1]]
+                for sv in range(c2v, c2v + lv):  # sv = c1v + c2v
+                    best = max(best, sum(column(x, sv) for x in risky))
             worst = Fraction(best, lu * lu)
     _WORST_CACHE[key] = worst
     return worst

@@ -26,6 +26,7 @@ from ..graph_core import (
     Graph,
     InvariantViolated,
     cycle,
+    incident_edges,
     path,
     recognize_exception,
     t_family_members,
@@ -70,18 +71,9 @@ def _edge_order(g: Graph) -> list:
     return order
 
 
-def _incidence(g: Graph, edges: list) -> dict:
-    """Vertex -> positions in edges of its incident edges."""
-    adj_idx = {v: [] for v in range(g.n)}
-    for i, (u, v) in enumerate(edges):
-        adj_idx[u].append(i)
-        adj_idx[v].append(i)
-    return adj_idx
-
-
-def _search(g: Graph, k: int, edges: list, adj_idx: dict):
+def _search(g: Graph, k: int, edges: list, adj_idx: list):
     """Colour assignment search at exactly k available colours, over edges
-    in the order given (`_edge_order`) with their `_incidence` lists.
+    in the order given (`_edge_order`) with their `incident_edges` lists.
 
     Returns (colour dict | None, nodes).  Symmetry breaking: colour c may be
     used on an edge only if colours 1..c-1 already appear earlier, so each
@@ -165,7 +157,7 @@ def min_parts(g: Graph, k_max: int | None = None, edge_limit: int | None = None)
         return OracleResult(0, Decomposition(g, 0, {}), True)
     top = m if k_max is None else min(k_max, m)
     edges = _edge_order(g)
-    adj_idx = _incidence(g, edges)
+    adj_idx = incident_edges(g.n, edges)
     searches = []
 
     def probe(k: int):

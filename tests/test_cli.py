@@ -240,6 +240,13 @@ class TestRiskProb:
         assert res["unconditional"] == "1/64"
         assert res["bound"].endswith("dv^0.76")
 
+    def test_type_23_at_the_cap(self, capsys):
+        # 10^6 and 2*10^6 both have e = 8, the largest e riskprob accepts
+        code, out, _ = run(capsys, "riskprob", str(10**6), str(2 * 10**6), "--type", "23",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["bound_holds"] is True
+
     @pytest.mark.parametrize("du,dv", [("2", "5000"), ("0", "5")])
     def test_ungated_pairs(self, capsys, du, dv):
         code, out, _ = run(capsys, "riskprob", du, dv, "--json")

@@ -131,6 +131,14 @@ class TestPipelineOutcomes:
         assert report["precondition_failing"] == list(range(20))
         assert report["precondition_failing_count"] == 400
 
+    def test_exempt_is_capped(self):
+        # the part-1 host leaves all 2,000 vertices without edges
+        g = Graph(2000, [(0, 1), (1, 2), (0, 3), (3, 4)])
+        out, trace = decompose3(g, PipelineConfig(seed=1))
+        report = next(r for r in trace.stage_reports if r["stage"] == "part1_factor")
+        assert report["exempt"] == list(range(20))
+        assert report["exempt_count"] == 2000
+
     def test_exempt_vertices_are_not_reported_infeasible(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])  # triangle plus isolated 3
         out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrdec import lll_engine
+from irrdec.exact import iroot
 from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
 from irrdec.labeling import (
     LabelPair,
@@ -346,6 +347,140 @@ class TestWorstConditional:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             worst_conditional_risk(10, 10, "type9")
+
+
+# verbatim copies of the loop-based worst_conditional_risk and its window
+# table, with their own cache, as the reference for the rectangle-sum version
+_REFERENCE_CACHE = {}
+
+
+def _reference_window_count_table(eu, ev, emin):
+    """cnt[r] = number of c1(u) values with (r - 3*2^eu*c1u) mod k inside
+    the symmetric window; shared by the type-3 and joint enumerations."""
+    k = 3 << (2 * emin)
+    b = 3 << emin
+    lu = 1 << eu
+    step = (3 << eu) % k
+    cnt = [0] * k
+    for r in range(k):
+        x = r
+        c = 0
+        for _ in range(lu):
+            rr = x % k
+            if rr < b or rr > k - b:
+                c += 1
+            x -= step
+        cnt[r] = c
+    return cnt
+
+
+def reference_worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
+    """Max over conditioned labels of the conditional risk probability.
+
+    which selects the conditioning scheme:
+      "type1_given_c1v"     max over c1(v) of P(type 1 | c1(v)), free c1(u)
+      "type2_given_c2v"     same with c2
+      "type3_given_rest"    max over (c1v, c2v, c2u), free c1(u)
+      "both23_given_c1v_c2v" max over (c1v, c2v), free (c1u, c2u)
+    """
+    if not ratio_gate(du, dv):
+        raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    emin = min(eu, ev)
+    k = 3 << (2 * emin)
+    if which in ("type1_given_c1v", "type2_given_c2v"):
+        key = (which, eu, ev)
+    elif which in ("type3_given_rest", "both23_given_c1v_c2v"):
+        key = (which, eu, ev, (du - dv) % k)
+    else:
+        raise ValueError(f"unknown scheme {which!r}")
+    hit = _REFERENCE_CACHE.get(key)
+    if hit is not None:
+        return hit
+
+    lu, lv = 1 << eu, 1 << ev
+    if which in ("type1_given_c1v", "type2_given_c2v"):
+        mod = 1 << (2 * emin)
+        best = 0
+        for cv in range(lv):
+            c = sum(1 for cu in range(lu) if ((cu << eu) - (cv << ev)) % mod == 0)
+            best = max(best, c)
+        worst = Fraction(best, lu)
+    else:
+        delta = (du - dv) % k
+        cnt = _reference_window_count_table(eu, ev, emin)
+        if which == "type3_given_rest":
+            best = 0
+            for s in range(2 * lv - 1):  # s = c1v + c2v
+                for c2u in range(lu):
+                    r = (delta + 3 * (s << ev) - 3 * (c2u << eu)) % k
+                    best = max(best, cnt[r])
+            worst = Fraction(best, lu)
+        else:
+            mod2 = 1 << (2 * emin)
+            best = 0
+            for c1v in range(lv):
+                for c2v in range(lv):
+                    tot = 0
+                    for c2u in range(lu):
+                        if ((c2u << eu) - (c2v << ev)) % mod2 != 0:
+                            continue
+                        r = (delta + 3 * ((c1v + c2v) << ev) - 3 * (c2u << eu)) % k
+                        tot += cnt[r]
+                    best = max(best, tot)
+            worst = Fraction(best, lu * lu)
+    _REFERENCE_CACHE[key] = worst
+    return worst
+
+
+_SCHEMES = ("type1_given_c1v", "type2_given_c2v", "type3_given_rest", "both23_given_c1v_c2v")
+
+
+def _last_degree(e: int) -> int:
+    """The largest d with ceil_log_beta(d) == e, i.e. with d^19 <= 2^(50e)."""
+    return iroot(1 << (50 * e), 19)
+
+
+class TestWorstConditionalMatchesLoops:
+    def _assert_same(self, du, dv):
+        for which in _SCHEMES:
+            lll_engine._WORST_CACHE.clear()
+            _REFERENCE_CACHE.clear()
+            want = reference_worst_conditional_risk(du, dv, which)
+            assert worst_conditional_risk(du, dv, which) == want, (du, dv, which)
+
+    def test_every_small_band_pair_and_residue(self):
+        # one degree pair per (e(u), e(v), (du - dv) mod 3*4^emin), e <= 3
+        reps = {}
+        for du in range(1, _last_degree(3) + 1):
+            for dv in range(1, _last_degree(3) + 1):
+                if ratio_gate(du, dv):
+                    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+                    reps.setdefault((eu, ev, (du - dv) % (3 << 2 * min(eu, ev))), (du, dv))
+        assert {key[:2] for key in reps} == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1),
+                                             (2, 2), (2, 3), (3, 2), (3, 3)}
+        assert len({key for key in reps if key[:2] == (3, 3)}) == 3 << 6
+        for du, dv in reps.values():
+            self._assert_same(du, dv)
+
+    def test_seeded_pairs_in_bands_4_and_5(self):
+        # each degree from a band drawn uniformly, so that the mixed bands
+        # are not outnumbered by the wider band 5
+        rng = random.Random(808)
+
+        def degree():
+            e = rng.choice((4, 5))
+            return rng.randint(_last_degree(e - 1) + 1, _last_degree(e))
+
+        pairs = []
+        while len(pairs) < 200:
+            du, dv = degree(), degree()
+            if ratio_gate(du, dv):
+                pairs.append((du, dv))
+        assert {(ceil_log_beta(du), ceil_log_beta(dv)) for du, dv in pairs} \
+            == {(4, 4), (4, 5), (5, 4), (5, 5)}
+        for du, dv in pairs:
+            self._assert_same(du, dv)
 
 
 class TestTailBounds:
