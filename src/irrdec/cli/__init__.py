@@ -146,10 +146,13 @@ def _edge_counts(trace) -> dict:
 def _exception_components(g: Graph):
     found = []
     for comp in g.components():
+        # every exception family has maximum degree <= 3
+        if any(g.degree(v) > 3 for v in comp):
+            continue
         vs = sorted(comp)
         relabel = {v: i for i, v in enumerate(vs)}
-        sub = Graph(len(vs), [(relabel[u], relabel[v])
-                              for u, v in g.edges if u in comp and v in comp])
+        sub = Graph(len(vs), [(relabel[u], relabel[w])
+                              for u in vs for w in g.neighbours(u) if u < w])
         family = recognize_exception(sub)
         if family is not None:
             found.append({"vertices": vs, "family": family.value})

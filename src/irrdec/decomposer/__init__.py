@@ -34,8 +34,9 @@ from ..factor_solver import (
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
+    allowed_degrees,
     find_degree_set_subgraph,
-    window_candidates,
+    windows,
 )
 from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge
 from ..labeling import LabelPair, classify, exponents, ratio_gate
@@ -116,18 +117,17 @@ class ColouringFailure:
     blocked_values: list
 
 
-def greedy_proper_colouring(f_graph: Graph, cap):
+def greedy_proper_colouring(f_graph: Graph, cap: list):
     """Proper vertex colouring of the overlap graph, ascending vertex id,
-    least free value, subject to h(v) <= cap(v)."""
-    cap_of = cap.__getitem__ if isinstance(cap, (dict, list)) else cap
+    least free value, subject to h(v) <= cap[v]."""
     h = {}
     for v in range(f_graph.n):
         used = {h[u] for u in f_graph.neighbours(v) if u in h}
         value = 0
         while value in used:
             value += 1
-        if value > cap_of(v):
-            return ColouringFailure(v, cap_of(v), sorted(used))
+        if value > cap[v]:
+            return ColouringFailure(v, cap[v], sorted(used))
         h[v] = value
     return h
 
@@ -139,9 +139,11 @@ def _residue_spec(trace: PipelineTrace, label_terms: list) -> ModularTargetSpec:
 
 
 def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTargetSpec):
-    """Carve a spanning subgraph of host whose degrees are spec.t or spec.t+1
-    mod spec.lam and lie in the middle-third windows of host degrees; returns
-    it or a Diagnostic.  The solver is seeded by the config seed and stage.
+    """Carve a spanning subgraph of host over the sets factor_solver.allowed_degrees
+    gives (degrees spec.t or spec.t+1 mod spec.lam in the windows of host
+    degrees); returns it or a Diagnostic.  Only pipeline policy lives here:
+    the strict precondition, the degree-0 exemption and the diagnostics.
+    The solver is seeded by the config seed and stage.
 
     The report's exempt lists vertices released from the residue contract
     because the host leaves them no edges at all (degree 0 gets the
@@ -155,31 +157,22 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
         return trace.fail(stage, "ModulusPreconditionViolated",
                           {"vertices": failing[:20], "count": len(failing)},
                           **capped)
-    allowed = {}
-    exempt = []
-    empty = []
-    for v in range(host.n):
-        d = host.degree(v)
-        w1, w2 = window_candidates(d, spec.lam[v], spec.t[v])
-        values = {y for x in w1 + w2 for y in (x, x + 1)}
-        if not values:
-            if d == 0:
-                values = {0}
-                exempt.append(v)
-            else:
-                empty.append(v)
-        allowed[v] = values
+    deg = host.degrees()
+    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) for v in range(host.n)}
+    exempt = [v for v in range(host.n) if deg[v] == 0]  # both windows of 0 are empty
+    empty = [v for v in range(host.n) if deg[v] and not allowed[v]]
     if empty:
         v = empty[0]
-        d = host.degree(v)
+        d = deg[v]
         return trace.fail(stage, "WindowTargetInfeasible", {
             "vertices": empty[:20], "count": len(empty),
             # first failing vertex: how many integers each window holds
             # against the modulus a residue class needs to be hit
-            "degree": d, "window_widths": [d // 2 - d // 3, (2 * d) // 3 - d // 2],
+            "degree": d, "window_widths": [len(w) for w in windows(d)],
             "modulus": spec.lam[v],
         }, empty_target_vertices=empty[:20], **capped)
     trace.report(stage, True, exempt=exempt[:20], exempt_count=len(exempt), **capped)
+    allowed.update((v, {0}) for v in exempt)
     result = find_degree_set_subgraph(
         host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",

@@ -86,11 +86,6 @@ def le_scaled_pow(value, coeff, d: int, num: int, den: int) -> bool:
     return cmp_scaled_pow(value, coeff, d, num, den) <= 0
 
 
-def ge_scaled_pow(value, coeff, d: int, num: int, den: int) -> bool:
-    """value >= coeff * d**(num/den), exact."""
-    return cmp_scaled_pow(value, coeff, d, num, den) >= 0
-
-
 def floor_scaled_pow(coeff, d: int, num: int, den: int) -> int:
     """Largest integer m with m <= coeff * d**(num/den); -1 if none (coeff<0).
 

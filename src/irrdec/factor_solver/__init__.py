@@ -2,11 +2,14 @@
 
 Two target languages: an explicit per-vertex allowed-degree set, or the
 two-residue modular contract (degree congruent to t(v) or t(v)+1 mod
-lam(v), landing in the middle-third interval).  The modular form reduces
-to a four-value allowed set {a-, a-+1, a+, a++1} picked from the windows
-{floor(d/3)+1 .. floor(d/2)} and {floor(d/2) .. floor(2d/3)-1}; both
-windows hold at least lam(v) consecutive integers once 6*lam(v) <= d(v),
-so a congruent element always exists under that precondition.
+lam(v), landing in the middle-third interval).  `allowed_degrees` is the
+one translation of the modular form, for `find_modular_subgraph` and the
+pipeline alike: the paper's {a-, a-+1, a+, a++1}, a- and a+ the least
+matches of t mod lam in the `windows` (d/3, d/2] and [d/2, 2d/3).  Each
+window holds >= lam(v) consecutive integers once 6*lam(v) <= d(v), so both
+have a match then; one of under 2*lam integers holds at most one, so least
+match equals every match there, which under the pipeline's moduli
+3*4^e(d) covers every host degree below 294,914.
 
 Costs: a window is built by arithmetic, O(window/lam) for the values it
 returns.  Exact mode prunes in O(1) per endpoint through a next-allowed-
@@ -45,9 +48,6 @@ class DegreeTargetSpec:
             allowed[v] = {lo, lo + 1, hi, hi + 1}
         return cls(allowed)
 
-    def to_json(self) -> dict:
-        return {"allowed": {str(v): sorted(s) for v, s in self.allowed.items()}}
-
 
 @dataclass
 class ModularTargetSpec:
@@ -56,9 +56,6 @@ class ModularTargetSpec:
 
     t: list
     lam: list
-
-    def to_json(self) -> dict:
-        return {"t": list(self.t), "lambda": list(self.lam)}
 
     def check_precondition(self, g: Graph) -> list:
         """Vertices violating 6*lam(v) <= d(v)."""
@@ -74,15 +71,26 @@ class Failure:
     flips: int = 0  # accepted flips a heuristic search used
 
 
-def _residues(lo: int, hi: int, lam: int, t: int) -> list:
-    """Every x in [lo, hi] with x = t mod lam: the first one, then steps of lam."""
-    return list(range(lo + (t - lo) % lam, hi + 1, lam))
+def windows(d: int) -> tuple:
+    """The low and high middle-third windows of d, (d/3, d/2] and [d/2, 2d/3)."""
+    return range(d // 3 + 1, d // 2 + 1), range(d // 2, (2 * d) // 3)
 
 
 def window_candidates(d: int, lam: int, t: int) -> tuple:
     """Residue-matching values in the low and high windows (either may be
     empty when the 6*lam <= d precondition does not hold)."""
-    return _residues(d // 3 + 1, d // 2, lam, t), _residues(d // 2, (2 * d) // 3 - 1, lam, t)
+    return tuple(list(w[(t - w.start) % lam::lam]) for w in windows(d))
+
+
+def allowed_degrees(d: int, lam: int, t: int) -> set:
+    """x and x + 1 for the least x = t mod lam in each window of d that has
+    one: the paper's four allowed degrees, or none when neither window has one."""
+    out = set()
+    for w in windows(d):
+        x = w.start + (t - w.start) % lam
+        if x in w:
+            out |= {x, x + 1}
+    return out
 
 
 def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
@@ -296,9 +304,12 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
 def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact",
                           budget: int = 10000, seed=0):
     """Realize the two-residue contract by solving for the four-value
-    allowed sets derived from the windows; the result is re-verified."""
-    targets = choose_window_targets(g, spec)
-    dspec = DegreeTargetSpec.from_pairs(g, targets)
+    allowed sets of allowed_degrees; the result is re-verified."""
+    bad = spec.check_precondition(g)
+    if bad:
+        raise ValueError(f"6*lam(v) <= d(v) fails at vertices {bad}")
+    dspec = DegreeTargetSpec({v: allowed_degrees(g.degree(v), spec.lam[v], spec.t[v])
+                              for v in range(g.n)})
     h = find_degree_set_subgraph(g, dspec, mode=mode, budget=budget, seed=seed)
     if isinstance(h, Failure):
         return h

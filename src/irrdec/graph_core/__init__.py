@@ -76,11 +76,6 @@ class Graph:
         drop = {canon_edge(u, v) for u, v in edges}
         return Graph(self.n, self.edges - drop)
 
-    def union_edges(self, other: "Graph") -> "Graph":
-        if other.n != self.n:
-            raise ValueError("vertex counts differ")
-        return Graph(self.n, self.edges | other.edges)
-
     def components(self) -> list[frozenset]:
         seen = set()
         out = []

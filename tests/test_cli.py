@@ -3,13 +3,14 @@ import hashlib
 import inspect
 import io
 import json
+import random
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrdec.cli import RISKPROB_MAX_EXPONENT, canonical_json, main
+from irrdec.cli import RISKPROB_MAX_EXPONENT, _exception_components, canonical_json, main
 from irrdec.exact import iroot
 from irrdec.graph_core import (
     GENERATORS,
@@ -18,10 +19,14 @@ from irrdec.graph_core import (
     MAX_VERTICES,
     complete,
     cycle,
+    gnp,
     parse_edge_list,
     path,
+    random_regular,
+    recognize_exception,
     serialize_edge_list,
     spider,
+    t_family_members,
 )
 
 
@@ -158,6 +163,72 @@ class TestDecompose:
         run(capsys, "decompose", src, "--seed", "2", "--out", str(dest))
         assert json.loads(dest.read_text())["manifest"]["result_digest"] == \
             rec["manifest"]["result_digest"]
+
+
+def _ref_exception_components(g: Graph):
+    """The preflight as it was: each component relabelled by a scan of g.edges."""
+    found = []
+    for comp in g.components():
+        vs = sorted(comp)
+        relabel = {v: i for i, v in enumerate(vs)}
+        sub = Graph(len(vs), [(relabel[u], relabel[v])
+                              for u, v in g.edges if u in comp and v in comp])
+        family = recognize_exception(sub)
+        if family is not None:
+            found.append({"vertices": vs, "family": family.value})
+    return found
+
+
+def _disjoint_union(rng: random.Random, parts: list) -> Graph:
+    """The parts side by side, every vertex given a random new label."""
+    n = sum(p.n for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, base = [], 0
+    for p in parts:
+        edges.extend((label[base + u], label[base + v]) for u, v in p.edges)
+        base += p.n
+    return Graph(n, edges)
+
+
+class TestExceptionPreflight:
+    T_MEMBERS = t_family_members(9)
+
+    def _component(self, rng: random.Random) -> Graph:
+        kind = rng.randrange(7)
+        if kind == 0:
+            return path(rng.randint(0, 7))
+        if kind == 1:
+            return cycle(rng.randint(3, 8))
+        if kind == 2:
+            return rng.choice(self.T_MEMBERS)
+        if kind == 3:
+            return spider(rng.choice((2, 4)))
+        if kind == 4:
+            return complete(rng.randint(1, 6))
+        if kind == 5:
+            return random_regular(8, 3, seed=rng.getrandbits(16))
+        return gnp(rng.randint(2, 9), rng.uniform(0.2, 0.7), seed=rng.getrandbits(16))
+
+    def test_matches_reference_on_shuffled_unions(self):
+        rng = random.Random(11)
+        families = set()
+        for _ in range(300):
+            g = _disjoint_union(rng, [self._component(rng) for _ in range(rng.randint(1, 6))])
+            want = _ref_exception_components(g)
+            assert _exception_components(g) == want
+            families |= {c["family"] for c in want}
+        assert families == {"odd_path", "odd_cycle", "t_family"}
+
+    def test_isolated_vertices_cost_no_edge_scans(self):
+        # one component per isolated vertex; a scan of every edge per
+        # component would cost 21,000 x 10,000 steps
+        rng = random.Random(3)
+        g = _disjoint_union(rng, [random_regular(1000, 20, seed=1), Graph(20000), path(3)])
+        t0 = time.perf_counter()
+        found = _exception_components(g)
+        assert time.perf_counter() - t0 < 2.0
+        assert [c["family"] for c in found] == ["odd_path"]
 
 
 class TestOracle:

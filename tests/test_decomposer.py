@@ -66,10 +66,6 @@ class TestGreedyColouring:
         assert isinstance(out, ColouringFailure)
         assert out.vertex == 2 and out.cap == 1 and out.blocked_values == [0, 1]
 
-    def test_callable_cap(self):
-        f = path(2)
-        assert greedy_proper_colouring(f, lambda v: 5) == {0: 0, 1: 1, 2: 0}
-
 
 class TestPipelineOutcomes:
     def test_edgeless_succeeds_trivially(self):

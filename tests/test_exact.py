@@ -10,7 +10,6 @@ from irrdec.exact import (
     cmp_scaled_pow,
     floor_beta_mult,
     floor_scaled_pow,
-    ge_scaled_pow,
     iroot,
     le_scaled_pow,
 )
@@ -76,7 +75,6 @@ class TestCmpScaledPow:
         # exact tie: coeff 4, d=16, exponent 1/2 -> 4*sqrt(16) = 16
         assert cmp_scaled_pow(16, 4, 16, 1, 2) == 0
         assert le_scaled_pow(16, 4, 16, 1, 2)
-        assert ge_scaled_pow(16, 4, 16, 1, 2)
 
     def test_negative_and_fraction_values(self):
         assert cmp_scaled_pow(-3, 8, 100, 31, 50) == -1

@@ -10,14 +10,17 @@ from irrdec.factor_solver import (
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
+    allowed_degrees,
     choose_window_targets,
     derived_seed,
     find_degree_set_subgraph,
     find_modular_subgraph,
     verify_factor,
     window_candidates,
+    windows,
 )
 from irrdec.graph_core import Graph, InvariantViolated, complete, cycle, gnp, path, random_regular
+from irrdec.labeling import ceil_log_beta
 
 
 class TestWindows:
@@ -61,6 +64,75 @@ class TestWindows:
             DegreeTargetSpec.from_pairs(g, {v: (1, 4) for v in range(8)})
         with pytest.raises(ValueError):
             DegreeTargetSpec.from_pairs(g, {v: (3, 6) for v in range(8)})
+
+
+def _ref_every_match(d, lam, t):
+    """The pipeline's former rule: every residue match in either window, plus one."""
+    def residues(lo, hi):
+        return list(range(lo + (t - lo) % lam, hi + 1, lam))
+
+    w1, w2 = residues(d // 3 + 1, d // 2), residues(d // 2, (2 * d) // 3 - 1)
+    return {y for x in w1 + w2 for y in (x, x + 1)}
+
+
+class TestTranslation:
+    """allowed_degrees is the one modular-to-allowed translation; it must
+    equal both rules it replaced wherever each was used."""
+
+    def test_window_geometry(self):
+        assert windows(9) == (range(4, 5), range(4, 6))
+        assert [len(w) for w in windows(1)] == [0, 0]
+        assert windows(60) == (range(21, 31), range(30, 40))
+
+    def test_equals_every_match_below_six_lam(self):
+        # every pipeline modulus 3*4^e, e <= 3: all d < 6*lam, all t
+        for e in range(4):
+            lam = 3 << (2 * e)
+            for d in range(6 * lam):
+                for t in range(lam):
+                    assert allowed_degrees(d, lam, t) == _ref_every_match(d, lam, t), (d, lam, t)
+        rng = random.Random(9)
+        for e in range(4, 8):
+            lam = 3 << (2 * e)
+            for _ in range(500):
+                d, t = rng.randrange(6 * lam), rng.randrange(lam)
+                assert allowed_degrees(d, lam, t) == _ref_every_match(d, lam, t), (d, lam, t)
+
+    def test_equals_window_targets_under_the_precondition(self):
+        # from_pairs(choose_window_targets(...)) on seeded specs: whole hosts
+        # up to degree 300, then the per-vertex least matches up to 10^6
+        rng = random.Random(5)
+        for n in (7, 13, 40, 121, 301):
+            g = complete(n)
+            lam = [rng.randint(1, (n - 1) // 6) for _ in range(n)]
+            spec = ModularTargetSpec([rng.randrange(-m, 2 * m) for m in lam], lam)
+            want = DegreeTargetSpec.from_pairs(g, choose_window_targets(g, spec)).allowed
+            assert want == {v: allowed_degrees(n - 1, lam[v], spec.t[v]) for v in range(n)}
+        for _ in range(2000):
+            d = rng.randint(6, 10 ** 6)
+            lam = rng.randint(1, d // 6)
+            t = rng.randrange(lam)
+            w1, w2 = window_candidates(d, lam, t)
+            assert allowed_degrees(d, lam, t) == {w1[0], w1[0] + 1, w2[0], w2[0] + 1}
+
+    def test_rules_differ_with_two_matches_per_window(self):
+        # d = 60, lam = 1: (20, 30] and [30, 40) hold many matches each
+        assert allowed_degrees(60, 1, 0) == {21, 22, 30, 31}
+        assert _ref_every_match(60, 1, 0) == set(range(21, 41))
+
+    def test_pipeline_moduli_leave_one_match_below_294914(self):
+        # least d whose wider window holds more than lam = 3*4^e integers;
+        # a host degree d under an original degree D >= d has lam = 3*4^e(D)
+        def first_two_match_degree(lam):
+            d = 6 * lam - 12
+            while max(len(w) for w in windows(d)) <= lam:
+                d += 1
+            return d
+
+        for e in range(7):
+            assert ceil_log_beta(first_two_match_degree(3 << (2 * e))) > e
+        d7 = first_two_match_degree(3 << 14)
+        assert (d7, ceil_log_beta(d7)) == (294914, 7)
 
 
 def _brute_force(g, allowed):
@@ -192,12 +264,6 @@ class TestVerify:
         h = Graph(3, [(0, 2)])
         with pytest.raises(ValueError):
             verify_factor(g, h, DegreeTargetSpec({v: {0, 1} for v in range(3)}))
-
-    def test_to_json(self):
-        spec = ModularTargetSpec([0, 1], [3, 3])
-        assert spec.to_json() == {"t": [0, 1], "lambda": [3, 3]}
-        dspec = DegreeTargetSpec({0: {2, 1}})
-        assert dspec.to_json() == {"allowed": {"0": [1, 2]}}
 
 
 # ---------------------------------------------------------------------------
