@@ -235,9 +235,12 @@ def stage_overlap_colouring(trace: PipelineTrace):
     caps = [max((1 << e) // 2 - 1, 0) for e in trace.exponents]
     h = greedy_proper_colouring(trace.overlap_f, caps)
     if isinstance(h, ColouringFailure):
+        # greedy colouring needs up to max degree + 1 values; the cap allows cap + 1
+        f_max = trace.overlap_f.max_degree()
         return trace.fail("overlap_colouring", "ColouringCapExceeded",
-                          {"vertex": h.vertex, "cap": h.cap, "blocked_values": h.blocked_values},
-                          vertex=h.vertex, cap=h.cap)
+                          {"vertex": h.vertex, "cap": h.cap, "blocked_values": h.blocked_values,
+                           "f_max_degree": f_max},
+                          vertex=h.vertex, cap=h.cap, f_max_degree=f_max)
     trace.h = h
     trace.report("overlap_colouring", True, colours_used=len(set(h.values())))
 

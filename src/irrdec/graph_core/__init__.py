@@ -25,7 +25,17 @@ def canon_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with a canonical edge set."""
+    """Immutable simple graph on vertices 0..n-1 with a canonical edge set.
+
+    The constructor checks each edge (no self-loop, ends in 0..n-1) and
+    stores it as (u, v) with u < v.  _canonical trusts its edges to be
+    distinct canonical pairs in range already; only parse_edge_list (which
+    checks 0 <= u < v < n and duplicates line by line), without_edges (a
+    subset of self.edges) and spanning (given a set of this graph's own
+    edges) call it.  Both paths add the edges to a set one at a time, so
+    equal inputs give edge and neighbour sets that iterate alike: the
+    oracle's edge order follows that order.
+    """
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -34,23 +44,35 @@ class Graph:
             raise ValueError("vertex count must be >= 0")
         es = set()
         for u, v in edges:
-            e = canon_edge(u, v)
-            if not (0 <= e[0] and e[1] < n):
-                raise ValueError(f"edge {e} outside vertex range 0..{n - 1}")
-            es.add(e)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            if not (0 <= u and v < n):
+                raise ValueError(f"edge {(u, v)} outside vertex range 0..{n - 1}")
+            es.add((u, v))
+        self._build(n, es)
+
+    @classmethod
+    def _canonical(cls, n: int, edges) -> "Graph":
+        g = cls.__new__(cls)
+        g._build(n, set(iter(edges)))  # iter(): one insertion at a time, as in __init__
+        return g
+
+    def _build(self, n: int, es: set) -> None:
         self.n = n
         self.edges = frozenset(es)
-        adj = {v: set() for v in range(n)}
+        adj = [[] for _ in range(n)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = [frozenset(set(a)) for a in adj]  # via set(): the order one add() each gives
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def degrees(self) -> list[int]:
-        return [len(self._adj[v]) for v in range(self.n)]
+        return [len(a) for a in self._adj]
 
     def neighbours(self, v: int) -> frozenset:
         return self._adj[v]
@@ -70,11 +92,13 @@ class Graph:
 
     def spanning(self, edges) -> "Graph":
         """Spanning subgraph on the same vertex set with the given edges."""
+        if isinstance(edges, (set, frozenset)) and edges <= self.edges:
+            return Graph._canonical(self.n, edges)
         return Graph(self.n, edges)
 
     def without_edges(self, edges) -> "Graph":
         drop = {canon_edge(u, v) for u, v in edges}
-        return Graph(self.n, self.edges - drop)
+        return Graph._canonical(self.n, self.edges - drop)
 
     def components(self) -> list[frozenset]:
         seen = set()
@@ -344,14 +368,13 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
 # edge-list format: first line n, then one "u v" pair per line, '#' comments
 
 def parse_edge_list(text: str) -> Graph:
-    lines = []
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((ln_no, stripped))
-    if not lines:
+    lines = enumerate(text.splitlines(), start=1)
+    for hdr_no, raw in lines:  # the header is the first line with more than a comment
+        hdr = raw.split("#", 1)[0].strip()
+        if hdr:
+            break
+    else:
         raise ValueError("empty edge list: missing vertex-count header")
-    hdr_no, hdr = lines[0]
     try:
         n = int(hdr)
     except ValueError:
@@ -361,22 +384,27 @@ def parse_edge_list(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise ValueError(f"line {hdr_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
     edges = set()
-    for ln_no, body in lines[1:]:
-        parts = body.split()
+    for ln_no, raw in lines:  # the same iterator: the lines after the header
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
         if len(parts) != 2:
-            raise ValueError(f"line {ln_no}: expected 'u v', got {body!r}")
+            if not parts:
+                continue
+            raise ValueError(f"line {ln_no}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {ln_no}: non-integer vertex id in {body!r}") from None
+            raise ValueError(f"line {ln_no}: non-integer vertex id in {raw.strip()!r}") from None
         if u == v:
             raise ValueError(f"line {ln_no}: self-loop at {u}")
         if not (0 <= u < v < n):
             raise ValueError(f"line {ln_no}: need 0 <= u < v < n, got {u} {v} with n={n}")
-        if (u, v) in edges:
+        e = (u, v)
+        if e in edges:
             raise ValueError(f"line {ln_no}: duplicate edge {u} {v}")
-        edges.add((u, v))
-    return Graph(n, edges)
+        edges.add(e)
+    return Graph._canonical(n, edges)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -61,11 +61,14 @@ class LabelPair:
     c1: list
     c2: list
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, g: Graph, es: list | None = None) -> None:
+        """Both arrays hold one label per vertex, in [0, lam(v)); es, when
+        given, is exponents(g), which classify has computed anyway."""
+        lams = [1 << e for e in (exponents(g) if es is None else es)]
         for labels in (self.c1, self.c2):
             if len(labels) != g.n:
                 raise ValueError("label array length differs from vertex count")
-            for v, (c, lam) in enumerate(zip(labels, label_moduli(g))):
+            for v, (c, lam) in enumerate(zip(labels, lams)):
                 if not (0 <= c < lam):
                     raise ValueError(f"label {c} at vertex {v} outside [0, {lam})")
 
@@ -141,44 +144,49 @@ class RiskyClassification:
     """Edge sets r1, r2, r3 plus the per-vertex neighbour views.
 
     a_of(v), b_of(v), c_of(v) are the neighbours joined to v by a risky edge
-    of type 1, 2, 3 respectively; f_of(v) = b_of(v) & c_of(v).
+    of type 1, 2, 3 respectively; f_of(v) = b_of(v) & c_of(v).  The views
+    are built on the first call of any of them: the pipeline's stages read
+    only r1, r2 and r3.
     """
 
-    __slots__ = ("graph", "r1", "r2", "r3", "_a", "_b", "_c")
+    __slots__ = ("graph", "r1", "r2", "r3", "_abc")
 
     def __init__(self, graph: Graph, r1, r2, r3):
         self.graph = graph
         self.r1 = frozenset(r1)
         self.r2 = frozenset(r2)
         self.r3 = frozenset(r3)
-        self._a = self._views(self.r1)
-        self._b = self._views(self.r2)
-        self._c = self._views(self.r3)
+        self._abc = None
 
-    def _views(self, edge_set):
-        out = {v: set() for v in range(self.graph.n)}
-        for u, v in edge_set:
-            out[u].add(v)
-            out[v].add(u)
-        return {v: frozenset(s) for v, s in out.items()}
+    def _views(self) -> list:
+        if self._abc is None:
+            self._abc = []
+            for edge_set in (self.r1, self.r2, self.r3):
+                out = [[] for _ in range(self.graph.n)]
+                for u, v in edge_set:
+                    out[u].append(v)
+                    out[v].append(u)
+                self._abc.append([frozenset(a) for a in out])
+        return self._abc
 
     def a_of(self, v: int) -> frozenset:
-        return self._a[v]
+        return self._views()[0][v]
 
     def b_of(self, v: int) -> frozenset:
-        return self._b[v]
+        return self._views()[1][v]
 
     def c_of(self, v: int) -> frozenset:
-        return self._c[v]
+        return self._views()[2][v]
 
     def f_of(self, v: int) -> frozenset:
-        return self._b[v] & self._c[v]
+        _, b, c = self._views()
+        return b[v] & c[v]
 
 
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
-    labels.validate(g)
-    deg = g.degrees()
     es = exponents(g)
+    labels.validate(g, es)
+    deg = g.degrees()
     c1, c2 = labels.c1, labels.c2
     gate = {}
     r1, r2, r3 = [], [], []

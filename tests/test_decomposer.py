@@ -84,7 +84,7 @@ class TestPipelineOutcomes:
         assert isinstance(out, Diagnostic)
         assert out.stage == "overlap_colouring"
         assert out.code == "ColouringCapExceeded"
-        assert out.detail["cap"] == 0
+        assert out.detail["cap"] == 0 and out.detail["f_max_degree"] == 1
         assert trace.exponents == exponents(path(1)) == [0, 0]  # cap 2^(e-1) - 1 floors at 0
         # both label slots collapse to 0, so the single edge is risky of
         # every type and survives into the overlap graph
@@ -355,6 +355,21 @@ class TestLateStages:
             cases.add(rec.case)
         # the triangle edges pass the ratio gate, every pendant edge fails it
         assert cases == {"type2_congruence_separation", "window_separation"}
+
+    def test_colouring_failure_names_the_overlap_degree(self):
+        # K4 has e = 1 everywhere, so the colour cap is 0; with every edge
+        # risky of types 2 and 3, F is g - h1, the 4-cycle 0-2-1-3, and
+        # vertex 2 meets the value 0 at both of its coloured F-neighbours
+        g = complete(4)
+        trace = PipelineTrace(g, PipelineConfig(seed=0))
+        trace.classification = RiskyClassification(g, [], g.edges, g.edges)
+        trace.h1 = g.spanning([(0, 1), (2, 3)])
+        out = stage_overlap_colouring(trace)
+        assert (out.stage, out.code) == ("overlap_colouring", "ColouringCapExceeded")
+        assert trace.overlap_f.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert out.detail == {"vertex": 2, "cap": 0, "blocked_values": [0], "f_max_degree": 2}
+        assert trace.stage_reports == [{"stage": "overlap_colouring", "ok": False,
+                                        "vertex": 2, "cap": 0, "f_max_degree": 2}]
 
     def test_final_gate_names_the_offending_edge(self):
         trace = _one_part_trace(path(3), strict=False)

@@ -185,6 +185,164 @@ class TestEdgeListFormat:
         assert str(10**9) in str(err.value) and str(MAX_VERTICES) in str(err.value)
 
 
+def _reference_parse(text: str) -> Graph:
+    """The two-pass parser that parse_edge_list replaced, verbatim: it
+    collects the stripped lines first and builds through the validating
+    Graph constructor."""
+    lines = []
+    for ln_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((ln_no, stripped))
+    if not lines:
+        raise ValueError("empty edge list: missing vertex-count header")
+    hdr_no, hdr = lines[0]
+    try:
+        n = int(hdr)
+    except ValueError:
+        raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}") from None
+    if n < 0:
+        raise ValueError(f"line {hdr_no}: vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {hdr_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
+    edges = set()
+    for ln_no, body in lines[1:]:
+        parts = body.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {ln_no}: expected 'u v', got {body!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {ln_no}: non-integer vertex id in {body!r}") from None
+        if u == v:
+            raise ValueError(f"line {ln_no}: self-loop at {u}")
+        if not (0 <= u < v < n):
+            raise ValueError(f"line {ln_no}: need 0 <= u < v < n, got {u} {v} with n={n}")
+        if (u, v) in edges:
+            raise ValueError(f"line {ln_no}: duplicate edge {u} {v}")
+        edges.add((u, v))
+    return Graph(n, edges)
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as err:
+        return ("error", str(err))
+    # iteration order too: the oracle's edge order follows it
+    return ("graph", g, list(g.edges), [list(g.neighbours(v)) for v in range(g.n)])
+
+
+_SPACES = st.sampled_from([" ", "  ", "\t", "\x0c", "\x0b", "\xa0", "\u3000"])
+_TOKENS = st.one_of(st.integers(-2, 12).map(str),
+                    st.sampled_from(["+1", "1_0", "-0", "0x1", "1.0", "x", "\u0663", "#", "# 1 2"]))
+_BLANKS = st.sampled_from(["", " ", "# comment", "\t# 0 1"])
+_LINES = st.one_of(
+    st.tuples(st.lists(_TOKENS, max_size=4), _SPACES, st.booleans()).map(  # padded or not
+        lambda t: t[1].join(["", *t[0], ""] if t[2] else t[0])),
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9), _SPACES).map(lambda t: f"{t[0]}{t[2]}{t[1]}"),
+    _BLANKS,
+)
+_HEADERS = st.one_of(st.integers(-1, 9).map(str), st.integers(0, 9).map(lambda n: f" {n} # n"),
+                     _LINES)
+# line breaks include the ones only str.splitlines knows
+_TEXTS = st.tuples(st.lists(_BLANKS, max_size=2), _HEADERS, st.lists(_LINES, max_size=15),
+                   st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"])).map(
+    lambda t: t[3].join([*t[0], t[1], *t[2]]))
+
+
+class TestParserMatchesReference:
+    """parse_edge_list against the two-pass parser: both return equal graphs
+    that iterate alike, or both raise ValueError with the same message."""
+
+    @pytest.mark.parametrize("text", [
+        "# c\n\n  # d\n3\n0 1\n",           # comment-only lines before the header
+        "3 # vertex count\n0 1 # edge\n",   # '#' on the header and an edge line
+        "3#\n#\n1 2#x\n",
+        "3\n0\t1\n1\x0c2\n",                # \x0c ends a line for splitlines
+        "3\n0\x0b\x0b1\n",
+        "+4\n+0 1_0\n", "12\n+0 1_0\n", "1_2\n\u0663 4\n", "3\n-0 2\n",
+        "3\n1 0\n", "3\n0 3\n", "3\n-1 2\n", "3\n1 1\n", "3\n0 1\n0 1\n", "3\n0 1\n1 0\n",
+        "3\n0 1 2\n", "3\n\t0 1 2 # x\n", "3\n0\n", "3\n 0 a \n", "3\n0 1.0\n",
+        "x\n0 1\n", "-1\n", f"{MAX_VERTICES + 1}\n", "3 4\n0 1\n", "0\n", "1\n0 1\n",
+        "", "\n", " \n\t\n\x0c\n", "# only\n#\n",
+    ])
+    def test_fixed_inputs(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+    @given(_TEXTS)
+    @settings(max_examples=400, deadline=None)
+    def test_generated_texts(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+    def test_generated_graphs(self):
+        for g in (random_regular(60, 7, seed=2), gnp(40, 0.3, seed=5), complete(12)):
+            lines = serialize_edge_list(g).splitlines()
+            body = lines[1:]
+            random.Random(g.m).shuffle(body)
+            text = "\n".join([lines[0], *body])
+            assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+
+def _same_graph(got: Graph, want: Graph):
+    assert got.n == want.n and got.edges == want.edges
+    assert got.degrees() == want.degrees()
+    assert all(got.neighbours(v) == want.neighbours(v) for v in range(want.n))
+    assert got == want and hash(got) == hash(want)
+
+
+class TestCanonicalBuilder:
+    """Graphs built without re-validation (parse_edge_list, without_edges and
+    spanning of a subset) equal the validating constructor's."""
+
+    GRAPHS = [random_regular(50, 6, seed=1), random_regular(80, 11, seed=2),
+              gnp(40, 0.3, seed=3), gnp(25, 0.8, seed=4), complete(15), complete(2), Graph(4)]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
+    def test_matches_validating_constructor(self, g):
+        rng = random.Random(g.m)
+        es = sorted(g.edges)
+        keep = set(rng.sample(es, len(es) // 2))
+        drop = set(es) - keep
+        _same_graph(parse_edge_list(serialize_edge_list(g)), Graph(g.n, es))
+        _same_graph(g.spanning(keep), Graph(g.n, sorted(keep)))
+        _same_graph(g.spanning(frozenset(keep)), Graph(g.n, sorted(keep)))
+        _same_graph(g.without_edges(drop), Graph(g.n, sorted(keep)))
+        _same_graph(g.without_edges(frozenset(drop)), Graph(g.n, sorted(keep)))
+        _same_graph(g.without_edges([(v, u) for u, v in drop]), Graph(g.n, sorted(keep)))
+        # the same iteration order as building from the same set
+        for got, want in ((g.spanning(keep), Graph(g.n, keep)),
+                          (g.without_edges(drop), Graph(g.n, g.edges - drop))):
+            assert list(got.edges) == list(want.edges)
+            assert [list(got.neighbours(v)) for v in range(g.n)] == \
+                [list(want.neighbours(v)) for v in range(g.n)]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
+    def test_neighbours_iterate_as_one_add_per_edge(self, g):
+        # sets filled one add() at a time, in the order g.edges iterates
+        adj = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert [list(g.neighbours(v)) for v in range(g.n)] == [list(frozenset(s)) for s in adj]
+
+    def test_spanning_other_sets_still_validate(self):
+        g = cycle(6)
+        assert not g.has_edge(0, 3)
+        _same_graph(g.spanning({(0, 3)}), Graph(6, [(0, 3)]))
+        _same_graph(g.spanning({(1, 0), (2, 3)}), Graph(6, [(0, 1), (2, 3)]))
+        _same_graph(g.spanning([(0, 1)]), Graph(6, [(0, 1)]))
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            g.spanning({(2, 2)})
+        with pytest.raises(ValueError, match="outside vertex range"):
+            g.spanning({(0, 6)})
+        with pytest.raises(ValueError, match="outside vertex range"):
+            g.spanning({(-1, 0)})
+        with pytest.raises(ValueError, match="self-loop"):
+            g.without_edges({(3, 3)})
+        _same_graph(g.without_edges({(0, 3), (0, 9)}), g)  # non-edges are ignored
+
+
 class TestExceptionFamilies:
     def test_odd_paths_and_cycles(self):
         assert recognize_exception(path(1)) is ExceptionFamily.ODD_PATH

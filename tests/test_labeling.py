@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irrdec import labeling
 from irrdec.exact import floor_beta_mult
 from irrdec.graph_core import Graph, complete, gnp, path
 from irrdec.labeling import (
@@ -12,6 +13,7 @@ from irrdec.labeling import (
     bounds_hold,
     ceil_log_beta,
     classify,
+    exponents,
     is_risky,
     lambda_of,
     ratio_gate,
@@ -109,6 +111,31 @@ class TestLabels:
         with pytest.raises(ValueError):
             LabelPair([0, 1], [0, 0]).validate(g)  # lam(1) = 1
 
+    def test_validate_messages_with_and_without_exponents(self):
+        g = path(2)  # degrees 1, 2, 1: every e is 0 or 1
+        es = exponents(g)
+        for labels, message in (
+                (LabelPair([0, 0], [0, 0, 0]), "label array length differs from vertex count"),
+                (LabelPair([0, 2, 0], [0, 0, 0]), "label 2 at vertex 1 outside [0, 2)"),
+                (LabelPair([0, 1, 0], [1, 0, 0]), "label 1 at vertex 0 outside [0, 1)")):
+            for args in ((g,), (g, es)):
+                with pytest.raises(ValueError) as err:
+                    labels.validate(*args)
+                assert str(err.value) == message
+
+    def test_classify_maps_degrees_to_e_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return exponents(g)
+
+        g = complete(9)
+        labels = sample_labels(g, 1)
+        monkeypatch.setattr(labeling, "exponents", counted)
+        classify(g, labels)
+        assert len(calls) == 1
+
     def test_json_roundtrip(self):
         labels = LabelPair([0, 1, 2], [2, 1, 0])
         assert LabelPair.from_json(labels.to_json()) == labels
@@ -179,6 +206,7 @@ class TestRisky:
         g = gnp(12, 0.45, seed=101)
         labels = sample_labels(g, seed)
         cls = classify(g, labels)
+        assert cls._abc is None  # the views are built on first use only
         for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
             expected = {e for e in g.edges if is_risky(g, labels, *e, rtype)}
             assert rset == expected
