@@ -30,11 +30,13 @@ class Graph:
     The constructor checks each edge (no self-loop, ends in 0..n-1) and
     stores it as (u, v) with u < v.  _canonical trusts its edges to be
     distinct canonical pairs in range already; only parse_edge_list (which
-    checks 0 <= u < v < n and duplicates line by line), without_edges (a
-    subset of self.edges) and spanning (given a set of this graph's own
-    edges) call it.  Both paths add the edges to a set one at a time, so
-    equal inputs give edge and neighbour sets that iterate alike: the
-    oracle's edge order follows that order.
+    checks 0 <= u < v < n and duplicates line by line) and without_edges (a
+    subset of self.edges) call it.  Both paths add the edges to a set one at
+    a time, so equal inputs give edge and neighbour sets that iterate alike:
+    the oracle's edge order follows that order.
+
+    degree(v) and neighbours(v) are defined for v in 0..n-1 only; the
+    adjacency is a list, so no other id is checked.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -92,8 +94,6 @@ class Graph:
 
     def spanning(self, edges) -> "Graph":
         """Spanning subgraph on the same vertex set with the given edges."""
-        if isinstance(edges, (set, frozenset)) and edges <= self.edges:
-            return Graph._canonical(self.n, edges)
         return Graph(self.n, edges)
 
     def without_edges(self, edges) -> "Graph":

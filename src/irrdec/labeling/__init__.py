@@ -61,10 +61,9 @@ class LabelPair:
     c1: list
     c2: list
 
-    def validate(self, g: Graph, es: list | None = None) -> None:
-        """Both arrays hold one label per vertex, in [0, lam(v)); es, when
-        given, is exponents(g), which classify has computed anyway."""
-        lams = [1 << e for e in (exponents(g) if es is None else es)]
+    def validate(self, g: Graph) -> None:
+        """Both arrays hold one label per vertex, in [0, lam(v))."""
+        lams = label_moduli(g)
         for labels in (self.c1, self.c2):
             if len(labels) != g.n:
                 raise ValueError("label array length differs from vertex count")
@@ -184,8 +183,8 @@ class RiskyClassification:
 
 
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
+    labels.validate(g)
     es = exponents(g)
-    labels.validate(g, es)
     deg = g.degrees()
     c1, c2 = labels.c1, labels.c2
     gate = {}

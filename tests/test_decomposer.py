@@ -84,7 +84,8 @@ class TestPipelineOutcomes:
         assert isinstance(out, Diagnostic)
         assert out.stage == "overlap_colouring"
         assert out.code == "ColouringCapExceeded"
-        assert out.detail["cap"] == 0 and out.detail["f_max_degree"] == 1
+        assert out.detail["cap"] == 0
+        assert out.detail["f_max_degree"] == 1
         assert trace.exponents == exponents(path(1)) == [0, 0]  # cap 2^(e-1) - 1 floors at 0
         # both label slots collapse to 0, so the single edge is risky of
         # every type and survives into the overlap graph

@@ -292,8 +292,8 @@ def _same_graph(got: Graph, want: Graph):
 
 
 class TestCanonicalBuilder:
-    """Graphs built without re-validation (parse_edge_list, without_edges and
-    spanning of a subset) equal the validating constructor's."""
+    """Graphs built without re-validation (parse_edge_list, without_edges)
+    and spanning subgraphs equal the validating constructor's."""
 
     GRAPHS = [random_regular(50, 6, seed=1), random_regular(80, 11, seed=2),
               gnp(40, 0.3, seed=3), gnp(25, 0.8, seed=4), complete(15), complete(2), Graph(4)]

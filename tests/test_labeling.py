@@ -111,19 +111,17 @@ class TestLabels:
         with pytest.raises(ValueError):
             LabelPair([0, 1], [0, 0]).validate(g)  # lam(1) = 1
 
-    def test_validate_messages_with_and_without_exponents(self):
+    def test_validate_messages(self):
         g = path(2)  # degrees 1, 2, 1: every e is 0 or 1
-        es = exponents(g)
         for labels, message in (
                 (LabelPair([0, 0], [0, 0, 0]), "label array length differs from vertex count"),
                 (LabelPair([0, 2, 0], [0, 0, 0]), "label 2 at vertex 1 outside [0, 2)"),
                 (LabelPair([0, 1, 0], [1, 0, 0]), "label 1 at vertex 0 outside [0, 1)")):
-            for args in ((g,), (g, es)):
-                with pytest.raises(ValueError) as err:
-                    labels.validate(*args)
-                assert str(err.value) == message
+            with pytest.raises(ValueError) as err:
+                labels.validate(g)
+            assert str(err.value) == message
 
-    def test_classify_maps_degrees_to_e_once(self, monkeypatch):
+    def test_validate_maps_degrees_to_e_once(self, monkeypatch):
         calls = []
 
         def counted(g):
@@ -133,7 +131,7 @@ class TestLabels:
         g = complete(9)
         labels = sample_labels(g, 1)
         monkeypatch.setattr(labeling, "exponents", counted)
-        classify(g, labels)
+        labels.validate(g)
         assert len(calls) == 1
 
     def test_json_roundtrip(self):
