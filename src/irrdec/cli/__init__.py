@@ -47,8 +47,9 @@ RANDOMIZED_FAMILIES = ("gnp", "random_regular")
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
 # moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
-# (d = 10^6 and 2*10^6) each of the four types computes in at most about 1 s
-# and each step of e costs about 4x (2-vCPU Intel Xeon).
+# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.2 s and types 3
+# and 23 in about 0.5-0.7 s, and each step of e costs about 4x (2-vCPU
+# Intel Xeon).
 RISKPROB_MAX_EXPONENT = 8
 
 

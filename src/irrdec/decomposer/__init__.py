@@ -329,13 +329,6 @@ class SeparationRecord:
     separated: bool
     final_window_ok: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "edge": list(self.edge), "part": self.part, "case": self.case,
-            "part_degrees": list(self.part_degrees), "separated": self.separated,
-            "final_window_ok": list(self.final_window_ok),
-        }
-
 
 def _in_final_window(dh: int, d: int) -> bool:
     return 37 * dh >= 4 * d and 3 * dh <= 2 * d

@@ -62,8 +62,9 @@ class LabelPair:
     c2: list
 
     def validate(self, g: Graph) -> None:
-        """Both arrays hold one label per vertex, in [0, lam(v))."""
-        lams = label_moduli(g)
+        """Both arrays hold one label per vertex, in [0, lam(v)); an
+        isolated vertex has modulus 1 (label 0)."""
+        lams = [1 << e for e in exponents(g)]
         for labels in (self.c1, self.c2):
             if len(labels) != g.n:
                 raise ValueError("label array length differs from vertex count")
@@ -71,24 +72,17 @@ class LabelPair:
                 if not (0 <= c < lam):
                     raise ValueError(f"label {c} at vertex {v} outside [0, {lam})")
 
-    def to_json(self) -> dict:
-        return {"c1": list(self.c1), "c2": list(self.c2)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LabelPair":
-        return cls(c1=list(obj["c1"]), c2=list(obj["c2"]))
-
-
-def label_moduli(g: Graph) -> list:
-    """lam(v) = 2^e(v) per vertex; isolated vertices get modulus 1 (label 0)."""
-    return [1 << e for e in exponents(g)]
+def draw_label(rng: random.Random, e: int) -> int:
+    """One label uniform on [0, 2^e): the one draw every label comes from."""
+    return rng.randrange(1 << e)
 
 
 def draw_labels(g: Graph, rng: random.Random) -> LabelPair:
     """Draw all c1 values in vertex order, then all c2 values, from rng."""
-    lams = label_moduli(g)
-    c1 = [rng.randrange(lam) for lam in lams]
-    c2 = [rng.randrange(lam) for lam in lams]
+    es = exponents(g)
+    c1 = [draw_label(rng, e) for e in es]
+    c2 = [draw_label(rng, e) for e in es]
     return LabelPair(c1, c2)
 
 

@@ -6,12 +6,13 @@ An edge's risk probability is a count of label assignments, taken over
 only the coordinates each type reads and decided by labeling.risk_flags:
 O(lam(u)*lam(v)) predicate calls for every type, against the
 lam(u)^2 * lam(v)^2 assignments of the full label space.  Types 1 and 2
-read (ci(u), ci(v)); type 3 reads the sums c1 + c2 at both endpoints; the
-joint type "23" counts, per c2 pair risky of type 2, the c1 pairs risky of
-type 3.  The worst conditional risks reuse these counts: types 1 and 2 are
-maxima of conditioned probabilities, and type 3 and the joint scheme are
-rectangle sums over one prefix-sum table of type-3 verdicts, so every
-scheme costs about 4^e steps for e = max(e(u), e(v)).
+read (ci(u), ci(v)); type 3 reads the sums c1 + c2 at both endpoints.
+Every type-3 and joint "23" count is a rectangle sum over one prefix-sum
+table of the type-3 verdicts of all sum pairs, built once per degree pair
+and shared by the exact and the worst conditional probabilities.  The
+worst conditional risks of types 1 and 2 are maxima of conditioned
+probabilities, so every scheme costs about 4^e steps for
+e = max(e(u), e(v)).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from ..exact import floor_beta_mult, iroot, BETA_POW, BETA_SHIFT
@@ -30,6 +32,7 @@ from ..labeling import (
     RiskyClassification,
     ceil_log_beta,
     classify,
+    draw_label,
     draw_labels,
     exponents,
     ratio_gate,
@@ -149,7 +152,7 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
-            (c1 if slot == 1 else c2)[w] = rng.randrange(1 << es[w])
+            (c1 if slot == 1 else c2)[w] = draw_label(rng, es[w])
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 
@@ -235,28 +238,24 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
 _SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
 
 
-def _sum_weights(a: range, b: range) -> dict:
-    """s -> the number of (x, y) in a x b with x + y = s, for intervals a, b."""
-    return {s: len(range(max(a.start, s - b[-1]), min(a.stop, s - b.start + 1)))
-            for s in range(a.start + b.start, a[-1] + b[-1] + 1)}
-
-
-def _type3_rectangles(du: int, dv: int, sus: range, svs: range):
+@lru_cache(maxsize=1)  # riskprob's two probabilities share one table
+def _type3_rectangles(du: int, dv: int):
     """count(a, b) = the number of sum pairs in a x b risky of type 3, for
-    intervals a within sus and b within svs, where a sum is c1 + c2 at u or
-    at v.  The verdicts of all of sus x svs go into a 2-D prefix-sum table,
-    len(sus)*len(svs) predicate calls, and each count is four lookups."""
+    intervals a within [0, 2lu-1) and b within [0, 2lv-1), where a sum is
+    c1 + c2 at u or at v.  The verdicts of all (2lu-1)(2lv-1) sum pairs go
+    into a 2-D prefix-sum table, one predicate call each, and each count is
+    four lookups."""
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    # rect[i][j] = risky pairs among the first i sums of sus and first j of svs
+    svs = range((2 << ev) - 1)
+    # rect[i][j] = risky pairs among the sums su < i and sv < j
     rect = [[0] * (len(svs) + 1)]
-    for su in sus:
+    for su in range((2 << eu) - 1):
         row = accumulate((risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2] for sv in svs), initial=0)
         rect.append([a + b for a, b in zip(rect[-1], row)])
 
     def count(a: range, b: range) -> int:
-        i0, i1 = a.start - sus.start, a.stop - sus.start
-        j0, j1 = b.start - svs.start, b.stop - svs.start
-        return rect[i1][j1] - rect[i0][j1] - rect[i1][j0] + rect[i0][j0]
+        return (rect[a.stop][b.stop] - rect[a.start][b.stop]
+                - rect[a.stop][b.start] + rect[a.start][b.start])
     return count
 
 
@@ -272,11 +271,12 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
     in predicate calls is at most:
       1, 2  lu*lv: every ci(u) x ci(v), times the range of each free slot
             the type does not read.
-      3     (2lu-1)(2lv-1): every pair of sums s = c1 + c2 of the two
-            endpoints, weighted by the number of label pairs giving it.
-      "23"  (2lu-1)(2lv-1) + lu*lv: the type-3 verdicts of all sum pairs as
-            a prefix-sum table, then for each c2(u) x c2(v) pair risky of
-            type 2, a rectangle sum over the c1 pairs.
+      3     (2lu-1)(2lv-1): the type-3 verdicts of all pairs of sums
+            s = c1 + c2 of the two endpoints, as one prefix-sum table that
+            worst_conditional_risk shares, then for each c2(u) x c2(v)
+            pair a rectangle sum over the c1 pairs: lu*lv lookups.
+      "23"  (2lu-1)(2lv-1) + lu*lv: the same table and rectangle sums,
+            over only the c2 pairs risky of type 2.
     """
     if not ratio_gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -299,19 +299,14 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
         hits = sum(risk_flags(du, dv, eu, ev, x, y, x, y)[flag]
                    for x in span[read[0]] for y in span[read[1]])
         count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
-    elif rtype == 3:
-        wu, wv = _sum_weights(c1u, c2u), _sum_weights(c1v, c2v)
-        # type 3 reads c1 and c2 only through their sum
-        count = sum(wu[su] * wv[sv] for su in wu for sv in wv
-                    if risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2])
-    elif rtype == "23":
-        # the c1 pairs put the sums of a c2 pair (x, y) in (x + c1u) x (y + c1v)
-        count_type3 = _type3_rectangles(
-            du, dv, range(c1u.start + c2u.start, c1u[-1] + c2u[-1] + 1),
-            range(c1v.start + c2v.start, c1v[-1] + c2v[-1] + 1))
+    elif rtype in (3, "23"):
+        # the c1 pairs put the sums of a c2 pair (x, y) in (x + c1u) x (y + c1v);
+        # type "23" keeps only the c2 pairs risky of type 2
+        count_type3 = _type3_rectangles(du, dv)
         count = sum(count_type3(range(x + c1u.start, x + c1u.stop),
                                 range(y + c1v.start, y + c1v.stop))
-                    for x in c2u for y in c2v if risk_flags(du, dv, eu, ev, 0, 0, x, y)[1])
+                    for x in c2u for y in c2v
+                    if rtype == 3 or risk_flags(du, dv, eu, ev, 0, 0, x, y)[1])
     else:
         raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
     return Fraction(count, math.prod(len(r) for r in span.values()))
@@ -333,12 +328,13 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
 
     Types 1 and 2 take the largest exact_edge_risk_probability over the
     conditioned slot, lu*lv predicate calls in all.  Type 3 and the joint
-    scheme build one table of the type-3 verdicts of all (2lu-1)(2lv-1) sum
-    pairs; each conditioning then reads the column of its sum at v over the
-    lu sums that a free c1(u) gives at u.  Type 3 takes the largest such
-    column sum over (2lv-1)*lu of them; the joint scheme adds, for each
-    (c1v, c2v), the column sums of the c2(u) values risky of type 2
-    against c2(v).
+    scheme read the type-3 table of exact_edge_risk_probability, built once
+    per degree pair from (2lu-1)(2lv-1) predicate calls; each conditioning
+    then reads the column of its sum at v over the lu sums that a free
+    c1(u) gives at u.  Type 3 takes the largest such column sum over
+    (2lv-1)*lu of them, with no further predicate call; the joint scheme
+    adds, for each (c1v, c2v), the column sums of the c2(u) values risky
+    of type 2 against c2(v), lu*lv more calls.
     """
     if not ratio_gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -361,7 +357,7 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
     else:
         # c1(u) is free in both schemes, so given c2(u) = x the sum at u
         # ranges over [x, x + lu); (c1v, c2v) enters type 3 only as sv
-        count_type3 = _type3_rectangles(du, dv, range(2 * lu - 1), range(2 * lv - 1))
+        count_type3 = _type3_rectangles(du, dv)
 
         def column(x, sv):
             return count_type3(range(x, x + lu), range(sv, sv + 1))

@@ -32,13 +32,7 @@ from ..graph_core import (
     t_family_members,
 )
 
-DEFAULT_EDGE_LIMIT = 22
-
-
-def _edge_limit(override=None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("IRRDEC_EDGE_LIMIT", DEFAULT_EDGE_LIMIT))
+DEFAULT_EDGE_LIMIT = 22  # IRRDEC_EDGE_LIMIT overrides it
 
 
 @dataclass
@@ -129,7 +123,7 @@ def _search(g: Graph, k: int, edges: list, adj_idx: list):
     return None, nodes
 
 
-def min_parts(g: Graph, k_max: int | None = None, edge_limit: int | None = None) -> OracleResult:
+def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
     """Least k <= k_max admitting a decomposition into locally irregular
     parts, with a validated witness.  k_max = None searches up to |E|,
     which settles the question for every k.
@@ -150,7 +144,11 @@ def min_parts(g: Graph, k_max: int | None = None, edge_limit: int | None = None)
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m = g.m
-    limit = _edge_limit(edge_limit)
+    raw = os.environ.get("IRRDEC_EDGE_LIMIT", str(DEFAULT_EDGE_LIMIT))
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(f"IRRDEC_EDGE_LIMIT must be an integer, got {raw!r}") from None
     if m > limit:
         raise ValueError(f"graph has {m} edges, over the search limit {limit}")
     if m == 0:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irrdec import lll_engine
 from irrdec.cli import RISKPROB_MAX_EXPONENT, _exception_components, canonical_json, main
 from irrdec.exact import iroot
 from irrdec.graph_core import (
@@ -28,6 +29,7 @@ from irrdec.graph_core import (
     spider,
     t_family_members,
 )
+from irrdec.labeling import lambda_of, risk_flags
 
 
 def run(capsys, *argv):
@@ -253,6 +255,13 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", src)
         assert code == 64 and "edge" in err
 
+    def test_bad_edge_limit_is_usage_error(self, capsys, graph_file, monkeypatch):
+        src = graph_file("p2.txt", path(2))
+        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "abc")
+        code, out, err = run(capsys, "oracle", src)
+        assert code == 64 and out == ""
+        assert "IRRDEC_EDGE_LIMIT must be an integer, got 'abc'" in err
+
     @pytest.mark.parametrize("kmax", ["-5", "0"])
     def test_kmax_below_one_is_usage_error(self, capsys, graph_file, kmax):
         src = graph_file("p4.txt", path(4))
@@ -317,6 +326,25 @@ class TestRiskProb:
                            "--json")
         assert code == 0
         assert json.loads(out)["result"]["bound_holds"] is True
+
+    @pytest.mark.parametrize("rtype", ["3", "23"])
+    def test_one_type3_table_per_op(self, capsys, monkeypatch, rtype):
+        # both probabilities read one table of the (2lu-1)(2lv-1) type-3 sum
+        # pairs; type 23 adds lu*lv type-2 verdicts for each of them
+        lu, lv = lambda_of(30), lambda_of(41)
+        assert (lu, lv) == (4, 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return risk_flags(*args)
+
+        monkeypatch.setattr(lll_engine, "risk_flags", counted)
+        lll_engine._WORST_CACHE.clear()
+        lll_engine._type3_rectangles.cache_clear()
+        assert run(capsys, "riskprob", "30", "41", "--type", rtype)[0] == 0
+        bound = (2 * lu - 1) * (2 * lv - 1) + (2 * lu * lv if rtype == "23" else 0)
+        assert 0 < len(calls) <= bound
 
     @pytest.mark.parametrize("du,dv", [("2", "5000"), ("0", "5")])
     def test_ungated_pairs(self, capsys, du, dv):

@@ -222,12 +222,6 @@ class TestSeparationCheck:
         rec = congruence_separation_check(trace, 1, (0, 1))
         assert rec.part_degrees == (1, 1) and not rec.separated
 
-    def test_json_shape(self):
-        rec = congruence_separation_check(_manual_trace(), 1, (0, 1))
-        js = rec.to_json()
-        assert js["edge"] == [0, 1] and js["part"] == 1
-        assert isinstance(js["final_window_ok"], list)
-
 
 class TestWindowReport:
     def test_matching_parts_of_k4(self):

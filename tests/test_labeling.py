@@ -134,10 +134,6 @@ class TestLabels:
         labels.validate(g)
         assert len(calls) == 1
 
-    def test_json_roundtrip(self):
-        labels = LabelPair([0, 1, 2], [2, 1, 0])
-        assert LabelPair.from_json(labels.to_json()) == labels
-
 
 class TestSymmetricModPredicate:
     def test_examples(self):

@@ -78,7 +78,9 @@ class TestMinParts:
         monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "30")
         res = min_parts(big, k_max=1)
         assert res.feasible_k is None and not res.exhausted
-        assert min_parts(big, k_max=1, edge_limit=25).feasible_k is None
+        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "abc")
+        with pytest.raises(ValueError, match="IRRDEC_EDGE_LIMIT must be an integer, got 'abc'"):
+            min_parts(path(2))
 
     @pytest.mark.parametrize("k_max", [-5, 0])
     def test_kmax_below_one_is_rejected(self, k_max):
