@@ -31,6 +31,7 @@ from ..graph_core import (
 )
 from ..labeling import ceil_log_beta, ratio_gate
 from ..lll_engine import (
+    RISK_BOUNDS,
     audit_constants,
     exact_edge_risk_probability,
     risk_bound_holds,
@@ -246,11 +247,11 @@ def cmd_audit(args) -> int:
     return EXIT_OK if all_pass else EXIT_DIAGNOSTIC
 
 
-_RISK_KIND = {
-    "1": ("type1_given_c1v", 1, "2 / dv^0.38"),
-    "2": ("type2_given_c2v", 2, "2 / dv^0.38"),
-    "3": ("type3_given_rest", 3, "4 / dv^0.38"),
-    "23": ("both23_given_c1v_c2v", "23", "8 / dv^0.76"),
+_RISK_KIND = {  # --type -> (conditioning scheme, risk type)
+    "1": ("type1_given_c1v", 1),
+    "2": ("type2_given_c2v", 2),
+    "3": ("type3_given_rest", 3),
+    "23": ("both23_given_c1v_c2v", "23"),
 }
 
 
@@ -269,7 +270,9 @@ def cmd_riskprob(args) -> int:
         raise CommandError(EXIT_USAGE,
                            f"degree {max(du, dv)} has lam = 2^{e}; riskprob is capped at "
                            f"lam = 2^{RISKPROB_MAX_EXPONENT} = {1 << RISKPROB_MAX_EXPONENT}")
-    which, rtype, bound_desc = _RISK_KIND[args.type]
+    which, rtype = _RISK_KIND[args.type]
+    coeff, num = RISK_BOUNDS[which]
+    bound_desc = f"{coeff} / dv^{num / 50:g}"
     unconditional = exact_edge_risk_probability(du, dv, rtype)
     worst = worst_conditional_risk(du, dv, which)
     holds = risk_bound_holds(du, dv, which)

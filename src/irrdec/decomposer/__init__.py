@@ -195,8 +195,7 @@ def _irregularity_offences(part: Graph) -> list:
 # the stages: each takes the trace and returns a Diagnostic or None
 
 def stage_preflight(trace: PipelineTrace):
-    deg = trace.graph.degrees()
-    min_deg = min(deg) if deg else 0
+    min_deg = trace.graph.min_degree()
     if trace.config.strict and min_deg < STRICT_MIN_DEGREE:
         return trace.fail("preflight", "MinDegreeTooSmall",
                           {"min_degree": min_deg, "required": STRICT_MIN_DEGREE},

@@ -287,7 +287,7 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     total number of accepted flips.
     """
     for v in range(g.n):
-        s = spec.allowed.get(v) if isinstance(spec.allowed, dict) else spec.allowed[v]
+        s = spec.allowed.get(v)
         if s is None or len(s) == 0:
             raise ValueError(f"vertex {v}: empty allowed set")
         # integers in [0, d(v)]: _local_search's invariant rests on this

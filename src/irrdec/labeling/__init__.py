@@ -1,9 +1,13 @@
-"""Random modular vertex labels and risky-edge classification.
+"""Random modular vertex labels, risky-edge classification and the
+neighbourhood-size limits.
 
 Everything here is built around the constant beta = 2^(50/19), chosen so that
 powers of beta are powers of two raised to rational exponents: comparisons
 against beta^k reduce to big-integer comparisons and no predicate ever touches
 a float.  The per-vertex modulus is lam(v) = 2^e(v), with e = exponents(g).
+
+A classification is the risky edge sets r1, r2, r3; risky_neighbours gives
+the per-vertex sets A(v), B(v), C(v) whose sizes size_limits bounds.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ def ceil_log_beta(d: int) -> int:
             k += 1
         _CLB_CACHE[d] = k
     return k
-
-
-def lambda_of(d: int) -> int:
-    return 1 << ceil_log_beta(d)
 
 
 def exponents(g: Graph) -> list:
@@ -91,14 +91,6 @@ def sample_labels(g: Graph, seed) -> LabelPair:
     return draw_labels(g, random.Random(seed))
 
 
-def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
-    """True iff a is congruent mod k to one of -b+1, ..., b-1."""
-    if not 1 <= b <= k:
-        raise ValueError(f"need 1 <= b <= k, got b={b}, k={k}")
-    r = a % k
-    return r < b or r > k - b
-
-
 def risk_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
     """(type 1, type 2, type 3) riskiness of an edge whose ratio gate has
     already passed, with eu, ev = ceil_log_beta of the endpoint degrees.
@@ -106,7 +98,7 @@ def risk_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
     Type i in (1, 2) asks that 4^emin divides ci(u)*2^eu - ci(v)*2^ev.
     Type 3 asks that d(u) - 3*2^eu*(c1u + c2u) - d(v) + 3*2^ev*(c1v + c2v)
     is congruent mod 3*4^emin to one of -3*2^emin+1, ..., 3*2^emin-1
-    (symmetric_mod_predicate, inlined: this is the classifier's inner loop).
+    (a symmetric window, decided inline: this is the classifier's inner loop).
     """
     emin = eu if eu < ev else ev
     mask = (1 << (2 * emin)) - 1
@@ -120,60 +112,26 @@ def risk_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
     )
 
 
-def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
-    if rtype not in (1, 2, 3):
-        raise ValueError(f"risky type must be 1, 2 or 3, got {rtype}")
-    if not g.has_edge(u, v):
-        raise ValueError(f"{u}-{v} is not an edge")
-    du, dv = g.degree(u), g.degree(v)
-    if not ratio_gate(du, dv):
-        return False
-    flags = risk_flags(du, dv, ceil_log_beta(du), ceil_log_beta(dv),
-                       labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
-    return flags[rtype - 1]
-
-
 class RiskyClassification:
-    """Edge sets r1, r2, r3 plus the per-vertex neighbour views.
+    """The risky edges of each type, r1, r2 and r3, as frozensets."""
 
-    a_of(v), b_of(v), c_of(v) are the neighbours joined to v by a risky edge
-    of type 1, 2, 3 respectively; f_of(v) = b_of(v) & c_of(v).  The views
-    are built on the first call of any of them: the pipeline's stages read
-    only r1, r2 and r3.
-    """
+    __slots__ = ("r1", "r2", "r3")
 
-    __slots__ = ("graph", "r1", "r2", "r3", "_abc")
-
-    def __init__(self, graph: Graph, r1, r2, r3):
-        self.graph = graph
+    def __init__(self, r1, r2, r3):
         self.r1 = frozenset(r1)
         self.r2 = frozenset(r2)
         self.r3 = frozenset(r3)
-        self._abc = None
 
-    def _views(self) -> list:
-        if self._abc is None:
-            self._abc = []
-            for edge_set in (self.r1, self.r2, self.r3):
-                out = [[] for _ in range(self.graph.n)]
-                for u, v in edge_set:
-                    out[u].append(v)
-                    out[v].append(u)
-                self._abc.append([frozenset(a) for a in out])
-        return self._abc
 
-    def a_of(self, v: int) -> frozenset:
-        return self._views()[0][v]
-
-    def b_of(self, v: int) -> frozenset:
-        return self._views()[1][v]
-
-    def c_of(self, v: int) -> frozenset:
-        return self._views()[2][v]
-
-    def f_of(self, v: int) -> frozenset:
-        _, b, c = self._views()
-        return b[v] & c[v]
+def risky_neighbours(n: int, cls: RiskyClassification) -> list:
+    """Per vertex v, the mutable sets [a, b, c] of the neighbours joined to v
+    by a risky edge of type 1, 2, 3: A(v), B(v), C(v); F(v) is b & c."""
+    out = [[set(), set(), set()] for _ in range(n)]
+    for i, edge_set in enumerate((cls.r1, cls.r2, cls.r3)):
+        for u, v in edge_set:
+            out[u][i].add(v)
+            out[v][i].add(u)
+    return out
 
 
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
@@ -198,45 +156,19 @@ def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
             r2.append(e)
         if t3:
             r3.append(e)
-    return RiskyClassification(g, r1, r2, r3)
+    return RiskyClassification(r1, r2, r3)
 
 
 KINDS = ("A", "B", "C", "F")  # the sizes bounded: |A(v)|, |B(v)|, |C(v)|, |F(v)|
 
 
-@dataclass
-class BoundsReport:
-    """Per-vertex verdicts for the neighbourhood-size bounds.
-
-    The reference bounds are |A(v)|, |B(v)|, |C(v)| <= slack*8*d^0.62 and
-    |F(v)| <= slack*12*d^0.24, decided by exact rational comparison.
-    degree_one_flagged lists vertices of degree 1 touching a risky edge;
-    such edges are risky by the literal definitions even though the regime
-    the bounds were designed for never contains them.
-    """
-
-    slack: object
-    a_ok: dict
-    b_ok: dict
-    c_ok: dict
-    f_ok: dict
-    degree_one_flagged: list
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failing_vertices()
-
-    def failing_vertices(self) -> list:
-        bad = set()
-        for d in (self.a_ok, self.b_ok, self.c_ok, self.f_ok):
-            bad.update(v for v, ok in d.items() if not ok)
-        return sorted(bad)
-
-
 def size_limits(g: Graph, slack) -> list:
     """Per vertex, the largest allowed |A|, |B|, |C| and |F|: the exact
     floors of slack*8*d^0.62 and slack*12*d^0.24, or (None, None) for the
-    infinity sentinel, which turns the bounds off."""
+    infinity sentinel, which turns the bounds off.  Any other slack must be
+    positive."""
+    if not (slack == math.inf or slack > 0):
+        raise ValueError("slack must be positive")
     if slack == math.inf:
         return [(None, None)] * g.n
     s = Fraction(slack)
@@ -258,18 +190,3 @@ def violated_kinds(limits, a, b, c) -> list:
         return []
     sizes = (len(a), len(b), len(c), len(b & c))
     return [k for k, size, t in zip(KINDS, sizes, (t_abc, t_abc, t_abc, t_f)) if size > t]
-
-
-def bounds_hold(g: Graph, cls: RiskyClassification, slack) -> BoundsReport:
-    if not (slack == math.inf or slack > 0):
-        raise ValueError("slack must be positive")
-    ok = {k: {} for k in KINDS}
-    flagged = []
-    for v, limits in enumerate(size_limits(g, slack)):
-        a, b, c = cls.a_of(v), cls.b_of(v), cls.c_of(v)
-        bad = violated_kinds(limits, a, b, c)
-        for k in KINDS:
-            ok[k][v] = k not in bad
-        if g.degree(v) == 1 and (a or b or c):
-            flagged.append(v)
-    return BoundsReport(slack, *ok.values(), flagged)

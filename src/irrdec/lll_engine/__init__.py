@@ -1,6 +1,7 @@
-"""Bad events over risky neighbourhoods, their dependency digraph, a
-Moser-Tardos resampler, exact risk probabilities, and the numeric audit of
-every closed-form constant the machinery relies on.
+"""Bad events over risky neighbourhoods (violated_events is the one check of
+their size bounds), their dependency digraph, a Moser-Tardos resampler that
+keeps the same verdicts incrementally, exact risk probabilities, and the
+numeric audit of every closed-form constant the machinery relies on.
 
 An edge's risk probability is a count of label assignments, taken over
 only the coordinates each type reads and decided by labeling.risk_flags:
@@ -29,7 +30,6 @@ from ..graph_core import Graph, InvariantViolated
 from ..labeling import (
     KINDS,
     LabelPair,
-    RiskyClassification,
     ceil_log_beta,
     classify,
     draw_label,
@@ -37,6 +37,7 @@ from ..labeling import (
     exponents,
     ratio_gate,
     risk_flags,
+    risky_neighbours,
     size_limits,
     violated_kinds,
 )
@@ -46,17 +47,15 @@ from ..labeling import (
 class BadEvent:
     """One oversized-neighbourhood event at a vertex.
 
-    kind A watches |a_of(v)|, B |b_of(v)|, C |c_of(v)|, F |f_of(v)|.
-    scope is the exact set of label slots the event reads: (w, 1) for c1
-    and (w, 2) for c2, over v and its gate-passing neighbours.
+    kind A, B, C or F watches |A(v)|, |B(v)|, |C(v)| or |F(v)| (see
+    labeling.risky_neighbours).  scope is the exact set of label slots the
+    event reads: (w, 1) for c1 and (w, 2) for c2, over v and its gated
+    neighbours.
     """
 
     vertex: int
     kind: str
     scope: frozenset
-
-    def sort_key(self):
-        return (self.vertex, KINDS.index(self.kind))
 
 
 def gated_neighbours(g: Graph, v: int) -> list:
@@ -77,20 +76,17 @@ def make_event(g: Graph, v: int, kind: str) -> BadEvent:
     return BadEvent(v, kind, event_scope(g, v, kind))
 
 
-def violated_events(g: Graph, labels: LabelPair, slack,
-                    cls: RiskyClassification | None = None) -> list:
-    """Events whose size bound (scaled by slack) fails, in (vertex, kind) order.
-
-    Classifies from scratch unless cls is given; moser_tardos keeps the same
-    verdicts incrementally and is tested against this function.
-    """
-    if cls is None:
-        cls = classify(g, labels)
+def violated_events(g: Graph, labels: LabelPair, slack) -> list:
+    """Events whose size bound (scaled by slack) fails, in (vertex, kind)
+    order: the one check of the neighbourhood-size bounds.  Classifies from
+    scratch; moser_tardos keeps the same verdicts incrementally and is
+    tested against this function."""
+    risky = risky_neighbours(g.n, classify(g, labels))
     limits = size_limits(g, slack)
     return [
         make_event(g, v, kind)
         for v in range(g.n)
-        for kind in violated_kinds(limits[v], cls.a_of(v), cls.b_of(v), cls.c_of(v))
+        for kind in violated_kinds(limits[v], *risky[v])
     ]
 
 
@@ -111,14 +107,13 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     observer, when given, is called as observer(round_no, event, before,
     after) with label snapshots around each resampling.
 
-    The first classification is a full classify; later rounds are local.
-    Resampling changes labels only at the scope vertices, so a round
-    reclassifies just the gated edges at those vertices and rechecks the
-    events of the endpoints whose risky neighbour sets changed.  At slack
-    inf no event has a bound, and the initial draw is returned unclassified.
+    One full classify gives the risky_neighbours sets that later rounds
+    update in place.  Resampling changes labels only at the scope vertices,
+    so a round reclassifies just the gated edges at those vertices and
+    rechecks the events of the endpoints whose sets changed.  At slack inf
+    no event has a bound, and the initial draw is returned unclassified.
     """
-    if not (slack == math.inf or slack > 0):
-        raise ValueError("slack must be positive")
+    limits = size_limits(g, slack)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     rng = random.Random(seed)
@@ -128,9 +123,7 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     c1, c2 = labels.c1, labels.c2
     deg = g.degrees()
     es = exponents(g)
-    limits = size_limits(g, slack)
-    cls = classify(g, labels)
-    risky = [[set(cls.a_of(v)), set(cls.b_of(v)), set(cls.c_of(v))] for v in range(g.n)]
+    risky = risky_neighbours(g.n, classify(g, labels))
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
 
     def recheck(vertices):
@@ -167,14 +160,14 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
                 lo, hi = (w, x) if w < x else (x, w)
                 flags = risk_flags(deg[lo], deg[hi], es[lo], es[hi],
                                    c1[lo], c1[hi], c2[lo], c2[hi])
-                for view_lo, view_hi, now in zip(risky[lo], risky[hi], flags):
-                    if (hi in view_lo) != now:
+                for set_lo, set_hi, now in zip(risky[lo], risky[hi], flags):
+                    if (hi in set_lo) != now:
                         if now:
-                            view_lo.add(hi)
-                            view_hi.add(lo)
+                            set_lo.add(hi)
+                            set_hi.add(lo)
                         else:
-                            view_lo.discard(hi)
-                            view_hi.discard(lo)
+                            set_lo.discard(hi)
+                            set_hi.discard(lo)
                         changed.add(lo)
                         changed.add(hi)
         recheck(changed)
@@ -375,19 +368,18 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
     return worst
 
 
-def risk_bound_holds(du: int, dv: int, which: str) -> bool:
-    """Exact check of the conditional bound for one degree pair.
+RISK_BOUNDS = {  # scheme -> (coeff, num): worst conditional risk <= coeff/dv^(num/50)
+    "type1_given_c1v": (2, 19),
+    "type2_given_c2v": (2, 19),
+    "type3_given_rest": (4, 19),
+    "both23_given_c1v_c2v": (8, 38),
+}
 
-    Bounds: 2/dv^0.38 for the single-label schemes, 4/dv^0.38 for type 3,
-    8/dv^0.76 for the joint scheme.  Probability p <= c/dv^(num/50) is
-    decided as p^50 * dv^num <= c^50 in integers.
-    """
-    coeff, num = {
-        "type1_given_c1v": (2, 19),
-        "type2_given_c2v": (2, 19),
-        "type3_given_rest": (4, 19),
-        "both23_given_c1v_c2v": (8, 38),
-    }[which]
+
+def risk_bound_holds(du: int, dv: int, which: str) -> bool:
+    """Exact check of the RISK_BOUNDS entry for one degree pair: p <=
+    coeff/dv^(num/50) is decided as p^50 * dv^num <= coeff^50 in integers."""
+    coeff, num = RISK_BOUNDS[which]
     p = worst_conditional_risk(du, dv, which)
     return p.numerator ** 50 * dv ** num <= coeff ** 50 * p.denominator ** 50
 

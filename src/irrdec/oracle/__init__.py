@@ -149,6 +149,8 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
         limit = int(raw)
     except ValueError:
         raise ValueError(f"IRRDEC_EDGE_LIMIT must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise ValueError(f"IRRDEC_EDGE_LIMIT must be >= 0, got {raw!r}")
     if m > limit:
         raise ValueError(f"graph has {m} edges, over the search limit {limit}")
     if m == 0:

@@ -29,7 +29,9 @@ from irrdec.graph_core import (
     spider,
     t_family_members,
 )
-from irrdec.labeling import lambda_of, risk_flags
+from irrdec.labeling import risk_flags
+
+from test_labeling import lambda_of
 
 
 def run(capsys, *argv):
@@ -261,6 +263,11 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", src)
         assert code == 64 and out == ""
         assert "IRRDEC_EDGE_LIMIT must be an integer, got 'abc'" in err
+        # a negative limit is the setting's fault, not the edgeless graph's
+        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "-1")
+        code, out, err = run(capsys, "oracle", graph_file("e3.txt", Graph(3, [])))
+        assert code == 64 and out == ""
+        assert "IRRDEC_EDGE_LIMIT must be >= 0, got '-1'" in err and "graph has" not in err
 
     @pytest.mark.parametrize("kmax", ["-5", "0"])
     def test_kmax_below_one_is_usage_error(self, capsys, graph_file, kmax):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from irrdec import labeling, lll_engine
 from irrdec.decomposer import (
     ColouringFailure,
     Diagnostic,
@@ -78,6 +79,19 @@ class TestPipelineOutcomes:
         assert stages == ["preflight", "labels", "part1_factor",
                           "overlap_colouring", "part2_factor", "final_gate"]
         assert all(r["ok"] for r in trace.stage_reports)
+
+    def test_infinite_slack_builds_no_neighbour_sets(self, monkeypatch):
+        # at slack inf no size bound exists, so the pipeline reads only r1,
+        # r2 and r3; path(1) runs to overlap colouring, K14 stops at part 1
+        def fail(*args):
+            raise AssertionError("risky_neighbours called at slack inf")
+
+        monkeypatch.setattr(lll_engine, "risky_neighbours", fail)
+        monkeypatch.setattr(labeling, "risky_neighbours", fail)
+        for g, stage in ((path(1), "overlap_colouring"), (complete(14), "part1_factor")):
+            out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+            assert out.stage == stage
+            assert trace.classification.r1
 
     def test_k2_hits_the_colour_cap(self):
         out, trace = decompose3(path(1), PipelineConfig(seed=1, **RELAXED))
@@ -261,7 +275,7 @@ def _octahedron_trace(strict: bool):
     g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
                   if (u, v) not in {(0, 1), (2, 3), (4, 5)}])
     trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
-    trace.classification = RiskyClassification(g, [], [(1, 2)], [(1, 2), (0, 3)])
+    trace.classification = RiskyClassification([], [(1, 2)], [(1, 2), (0, 3)])
     trace.h1 = g.spanning([(0, 2), (0, 4), (1, 3), (1, 5)])
     trace.g1 = g.without_edges(trace.h1.edges)
     trace.overlap_c = g.spanning([(1, 2), (0, 3)])
@@ -273,7 +287,7 @@ def _octahedron_trace(strict: bool):
 def _one_part_trace(g: Graph, strict: bool):
     """Every edge of g in part 1, nothing at risk."""
     trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
-    trace.classification = RiskyClassification(g, [], [], [])
+    trace.classification = RiskyClassification([], [], [])
     trace.h1 = g.spanning(g.edges)
     trace.g1 = g.spanning([])
     trace.overlap_c = trace.h2 = g.spanning([])
@@ -295,7 +309,7 @@ def _part2_trace():
     g = Graph(39, [(2, 3), (2, 4), (3, 4)] + c_edges + h1)
     trace = PipelineTrace(g, PipelineConfig(seed=0))
     trace.labels = LabelPair([0] * 39, [0, 0, 0, 1, 1] + [0] * 34)
-    trace.classification = RiskyClassification(g, [], [(0, 2), (1, 4)], c_edges)
+    trace.classification = RiskyClassification([], [(0, 2), (1, 4)], c_edges)
     trace.h1 = g.spanning(h1)
     return trace
 
@@ -357,7 +371,7 @@ class TestLateStages:
         # vertex 2 meets the value 0 at both of its coloured F-neighbours
         g = complete(4)
         trace = PipelineTrace(g, PipelineConfig(seed=0))
-        trace.classification = RiskyClassification(g, [], g.edges, g.edges)
+        trace.classification = RiskyClassification([], g.edges, g.edges)
         trace.h1 = g.spanning([(0, 1), (2, 3)])
         out = stage_overlap_colouring(trace)
         assert (out.stage, out.code) == ("overlap_colouring", "ColouringCapExceeded")
@@ -389,7 +403,7 @@ class TestLateStages:
 
     def test_assembly_checks_its_invariants(self):
         trace = _octahedron_trace(strict=False)
-        trace.classification = RiskyClassification(trace.graph, [], [], [(1, 4)])
+        trace.classification = RiskyClassification([], [], [(1, 4)])
         with pytest.raises(InvariantViolated, match="type-3 risky edge"):
             stage_assembly(trace)
         trace = _octahedron_trace(strict=False)

@@ -10,17 +10,42 @@ from irrdec.exact import floor_beta_mult
 from irrdec.graph_core import Graph, complete, gnp, path
 from irrdec.labeling import (
     LabelPair,
-    bounds_hold,
     ceil_log_beta,
     classify,
     exponents,
-    is_risky,
-    lambda_of,
     ratio_gate,
     risk_flags,
+    risky_neighbours,
     sample_labels,
-    symmetric_mod_predicate,
+    size_limits,
 )
+from irrdec.lll_engine import violated_events
+
+
+def lambda_of(d: int) -> int:
+    return 1 << ceil_log_beta(d)
+
+
+def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
+    """True iff a is congruent mod k to one of -b+1, ..., b-1."""
+    if not 1 <= b <= k:
+        raise ValueError(f"need 1 <= b <= k, got b={b}, k={k}")
+    r = a % k
+    return r < b or r > k - b
+
+
+def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
+    """One edge's verdict of one type, read off risk_flags."""
+    if rtype not in (1, 2, 3):
+        raise ValueError(f"risky type must be 1, 2 or 3, got {rtype}")
+    if not g.has_edge(u, v):
+        raise ValueError(f"{u}-{v} is not an edge")
+    du, dv = g.degree(u), g.degree(v)
+    if not ratio_gate(du, dv):
+        return False
+    flags = risk_flags(du, dv, ceil_log_beta(du), ceil_log_beta(dv),
+                       labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
+    return flags[rtype - 1]
 
 
 # The congruences as the probability enumeration wrote them before it moved
@@ -200,48 +225,45 @@ class TestRisky:
         g = gnp(12, 0.45, seed=101)
         labels = sample_labels(g, seed)
         cls = classify(g, labels)
-        assert cls._abc is None  # the views are built on first use only
+        assert cls.__slots__ == ("r1", "r2", "r3")
         for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
             expected = {e for e in g.edges if is_risky(g, labels, *e, rtype)}
             assert rset == expected
+        risky = risky_neighbours(g.n, cls)
         for v in range(g.n):
-            # the per-vertex views hold risky *neighbours*, not edges
-            assert cls.a_of(v) == {u for e in cls.r1 if v in e for u in e if u != v}
-            assert cls.b_of(v) == {u for e in cls.r2 if v in e for u in e if u != v}
-            assert cls.c_of(v) == {u for e in cls.r3 if v in e for u in e if u != v}
-            assert cls.f_of(v) == cls.b_of(v) & cls.c_of(v)
+            # risky_neighbours holds risky *neighbours*, not edges
+            assert risky[v] == [
+                {u for u in g.neighbours(v) if is_risky(g, labels, u, v, rtype)}
+                for rtype in (1, 2, 3)]
 
 
 class TestBounds:
     def test_complete30_equal_labels(self):
         g = complete(30)
         labels = LabelPair([0] * 30, [0] * 30)
-        cls = classify(g, labels)
-        assert all(len(cls.a_of(v)) == 29 for v in range(30))
-        report = bounds_hold(g, cls, 1)
-        # single-type neighbourhood bounds hold: 29 <= 8*29^0.62 = 64.5...
-        assert all(report.a_ok.values())
-        assert all(report.b_ok.values())
-        assert all(report.c_ok.values())
+        assert all(len(a) == 29 for a, _, _ in risky_neighbours(30, classify(g, labels)))
+        # single-type neighbourhood bounds hold: 29 <= 8*29^0.62 = 64.5...;
         # the pair-overlap bound genuinely fails: 29 > 12*29^0.24 = 26.92...
-        assert not any(report.f_ok.values())
-        assert not report.all_hold
-        assert report.failing_vertices() == list(range(30))
+        assert size_limits(g, 1)[0] == (64, 26)
+        bad = violated_events(g, labels, 1)
+        assert [(ev.vertex, ev.kind) for ev in bad] == [(v, "F") for v in range(30)]
 
     def test_inf_slack_disables_everything(self):
         g = complete(30)
-        cls = classify(g, LabelPair([0] * 30, [0] * 30))
-        assert bounds_hold(g, cls, math.inf).all_hold
+        assert violated_events(g, LabelPair([0] * 30, [0] * 30), math.inf) == []
 
-    def test_degree_one_flagging(self):
+    def test_degree_one_has_no_events(self):
         g = path(1)
-        cls = classify(g, sample_labels(g, 0))
-        report = bounds_hold(g, cls, 1)
-        assert report.degree_one_flagged == [0, 1]
-        assert report.all_hold  # 1 <= 8 at degree 1
+        labels = sample_labels(g, 0)
+        # the edge is risky of every type, but 1 <= 8 and 1 <= 12 at degree 1
+        assert [len(s) for a in risky_neighbours(2, classify(g, labels)) for s in a] == [1] * 6
+        assert violated_events(g, labels, 1) == []
 
     def test_rejects_nonpositive_slack(self):
         g = path(1)
-        cls = classify(g, sample_labels(g, 0))
-        with pytest.raises(ValueError):
-            bounds_hold(g, cls, 0)
+        labels = sample_labels(g, 0)
+        for slack in (0, -1):
+            with pytest.raises(ValueError, match="slack must be positive"):
+                violated_events(g, labels, slack)
+            with pytest.raises(ValueError, match="slack must be positive"):
+                size_limits(g, slack)

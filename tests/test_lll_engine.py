@@ -12,16 +12,12 @@ from irrdec.exact import iroot
 from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
 from irrdec.labeling import (
     LabelPair,
-    bounds_hold,
     ceil_log_beta,
-    classify,
-    lambda_of,
     ratio_gate,
     sample_labels,
 )
 from irrdec.lll_engine import (
     KINDS,
-    BadEvent,
     Timeout,
     audit_constants,
     build_dependency_digraph,
@@ -36,7 +32,7 @@ from irrdec.lll_engine import (
     worst_conditional_risk,
 )
 
-from test_labeling import _holds  # the reference copy of the risk congruences
+from test_labeling import _holds, lambda_of  # the reference copies
 
 INSTRUMENTED = (14, 0.1)  # complete(14) at slack 0.1: tight but terminating
 
@@ -56,11 +52,11 @@ class TestEvents:
         assert event_scope(g, 1, "A") == {(1, 1)}
 
     def test_sort_order_is_vertex_then_kind(self):
-        g = path(2)
-        events = [make_event(g, v, k) for v in (1, 0) for k in ("F", "A")]
-        ordered = sorted(events, key=lambda e: e.sort_key())
-        assert [(e.vertex, e.kind) for e in ordered] == [
-            (0, "A"), (0, "F"), (1, "A"), (1, "F")]
+        n, slack = INSTRUMENTED
+        g = complete(n)
+        bad = violated_events(g, LabelPair([0] * n, [0] * n), slack)
+        assert [(e.vertex, e.kind) for e in bad] == [(v, k) for v in range(n) for k in KINDS]
+        assert bad[0] == make_event(g, 0, "A")
 
     def test_violated_events_on_tight_instance(self):
         n, slack = INSTRUMENTED
@@ -83,7 +79,7 @@ def reference_moser_tardos(g, seed, slack, max_rounds, observer):
         bad = violated_events(g, LabelPair(c1, c2), slack)
         if not bad:
             return LabelPair(c1, c2)
-        ev = min(bad, key=BadEvent.sort_key)
+        ev = bad[0]
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2))
         for w, slot in sorted(ev.scope):
@@ -137,7 +133,7 @@ class TestMoserTardos:
         assert isinstance(labels, LabelPair)
         # no resampling happened: the output is exactly the initial draw
         assert labels == sample_labels(g, 42)
-        assert bounds_hold(g, classify(g, labels), 3).all_hold
+        assert violated_events(g, labels, 3) == []
 
     def test_instrumented_run_terminates_and_satisfies_bounds(self):
         n, slack = INSTRUMENTED
@@ -148,7 +144,7 @@ class TestMoserTardos:
             labels = moser_tardos(g, seed, slack, 20000,
                                   observer=lambda r, ev, b, a: events.append(r))
             assert isinstance(labels, LabelPair), f"seed {seed} timed out"
-            assert bounds_hold(g, classify(g, labels), slack).all_hold
+            assert violated_events(g, labels, slack) == []
             rounds_seen.append(len(events))
         assert all(r > 0 for r in rounds_seen)  # the instance forces work
 

@@ -81,6 +81,9 @@ class TestMinParts:
         monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "abc")
         with pytest.raises(ValueError, match="IRRDEC_EDGE_LIMIT must be an integer, got 'abc'"):
             min_parts(path(2))
+        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "-1")
+        with pytest.raises(ValueError, match="IRRDEC_EDGE_LIMIT must be >= 0, got '-1'"):
+            min_parts(Graph(3, []))
 
     @pytest.mark.parametrize("k_max", [-5, 0])
     def test_kmax_below_one_is_rejected(self, k_max):
