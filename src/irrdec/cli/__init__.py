@@ -146,9 +146,12 @@ def _edge_counts(trace) -> dict:
 
 
 def _exception_components(g: Graph):
+    # every exception family has maximum degree <= 3, so a graph of minimum
+    # degree > 3 has no such component and its neighbour sets stay unbuilt
+    if g.min_degree() > 3:
+        return []
     found = []
     for comp in g.components():
-        # every exception family has maximum degree <= 3
         if any(g.degree(v) > 3 for v in comp):
             continue
         vs = sorted(comp)

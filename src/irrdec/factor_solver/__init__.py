@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass
 
 from ..graph_core import Graph, InvariantViolated, incident_edges
@@ -176,7 +177,12 @@ def _exact_search(g: Graph, allowed: dict):
         rem[v] += 1
         return False
 
-    if solve(len(edges)):
+    try:
+        found = solve(len(edges))
+    except RecursionError:  # solve recurses once per decided edge
+        return Failure("exact", f"{g.m} edges: the search recurses once per edge and passed "
+                                f"the recursion limit of {sys.getrecursionlimit()}", nodes)
+    if found:
         return Graph(n, [edges[i] for i in range(len(edges)) if state[i] == 1])
     return Failure("exact", "search space exhausted", nodes)
 
@@ -282,9 +288,11 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     """Spanning H <= g with d_H(v) in spec.allowed[v] for every v, or Failure.
 
     Exact mode branches over edges (most-constrained vertex first) with
-    per-endpoint reachability pruning and is complete.  Heuristic mode runs
-    penalty descent with sideways moves and seeded restarts; budget caps the
-    total number of accepted flips.
+    per-endpoint reachability pruning and is complete while its depth, one
+    level per edge, stays within Python's recursion limit; past it, it
+    returns a Failure naming the edge count and the limit.
+    Heuristic mode runs penalty descent with sideways moves and seeded
+    restarts; budget caps the total number of accepted flips.
     """
     for v in range(g.n):
         s = spec.allowed.get(v)

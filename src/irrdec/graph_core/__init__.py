@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
-MAX_VERTICES = 10**5  # parse_edge_list cap; Graph allocates adjacency per vertex
+# parse_edge_list cap; a Graph counts degrees per vertex when built and
+# builds its per-vertex neighbour sets on first use
+MAX_VERTICES = 10**5
 
 
 class InvariantViolated(AssertionError):
@@ -35,11 +37,14 @@ class Graph:
     a time, so equal inputs give edge and neighbour sets that iterate alike:
     the oracle's edge order follows that order.
 
-    degree(v) and neighbours(v) are defined for v in 0..n-1 only; the
-    adjacency is a list, so no other id is checked.
+    Degrees are counted when the graph is built.  The neighbour sets are
+    built on the first call to neighbours or components, so a graph whose
+    users read only degrees (the decompose path up to part 1) never builds
+    them.  degree(v) and neighbours(v) are defined for v in 0..n-1 only; both
+    index a list, so no other id is checked.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_deg", "_adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -64,19 +69,29 @@ class Graph:
     def _build(self, n: int, es: set) -> None:
         self.n = n
         self.edges = frozenset(es)
-        adj = [[] for _ in range(n)]
+        deg = [0] * n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        self._deg = deg
+        self._adj = None
+
+    def _build_neighbours(self) -> None:
+        adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = [frozenset(set(a)) for a in adj]  # via set(): the order one add() each gives
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._deg[v]
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
+        return self._deg[:]
 
     def neighbours(self, v: int) -> frozenset:
+        if self._adj is None:
+            self._build_neighbours()
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -87,10 +102,10 @@ class Graph:
         return len(self.edges)
 
     def min_degree(self) -> int:
-        return min(self.degrees()) if self.n else 0
+        return min(self._deg) if self.n else 0
 
     def max_degree(self) -> int:
-        return max(self.degrees()) if self.n else 0
+        return max(self._deg) if self.n else 0
 
     def spanning(self, edges) -> "Graph":
         """Spanning subgraph on the same vertex set with the given edges."""
@@ -101,6 +116,9 @@ class Graph:
         return Graph._canonical(self.n, self.edges - drop)
 
     def components(self) -> list[frozenset]:
+        if self._adj is None:
+            self._build_neighbours()
+        adj = self._adj
         seen = set()
         out = []
         for s in range(self.n):
@@ -110,7 +128,7 @@ class Graph:
             stack = [s]
             while stack:
                 x = stack.pop()
-                for y in self._adj[x]:
+                for y in adj[x]:
                     if y not in comp:
                         comp.add(y)
                         stack.append(y)
@@ -365,24 +383,24 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list format: first line n, then one "u v" pair per line, '#' comments
+# edge-list format: first line n, then one "u v" pair per line, '#' comments.
+# Lines break at '\n' only (a trailing '\r' is whitespace, so "\r\n" works);
+# the count and the vertex ids are strings of ASCII digits.
 
 def parse_edge_list(text: str) -> Graph:
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(text.split("\n"), start=1)
     for hdr_no, raw in lines:  # the header is the first line with more than a comment
         hdr = raw.split("#", 1)[0].strip()
         if hdr:
             break
     else:
         raise ValueError("empty edge list: missing vertex-count header")
-    try:
-        n = int(hdr)
-    except ValueError:
-        raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}") from None
-    if n < 0:
-        raise ValueError(f"line {hdr_no}: vertex count must be >= 0")
-    if n > MAX_VERTICES:
-        raise ValueError(f"line {hdr_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
+    if not (hdr.isascii() and hdr.isdigit()):
+        raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}")
+    count = hdr.lstrip("0") or "0"  # int() refuses strings of over 4,300 digits
+    if len(count) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
+        raise ValueError(f"line {hdr_no}: vertex count {count} exceeds the limit {MAX_VERTICES}")
+    n = int(count)
     edges = set()
     for ln_no, raw in lines:  # the same iterator: the lines after the header
         if "#" in raw:
@@ -392,10 +410,14 @@ def parse_edge_list(text: str) -> Graph:
             if not parts:
                 continue
             raise ValueError(f"line {ln_no}: expected 'u v', got {raw.strip()!r}")
+        a, b = parts
+        # int() alone would also read a sign, '_' and non-ASCII digits
+        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            raise ValueError(f"line {ln_no}: non-integer vertex id in {raw.strip()!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(a), int(b)
         except ValueError:
-            raise ValueError(f"line {ln_no}: non-integer vertex id in {raw.strip()!r}") from None
+            raise ValueError(f"line {ln_no}: vertex id of over 4,300 digits") from None
         if u == v:
             raise ValueError(f"line {ln_no}: self-loop at {u}")
         if not (0 <= u < v < n):

@@ -128,6 +128,21 @@ class TestDecompose:
         assert diag["code"] == "WindowTargetInfeasible"
         assert 0 < rec["result"]["edge_counts"]["g_prime"] <= 91
 
+    def test_infinite_slack_builds_no_neighbour_sets(self, capsys, graph_file, monkeypatch):
+        # the parsed graph and g' are read only through their degrees, and
+        # the preflight skips its component walk at minimum degree > 3
+        def fail(self):
+            raise AssertionError("neighbour sets built on the decompose path")
+
+        monkeypatch.setattr(Graph, "_build_neighbours", fail)
+        for name, g in (("k14.txt", complete(14)), ("rr.txt", random_regular(60, 12, seed=1))):
+            src = graph_file(name, g)
+            code, out, _ = run(capsys, "decompose", src, "--seed", "1", "--json")
+            assert code == 2
+            rec = json.loads(out)
+            assert rec["result"]["diagnostic"]["stage"] == "part1_factor"
+            assert 0 < rec["result"]["edge_counts"]["g_prime"] < g.m
+
     def test_strict_floor(self, capsys, graph_file):
         src = graph_file("sp.txt", spider(2))
         code, out, _ = run(capsys, "decompose", src, "--seed", "1", "--strict", "--json")
@@ -223,6 +238,24 @@ class TestExceptionPreflight:
             assert _exception_components(g) == want
             families |= {c["family"] for c in want}
         assert families == {"odd_path", "odd_cycle", "t_family"}
+
+    def test_dense_components_beside_exceptions(self, monkeypatch):
+        rng = random.Random(5)
+        dense = random_regular(40, 6, seed=2)
+        # an odd path beside a dense component is still reported
+        g = _disjoint_union(rng, [dense, path(3)])
+        found = _exception_components(g)
+        assert [c["family"] for c in found] == ["odd_path"] and len(found[0]["vertices"]) == 4
+        # one isolated vertex is no exception: the walk runs and finds nothing
+        assert _exception_components(_disjoint_union(rng, [dense, Graph(1)])) == []
+
+        # at minimum degree > 3 there is no walk at all
+        def fail(self):
+            raise AssertionError("components walked at minimum degree > 3")
+
+        monkeypatch.setattr(Graph, "components", fail)
+        assert _exception_components(dense) == []
+        assert _exception_components(complete(5)) == []
 
     def test_isolated_vertices_cost_no_edge_scans(self):
         # one component per isolated vertex; a scan of every edge per

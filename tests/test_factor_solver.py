@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +163,22 @@ class TestExactSearch:
         out = find_degree_set_subgraph(g, spec)
         assert isinstance(out, Failure)
         assert out.mode == "exact" and out.nodes_explored >= 1
+
+    def test_past_the_recursion_limit_returns_failure(self):
+        # one recursion level per edge: rr(200, 10) has 1,000 edges and used
+        # to raise RecursionError even with every degree allowed
+        for g in (random_regular(200, 10, seed=1), complete(60)):
+            every = DegreeTargetSpec({v: set(range(g.degree(v) + 1)) for v in range(g.n)})
+            out = find_degree_set_subgraph(g, every, mode="exact")
+            assert isinstance(out, Failure)
+            assert out.mode == "exact" and out.nodes_explored >= 1
+            assert out.reason.startswith(f"{g.m} edges: ")
+            assert f"recursion limit of {sys.getrecursionlimit()}" in out.reason
+        # a search that stays within the limit still solves: 600 edges
+        g = random_regular(100, 12, seed=1)
+        every = DegreeTargetSpec({v: set(range(13)) for v in range(g.n)})
+        h = find_degree_set_subgraph(g, every, mode="exact")
+        assert not isinstance(h, Failure) and h.edges <= g.edges
 
     def test_validates_allowed_sets(self):
         g = path(1)

@@ -178,6 +178,24 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text", ["3\n0 1\n1_0 2\n", "3\n0 1\n+1 2\n",
+                                      "3\n0 1\n\u0663 2\n", "3\n0 1\n-0 2\n"])
+    def test_ids_are_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="line 3: non-integer vertex id"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text", ["+3\n", "1_0\n", "\u0663\n", "-1\n"])
+    def test_vertex_count_is_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="line 1: vertex count expected"):
+            parse_edge_list(text)
+
+    def test_lines_break_at_newline_only(self):
+        assert parse_edge_list("3\r\n0 1\r\n1 2\r\n").edges == {(0, 1), (1, 2)}
+        # \x0c, \x85 and \u2028 are whitespace inside a line, not line breaks
+        for sep in ("\x0c", "\x85", "\u2028"):
+            with pytest.raises(ValueError, match="line 2: expected 'u v'"):
+                parse_edge_list(f"3\n0 1{sep}1 2\n")
+
     def test_vertex_cap(self):
         assert parse_edge_list(f"{MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
         with pytest.raises(ValueError) as err:
@@ -186,34 +204,39 @@ class TestEdgeListFormat:
 
 
 def _reference_parse(text: str) -> Graph:
-    """The two-pass parser that parse_edge_list replaced, verbatim: it
-    collects the stripped lines first and builds through the validating
-    Graph constructor."""
+    """The two-pass parser that parse_edge_list replaced, with the strict
+    grammar: lines break at '\n' only, and the vertex count and the ids are
+    ASCII digit strings, checked token by token.  It collects the stripped
+    lines first and builds through the validating Graph constructor."""
+    def digits(tok):
+        return all("0" <= c <= "9" for c in tok)
+
     lines = []
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
+    for ln_no, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((ln_no, stripped))
     if not lines:
         raise ValueError("empty edge list: missing vertex-count header")
     hdr_no, hdr = lines[0]
-    try:
-        n = int(hdr)
-    except ValueError:
-        raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}") from None
-    if n < 0:
-        raise ValueError(f"line {hdr_no}: vertex count must be >= 0")
+    if not digits(hdr):
+        raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}")
+    n = 0
+    for c in hdr:  # int() reads at most 4,300 digits
+        n = 10 * n + ord(c) - ord("0")
     if n > MAX_VERTICES:
-        raise ValueError(f"line {hdr_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
+        raise ValueError(f"line {hdr_no}: vertex count {hdr.lstrip('0')} exceeds the limit "
+                         f"{MAX_VERTICES}")
     edges = set()
     for ln_no, body in lines[1:]:
         parts = body.split()
         if len(parts) != 2:
             raise ValueError(f"line {ln_no}: expected 'u v', got {body!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {ln_no}: non-integer vertex id in {body!r}") from None
+        if not all(digits(p) for p in parts):
+            raise ValueError(f"line {ln_no}: non-integer vertex id in {body!r}")
+        if max(len(p) for p in parts) > 4300:
+            raise ValueError(f"line {ln_no}: vertex id of over 4,300 digits")
+        u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise ValueError(f"line {ln_no}: self-loop at {u}")
         if not (0 <= u < v < n):
@@ -259,16 +282,32 @@ class TestParserMatchesReference:
         "# c\n\n  # d\n3\n0 1\n",           # comment-only lines before the header
         "3 # vertex count\n0 1 # edge\n",   # '#' on the header and an edge line
         "3#\n#\n1 2#x\n",
-        "3\n0\t1\n1\x0c2\n",                # \x0c ends a line for splitlines
-        "3\n0\x0b\x0b1\n",
-        "+4\n+0 1_0\n", "12\n+0 1_0\n", "1_2\n\u0663 4\n", "3\n-0 2\n",
+        "3\n0\t1\n1\x0c2\n",                # \x0c separates ids; only \n ends a line
+        "3\n0 1\x0c1 2\n", "3\n0 1\u20281 2\n", "3\n0 1\x851 2\n", "3\r0 1\r1 2\r",
+        "3\n0\x0b\x0b1\n", "3\r\n0 1\r\n1 2\r\n", "3 \r\n\r\n0 1 # x\r\n",
+        "+4\n+0 1_0\n", "12\n+0 1_0\n", "1_2\n\u0663 4\n", "3\n-0 2\n", "3\n0 +1\n",
+        "3\n1_0 2\n", "3\n\u0663 1\n", "3\n0 \uff11\n", "\u0663\n", "+3\n", "3\n0 1 # \u0663 +1\n",
         "3\n1 0\n", "3\n0 3\n", "3\n-1 2\n", "3\n1 1\n", "3\n0 1\n0 1\n", "3\n0 1\n1 0\n",
         "3\n0 1 2\n", "3\n\t0 1 2 # x\n", "3\n0\n", "3\n 0 a \n", "3\n0 1.0\n",
         "x\n0 1\n", "-1\n", f"{MAX_VERTICES + 1}\n", "3 4\n0 1\n", "0\n", "1\n0 1\n",
-        "", "\n", " \n\t\n\x0c\n", "# only\n#\n",
+        "", "\n", " \n\t\n\x0c\n", "# only\n#\n", "00100001\n", "003\n0 001\n",
     ])
     def test_fixed_inputs(self, text):
         assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("9" * 5000 + "\n", "line 1: vertex count 9999"),
+        ("0" * 5000 + "3\n0 1\n", None),
+        ("3\n0 " + "9" * 5000 + "\n", "line 2: vertex id of over 4,300 digits"),
+        ("3\n" + "9" * 5000 + " " + "9" * 5000 + "\n", "line 2: vertex id of over"),
+        ("3\n0 " + "0" * 5000 + "1\n", "line 2: vertex id of over"),
+        ("3\n0 " + "9" * 4300 + "\n", "line 2: need 0 <= u < v < n"),
+    ], ids=["header", "zero-padded-header", "id", "both-ids", "zero-padded-id", "id-4300"])
+    def test_digit_strings_past_int_limit(self, text, fragment):
+        # int() refuses strings of over 4,300 digits; each outcome names its line
+        out = _outcome(parse_edge_list, text)
+        assert out == _outcome(_reference_parse, text)
+        assert out[0] == "graph" if fragment is None else out[1].startswith(fragment)
 
     @given(_TEXTS)
     @settings(max_examples=400, deadline=None)
@@ -282,6 +321,16 @@ class TestParserMatchesReference:
             random.Random(g.m).shuffle(body)
             text = "\n".join([lines[0], *body])
             assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+
+def _eager_neighbours(g: Graph) -> list:
+    """The neighbour sets built at once: sets filled one add() at a time,
+    in the order g.edges iterates."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [frozenset(a) for a in adj]
 
 
 def _same_graph(got: Graph, want: Graph):
@@ -319,12 +368,38 @@ class TestCanonicalBuilder:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
     def test_neighbours_iterate_as_one_add_per_edge(self, g):
-        # sets filled one add() at a time, in the order g.edges iterates
-        adj = [set() for _ in range(g.n)]
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        assert [list(g.neighbours(v)) for v in range(g.n)] == [list(frozenset(s)) for s in adj]
+        assert [list(g.neighbours(v)) for v in range(g.n)] == \
+            [list(a) for a in _eager_neighbours(g)]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
+    def test_every_build_counts_degrees_and_iterates_as_eager(self, g, monkeypatch):
+        es = sorted(g.edges)
+        drop = set(es[::3])
+        keep = [e for e in es if e not in drop]
+
+        def builds():
+            yield "Graph", Graph(g.n, es)
+            yield "parse_edge_list", parse_edge_list(serialize_edge_list(g))
+            yield "without_edges", g.without_edges(drop)
+            yield "spanning", g.spanning(keep)
+
+        def fail(self):
+            raise AssertionError("neighbour sets built for a degree query")
+
+        built = []
+        with monkeypatch.context() as mp:
+            mp.setattr(Graph, "_build_neighbours", fail)
+            for how, h in builds():
+                deg = h.degrees()
+                assert [h.degree(v) for v in range(h.n)] == deg, how
+                assert sum(deg) == 2 * h.m, how
+                assert h.min_degree() == min(deg, default=0), how
+                assert h.max_degree() == max(deg, default=0), how
+                built.append((how, h))
+        for how, h in built:
+            ref = _eager_neighbours(h)
+            assert [list(h.neighbours(v)) for v in range(h.n)] == [list(a) for a in ref], how
+            assert all(h.degree(v) == len(h.neighbours(v)) for v in range(h.n)), how
 
     def test_spanning_other_sets_still_validate(self):
         g = cycle(6)

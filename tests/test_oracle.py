@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,8 +15,12 @@ from irrdec.graph_core import (
     Graph,
     complete,
     cycle,
+    gnp,
     is_locally_irregular_decomposition,
+    parse_edge_list,
     path,
+    random_regular,
+    serialize_edge_list,
     spider,
     t_family_members,
 )
@@ -32,6 +37,27 @@ from irrdec.oracle import (
 # needs 4 parts.
 TWO_BOWTIES = Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5),
                          (5, 6), (6, 7), (5, 7), (5, 8), (8, 9), (5, 9)])
+
+
+class TestEdgeOrder:
+    # pinned: _edge_order follows the iteration order of the neighbour sets,
+    # so any change to how Graph builds them shows here
+    def test_small_graphs(self):
+        assert _edge_order(spider(2)) == [(2, 3), (4, 5), (6, 7), (8, 9), (0, 2), (0, 4),
+                                          (1, 6), (1, 8), (0, 1)]
+        assert _edge_order(parse_edge_list("6\n4 5\n0 5\n2 3\n1 4\n0 1\n3 5\n1 2\n")) == \
+            [(0, 1), (0, 5), (1, 2), (2, 3), (3, 5), (1, 4), (4, 5)]
+
+    def test_larger_graphs(self):
+        rr = random_regular(40, 5, seed=2)
+        cases = [(rr, "c1685b5cb76f15b8"),
+                 (gnp(30, 0.3, seed=4), "897f7eae5ce67159"),
+                 (parse_edge_list(serialize_edge_list(gnp(30, 0.3, seed=4))), "897f7eae5ce67159"),
+                 (rr.without_edges(sorted(rr.edges)[::3]), "97a8af3e1206caf2"),
+                 (rr.spanning(sorted(rr.edges)[1::2]), "9363c590fd63ee9d")]
+        assert _edge_order(rr)[:6] == [(0, 17), (0, 2), (0, 4), (0, 22), (0, 13), (1, 32)]
+        for g, want in cases:
+            assert hashlib.sha256(repr(_edge_order(g)).encode()).hexdigest()[:16] == want
 
 
 class TestMinParts:
