@@ -48,8 +48,8 @@ RANDOMIZED_FAMILIES = ("gnp", "random_regular")
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
 # moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
-# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.2 s and types 3
-# and 23 in about 0.5-0.7 s, and each step of e costs about 4x (2-vCPU
+# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.09 s and types 3
+# and 23 in about 0.2-0.4 s, and each step of e costs about 4x (2-vCPU
 # Intel Xeon).
 RISKPROB_MAX_EXPONENT = 8
 
@@ -140,9 +140,11 @@ def cmd_gen(args) -> int:
 
 
 def _edge_counts(trace) -> dict:
-    fields = ("g_prime", "h1", "g1", "overlap_c", "overlap_f", "g_dprime",
-              "h2", "h2_prime", "h3_prime")
-    return {f: getattr(trace, f).m for f in fields if getattr(trace, f) is not None}
+    fields = ("h1", "g1", "overlap_c", "overlap_f", "g_dprime", "h2", "h2_prime", "h3_prime")
+    counts = {f: getattr(trace, f).m for f in fields if getattr(trace, f) is not None}
+    if trace.g_prime_degrees is not None:  # g' itself is built only when part 1's solver runs
+        counts["g_prime"] = sum(trace.g_prime_degrees) // 2
+    return counts
 
 
 def _exception_components(g: Graph):
@@ -189,24 +191,21 @@ def cmd_decompose(args) -> int:
                          solver_budget=args.budget, strict=args.strict)
     outcome, trace = decompose3(g, cfg)
     seconds = time.perf_counter() - t0
+    result = {"stages": trace.stage_reports, "edge_counts": _edge_counts(trace)}
     if isinstance(outcome, Diagnostic):
-        result = {"valid": False, "diagnostic": outcome.to_json(),
-                  "stages": trace.stage_reports, "edge_counts": _edge_counts(trace)}
-        record = make_record("decompose", params, args.seed, result, seconds)
-        _emit(record, args, [
-            f"diagnostic: {outcome.code} at stage {outcome.stage}",
-        ])
-        return EXIT_DIAGNOSTIC
-    colour = {f"{u}-{v}": c for (u, v), c in sorted(outcome.colour.items())}
-    result = {"valid": True, "k": outcome.k, "colour": colour,
-              "stages": trace.stage_reports, "edge_counts": _edge_counts(trace)}
+        result.update(valid=False, diagnostic=outcome.to_json())
+        code, lines = EXIT_DIAGNOSTIC, [f"diagnostic: {outcome.code} at stage {outcome.stage}"]
+    else:
+        colour = {f"{u}-{v}": c for (u, v), c in sorted(outcome.colour.items())}
+        result.update(valid=True, k=outcome.k, colour=colour)
+        sizes = [sum(1 for c in outcome.colour.values() if c == i) for i in (1, 2, 3)]
+        code, lines = EXIT_OK, ["decomposition: valid, 3 locally irregular parts",
+                                f"  part sizes: {sizes[0]} / {sizes[1]} / {sizes[2]} edges"]
     record = make_record("decompose", params, args.seed, result, seconds)
-    sizes = [sum(1 for c in outcome.colour.values() if c == i) for i in (1, 2, 3)]
-    _emit(record, args, [
-        "decomposition: valid, 3 locally irregular parts",
-        f"  part sizes: {sizes[0]} / {sizes[1]} / {sizes[2]} edges",
-    ])
-    return EXIT_OK
+    record["manifest"]["stage_seconds"] = {
+        stage: round(s, 6) for stage, s in trace.stage_seconds.items()}
+    _emit(record, args, lines)
+    return code
 
 
 def cmd_oracle(args) -> int:

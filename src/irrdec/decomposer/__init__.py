@@ -9,7 +9,8 @@ first one that returns a Diagnostic:
 
   stage_preflight          minimum degree (the strict floor)
   stage_labels             resampled labels and their fresh classification
-  stage_part1              h1, carved out of g' = g - R1
+  stage_part1              h1, carved out of g' = g - R1 (built only for the
+                           solver: the windows read its degrees)
   stage_overlap_colouring  g1 = g - h1, the overlap graphs C and F, and h
   stage_part2              h2, carved out of g'' = g1 - (R2 | R3)
   stage_assembly           h2' = h2 + C and h3' = g1 - h2'
@@ -22,10 +23,13 @@ e = labeling.exponents(g); the factor moduli 3*4^e, the residue targets
 3*c*2^e and the colour caps 2^(e-1) - 1 all come from it, so they follow the
 ORIGINAL graph's degrees, while interval windows follow the degrees of the
 host graph a part is carved out of (an explicit argument of _stage_factor).
+The trace also records each stage's wall time, which the CLI puts in its
+manifest, outside the result digest.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +43,7 @@ from ..factor_solver import (
     windows,
 )
 from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge
-from ..labeling import LabelPair, classify, exponents, ratio_gate
+from ..labeling import LabelPair, classify, exponents, gate
 from ..lll_engine import Timeout, moser_tardos
 
 STRICT_MIN_DEGREE = 10 ** 10
@@ -83,6 +87,7 @@ class PipelineTrace:
     stage_reports: list = field(default_factory=list)
     labels: LabelPair | None = None
     classification: object = None
+    g_prime_degrees: list | None = None
     g_prime: Graph | None = None
     h1: Graph | None = None
     g1: Graph | None = None
@@ -94,6 +99,7 @@ class PipelineTrace:
     h2_prime: Graph | None = None
     h3_prime: Graph | None = None
     decomposition: Decomposition | None = None
+    stage_seconds: dict = field(default_factory=dict)  # stage name -> wall time
 
     def __post_init__(self):
         self.exponents = exponents(self.graph)
@@ -138,11 +144,14 @@ def _residue_spec(trace: PipelineTrace, label_terms: list) -> ModularTargetSpec:
     return ModularTargetSpec([t % m for t, m in zip(label_terms, lam)], lam)
 
 
-def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTargetSpec):
-    """Carve a spanning subgraph of host over the sets factor_solver.allowed_degrees
-    gives (degrees spec.t or spec.t+1 mod spec.lam in the windows of host
-    degrees); returns it or a Diagnostic.  Only pipeline policy lives here:
-    the strict precondition, the degree-0 exemption and the diagnostics.
+def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
+                  spec: ModularTargetSpec):
+    """Carve a spanning subgraph of the host over the sets
+    factor_solver.allowed_degrees gives (degrees spec.t or spec.t+1 mod
+    spec.lam in the windows of the host degrees deg); returns it or a
+    Diagnostic.  Only pipeline policy lives here: the strict precondition,
+    the degree-0 exemption and the diagnostics.  Every check reads deg, so
+    build_host() is called for the host graph only when the solver runs.
     The solver is seeded by the config seed and stage.
 
     The report's exempt lists vertices released from the residue contract
@@ -151,16 +160,16 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
     precondition_failing, it keeps the first 20 ids and a count.
     """
     cfg = trace.config
-    failing = spec.check_precondition(host)
+    failing = spec.check_precondition(deg)
     capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
     if cfg.strict and failing:
         return trace.fail(stage, "ModulusPreconditionViolated",
                           {"vertices": failing[:20], "count": len(failing)},
                           **capped)
-    deg = host.degrees()
-    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) for v in range(host.n)}
-    exempt = [v for v in range(host.n) if deg[v] == 0]  # both windows of 0 are empty
-    empty = [v for v in range(host.n) if deg[v] and not allowed[v]]
+    n = len(deg)
+    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) for v in range(n)}
+    exempt = [v for v in range(n) if deg[v] == 0]  # both windows of 0 are empty
+    empty = [v for v in range(n) if deg[v] and not allowed[v]]
     if empty:
         v = empty[0]
         d = deg[v]
@@ -174,7 +183,7 @@ def _stage_factor(trace: PipelineTrace, stage: str, host: Graph, spec: ModularTa
     trace.report(stage, True, exempt=exempt[:20], exempt_count=len(exempt), **capped)
     allowed.update((v, {0}) for v in exempt)
     result = find_degree_set_subgraph(
-        host, DegreeTargetSpec(allowed), mode=cfg.solver_mode,
+        build_host(), DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",
     )
     if isinstance(result, Failure):
@@ -218,9 +227,18 @@ def stage_labels(trace: PipelineTrace):
 
 
 def stage_part1(trace: PipelineTrace):
-    trace.g_prime = trace.graph.without_edges(trace.classification.r1)
+    g, r1 = trace.graph, trace.classification.r1
+    deg = trace.g_prime_degrees = g.degrees()  # d_g(v) - d_R1(v)
+    for u, v in r1:
+        deg[u] -= 1
+        deg[v] -= 1
+
+    def build_g_prime():
+        trace.g_prime = g.without_edges(r1)
+        return trace.g_prime
+
     spec = _residue_spec(trace, [3 * (c << e) for c, e in zip(trace.labels.c1, trace.exponents)])
-    out = _stage_factor(trace, "part1_factor", trace.g_prime, spec)
+    out = _stage_factor(trace, "part1_factor", deg, build_g_prime, spec)
     if isinstance(out, Diagnostic):
         return out
     trace.h1 = out
@@ -246,11 +264,11 @@ def stage_overlap_colouring(trace: PipelineTrace):
 
 def stage_part2(trace: PipelineTrace):
     g1, cls = trace.g1, trace.classification
-    trace.g_dprime = g1.without_edges(g1.edges & (cls.r2 | cls.r3))
+    g_dprime = trace.g_dprime = g1.without_edges(g1.edges & (cls.r2 | cls.r3))
     spec = _residue_spec(trace, [
         3 * (c << e) + 3 * trace.h[v] - trace.overlap_c.degree(v)
         for v, (c, e) in enumerate(zip(trace.labels.c2, trace.exponents))])
-    out = _stage_factor(trace, "part2_factor", trace.g_dprime, spec)
+    out = _stage_factor(trace, "part2_factor", g_dprime.degrees(), lambda: g_dprime, spec)
     if isinstance(out, Diagnostic):
         return out
     trace.h2 = out
@@ -310,7 +328,9 @@ def decompose3(g: Graph, cfg: PipelineConfig):
     """
     trace = PipelineTrace(g, cfg)
     for stage in STAGES:
+        t0 = time.perf_counter()
         diag = stage(trace)
+        trace.stage_seconds[stage.__name__.removeprefix("stage_")] = time.perf_counter() - t0
         if diag is not None:
             return diag, trace
     return trace.decomposition, trace
@@ -341,7 +361,7 @@ def congruence_separation_check(trace: PipelineTrace, part: int, edge) -> Separa
     g = trace.graph
     du, dv = g.degree(u), g.degree(v)
     pdu, pdv = part_graph.degree(u), part_graph.degree(v)
-    if not ratio_gate(du, dv):  # both ends of an edge have degree >= 1
+    if not gate(du, dv):  # both ends of an edge have degree >= 1
         case = "window_separation"
     elif part == 2 and (u, v) in trace.overlap_f.edges:
         case = "properness_of_h"

@@ -58,9 +58,9 @@ class ModularTargetSpec:
     t: list
     lam: list
 
-    def check_precondition(self, g: Graph) -> list:
-        """Vertices violating 6*lam(v) <= d(v)."""
-        return [v for v in range(g.n) if 6 * self.lam[v] > g.degree(v)]
+    def check_precondition(self, degrees: list) -> list:
+        """Vertices violating 6*lam(v) <= d(v), from the host's degrees."""
+        return [v for v, d in enumerate(degrees) if 6 * self.lam[v] > d]
 
 
 @dataclass
@@ -96,7 +96,7 @@ def allowed_degrees(d: int, lam: int, t: int) -> set:
 
 def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
     """Least residue-matching element of each window, per vertex."""
-    bad = spec.check_precondition(g)
+    bad = spec.check_precondition(g.degrees())
     if bad:
         raise ValueError(f"6*lam(v) <= d(v) fails at vertices {bad}")
     out = {}
@@ -313,7 +313,7 @@ def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact"
                           budget: int = 10000, seed=0):
     """Realize the two-residue contract by solving for the four-value
     allowed sets of allowed_degrees; the result is re-verified."""
-    bad = spec.check_precondition(g)
+    bad = spec.check_precondition(g.degrees())
     if bad:
         raise ValueError(f"6*lam(v) <= d(v) fails at vertices {bad}")
     dspec = DegreeTargetSpec({v: allowed_degrees(g.degree(v), spec.lam[v], spec.t[v])

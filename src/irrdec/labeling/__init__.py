@@ -6,6 +6,13 @@ powers of beta are powers of two raised to rational exponents: comparisons
 against beta^k reduce to big-integer comparisons and no predicate ever touches
 a float.  The per-vertex modulus is lam(v) = 2^e(v), with e = exponents(g).
 
+The risk congruences split into a per-vertex part and a per-pair part.
+risk_terms gives each vertex three integers once; risky_types, the one
+statement of the congruences, compares the terms of both endpoints over a
+whole batch of pairs in one call, so a batch of m edges costs m loop steps
+and no Python call per edge.  The ratio gate is decided once per degree
+pair through one bounded cache, gate.
+
 A classification is the risky edge sets r1, r2, r3; risky_neighbours gives
 the per-vertex sets A(v), B(v), C(v) whose sizes size_limits bounds.
 """
@@ -16,6 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from ..exact import BETA_POW, BETA_SHIFT, floor_scaled_pow
 from ..graph_core import Graph
@@ -54,6 +64,19 @@ def ratio_gate(du: int, dv: int) -> bool:
     return pu < (pv << BETA_SHIFT) and pv < (pu << BETA_SHIFT)
 
 
+@lru_cache(maxsize=4096)
+def gate(du: int, dv: int) -> bool:
+    """ratio_gate(du, dv), decided once per degree pair: the one bounded
+    cache that every gated-edge filter reads."""
+    return ratio_gate(du, dv)
+
+
+def gate_passes_all(degrees: list) -> bool:
+    """Whether every pair of these positive degrees passes the ratio gate.
+    The gate bounds the ratio, so the extreme pair decides."""
+    return not degrees or gate(min(degrees), max(degrees))
+
+
 @dataclass
 class LabelPair:
     """Per-vertex labels c1, c2, each uniform on [0, lam(v))."""
@@ -64,13 +87,16 @@ class LabelPair:
     def validate(self, g: Graph) -> None:
         """Both arrays hold one label per vertex, in [0, lam(v)); an
         isolated vertex has modulus 1 (label 0)."""
-        lams = [1 << e for e in exponents(g)]
+        self._check(exponents(g))
+
+    def _check(self, es: list) -> None:
+        """The checks of validate, against the graph's exponent vector es."""
         for labels in (self.c1, self.c2):
-            if len(labels) != g.n:
+            if len(labels) != len(es):
                 raise ValueError("label array length differs from vertex count")
-            for v, (c, lam) in enumerate(zip(labels, lams)):
-                if not (0 <= c < lam):
-                    raise ValueError(f"label {c} at vertex {v} outside [0, {lam})")
+            for v, (c, e) in enumerate(zip(labels, es)):
+                if not (0 <= c < 1 << e):
+                    raise ValueError(f"label {c} at vertex {v} outside [0, {1 << e})")
 
 
 def draw_label(rng: random.Random, e: int) -> int:
@@ -91,25 +117,51 @@ def sample_labels(g: Graph, seed) -> LabelPair:
     return draw_labels(g, random.Random(seed))
 
 
-def risk_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
-    """(type 1, type 2, type 3) riskiness of an edge whose ratio gate has
-    already passed, with eu, ev = ceil_log_beta of the endpoint degrees.
+def risk_terms(d: int, e: int, c1: int, c2: int) -> tuple:
+    """The per-vertex part of the risk congruences at a vertex of degree d,
+    exponent e and labels c1, c2: (c1*2^e, c2*2^e, d - 3*(c1 + c2)*2^e)."""
+    return c1 << e, c2 << e, d - 3 * ((c1 + c2) << e)
 
-    Type i in (1, 2) asks that 4^emin divides ci(u)*2^eu - ci(v)*2^ev.
-    Type 3 asks that d(u) - 3*2^eu*(c1u + c2u) - d(v) + 3*2^ev*(c1v + c2v)
-    is congruent mod 3*4^emin to one of -3*2^emin+1, ..., 3*2^emin-1
-    (a symmetric window, decided inline: this is the classifier's inner loop).
+
+class _Moduli(dict):
+    """emin -> (4^emin - 1, 3*4^emin, 3*2^emin - 1, 6*2^emin - 1), built on
+    first use: the mask of types 1 and 2, and type 3's modulus, shift and
+    window width."""
+
+    def __missing__(self, e):
+        moduli = self[e] = ((1 << (2 * e)) - 1, 3 << (2 * e), (3 << e) - 1, (6 << e) - 1)
+        return moduli
+
+
+_MODULI = _Moduli()
+
+
+def risky_types(pairs, terms: list, es: list) -> tuple:
+    """The (type 1, type 2, type 3) verdict lists over the vertex pairs
+    (u, v) of pairs, from the risk_terms and exponents of their endpoints;
+    the ratio gate is not checked here.  With emin = min(e(u), e(v)):
+
+    Type i in (1, 2) asks that 4^emin divides ci(u)*2^eu - ci(v)*2^ev, the
+    difference of the i-th terms.  Type 3 asks that su - sv, the difference
+    of the third terms, that is d(u) - 3*2^eu*(c1u + c2u) - d(v) +
+    3*2^ev*(c1v + c2v), is congruent mod 3*4^emin to one of -3*2^emin+1, ...,
+    3*2^emin-1: shifted by 3*2^emin - 1, its residue is below 6*2^emin - 1.
+
+    This is the only statement of the three congruences.  It runs the loop
+    itself: a batch costs one call, not one call per pair.
     """
-    emin = eu if eu < ev else ev
-    mask = (1 << (2 * emin)) - 1
-    k = 3 << (2 * emin)
-    b = 3 << emin
-    r = (du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)) % k
-    return (
-        ((c1u << eu) - (c1v << ev)) & mask == 0,
-        ((c2u << eu) - (c2v << ev)) & mask == 0,
-        r < b or r > k - b,
-    )
+    t1, t2, t3 = [], [], []
+    add1, add2, add3 = t1.append, t2.append, t3.append
+    moduli = _MODULI
+    for u, v in pairs:
+        eu, ev = es[u], es[v]
+        mask, k, shift, width = moduli[eu if eu < ev else ev]
+        a1u, a2u, su = terms[u]
+        a1v, a2v, sv = terms[v]
+        add1(not (a1u - a1v) & mask)
+        add2(not (a2u - a2v) & mask)
+        add3((su - sv + shift) % k < width)
+    return t1, t2, t3
 
 
 class RiskyClassification:
@@ -135,28 +187,19 @@ def risky_neighbours(n: int, cls: RiskyClassification) -> list:
 
 
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
-    labels.validate(g)
+    """The risky edges of each type: the gated edges, with every vertex's
+    risk_terms computed once and all edges judged in one risky_types call.
+    Edges are gated one by one only when the graph's extreme degrees fail
+    the gate."""
     es = exponents(g)
+    labels._check(es)
     deg = g.degrees()
-    c1, c2 = labels.c1, labels.c2
-    gate = {}
-    r1, r2, r3 = [], [], []
-    for e in g.edges:
-        u, v = e
-        du, dv = deg[u], deg[v]
-        ok = gate.get((du, dv))
-        if ok is None:
-            ok = gate[du, dv] = ratio_gate(du, dv)
-        if not ok:
-            continue
-        t1, t2, t3 = risk_flags(du, dv, es[u], es[v], c1[u], c1[v], c2[u], c2[v])
-        if t1:
-            r1.append(e)
-        if t2:
-            r2.append(e)
-        if t3:
-            r3.append(e)
-    return RiskyClassification(r1, r2, r3)
+    terms = list(map(risk_terms, deg, es, labels.c1, labels.c2))
+    gated = list(g.edges)
+    if not gate_passes_all(list(filter(None, deg))):
+        ends = (map(deg.__getitem__, map(itemgetter(i), gated)) for i in (0, 1))
+        gated = list(compress(gated, map(gate, *ends)))
+    return RiskyClassification(*(compress(gated, t) for t in risky_types(gated, terms, es)))
 
 
 KINDS = ("A", "B", "C", "F")  # the sizes bounded: |A(v)|, |B(v)|, |C(v)|, |F(v)|

@@ -3,16 +3,20 @@ their size bounds), their dependency digraph, a Moser-Tardos resampler that
 keeps the same verdicts incrementally, exact risk probabilities, and the
 numeric audit of every closed-form constant the machinery relies on.
 
+Every verdict comes from labeling.risky_types, which judges a batch of
+pairs of risk_terms in one call; costs below count the pairs judged.  The
+resampler keeps one terms list, refreshes it at the resampled vertices
+only and re-judges their gated edges as one batch per round.
+
 An edge's risk probability is a count of label assignments, taken over
-only the coordinates each type reads and decided by labeling.risk_flags:
-O(lam(u)*lam(v)) predicate calls for every type, against the
-lam(u)^2 * lam(v)^2 assignments of the full label space.  Types 1 and 2
-read (ci(u), ci(v)); type 3 reads the sums c1 + c2 at both endpoints.
-Every type-3 and joint "23" count is a rectangle sum over one prefix-sum
-table of the type-3 verdicts of all sum pairs, built once per degree pair
-and shared by the exact and the worst conditional probabilities.  The
-worst conditional risks of types 1 and 2 are maxima of conditioned
-probabilities, so every scheme costs about 4^e steps for
+only the coordinates each type reads: O(lam(u)*lam(v)) pairs judged for
+every type, against the lam(u)^2 * lam(v)^2 assignments of the full label
+space.  Types 1 and 2 read (ci(u), ci(v)); type 3 reads the sums c1 + c2
+at both endpoints.  Every type-3 and joint "23" count is a rectangle sum
+over one prefix-sum table of the type-3 verdicts of all sum pairs, built
+once per degree pair and shared by the exact and the worst conditional
+probabilities.  The worst conditional risks of types 1 and 2 are maxima of
+conditioned probabilities, so every scheme costs about 4^e steps for
 e = max(e(u), e(v)).
 """
 
@@ -23,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, compress, product
 
 from ..exact import floor_beta_mult, iroot, BETA_POW, BETA_SHIFT
 from ..graph_core import Graph, InvariantViolated
@@ -35,9 +39,11 @@ from ..labeling import (
     draw_label,
     draw_labels,
     exponents,
-    ratio_gate,
-    risk_flags,
+    gate,
+    gate_passes_all,
+    risk_terms,
     risky_neighbours,
+    risky_types,
     size_limits,
     violated_kinds,
 )
@@ -59,21 +65,30 @@ class BadEvent:
 
 
 def gated_neighbours(g: Graph, v: int) -> list:
+    """The neighbours u of v that pass the ratio gate, ascending; gated one
+    by one only when the extreme degrees around v fail the gate."""
     dv = g.degree(v)
-    return [u for u in sorted(g.neighbours(v)) if ratio_gate(g.degree(u), dv)]
+    nbrs = sorted(g.neighbours(v))
+    degrees = list(map(g.degree, nbrs))
+    if not nbrs or gate_passes_all([dv, *degrees]):
+        return nbrs
+    return [u for u, du in zip(nbrs, degrees) if gate(du, dv)]
 
 
 _KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels each kind reads
 
 
-def event_scope(g: Graph, v: int, kind: str) -> frozenset:
+def event_scope(g: Graph, v: int, kind: str, nbrs=None) -> frozenset:
+    """nbrs is gated_neighbours(g, v), when the caller has built it."""
     if kind not in _KIND_SLOTS:
         raise ValueError(f"unknown event kind {kind!r}")
-    return frozenset((w, s) for w in [v] + gated_neighbours(g, v) for s in _KIND_SLOTS[kind])
+    if nbrs is None:
+        nbrs = gated_neighbours(g, v)
+    return frozenset((w, s) for w in [v, *nbrs] for s in _KIND_SLOTS[kind])
 
 
-def make_event(g: Graph, v: int, kind: str) -> BadEvent:
-    return BadEvent(v, kind, event_scope(g, v, kind))
+def make_event(g: Graph, v: int, kind: str, nbrs=None) -> BadEvent:
+    return BadEvent(v, kind, event_scope(g, v, kind, nbrs))
 
 
 def violated_events(g: Graph, labels: LabelPair, slack) -> list:
@@ -109,9 +124,12 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
 
     One full classify gives the risky_neighbours sets that later rounds
     update in place.  Resampling changes labels only at the scope vertices,
-    so a round reclassifies just the gated edges at those vertices and
-    rechecks the events of the endpoints whose sets changed.  At slack inf
-    no event has a bound, and the initial draw is returned unclassified.
+    so a round refreshes their risk_terms, re-judges just the gated edges
+    at those vertices in one risky_types call and rechecks the events of
+    the endpoints whose sets changed.  Each vertex's gated neighbours are
+    listed once per call and serve both its event scopes and its edges.
+    At slack inf no event has a bound, and the initial draw is returned
+    unclassified.
     """
     limits = size_limits(g, slack)
     if max_rounds < 1:
@@ -123,7 +141,10 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     c1, c2 = labels.c1, labels.c2
     deg = g.degrees()
     es = exponents(g)
-    risky = risky_neighbours(g.n, classify(g, labels))
+    terms = list(map(risk_terms, deg, es, c1, c2))
+    cls = classify(g, labels)
+    risky = risky_neighbours(g.n, cls)
+    risky_edges = [set(cls.r1), set(cls.r2), set(cls.r3)]
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
 
     def recheck(vertices):
@@ -134,14 +155,21 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
             else:
                 bad.pop(x, None)
 
+    gated = {}  # vertex -> gated_neighbours, built on first use
+
+    def gated_of(w):
+        nbrs = gated.get(w)
+        if nbrs is None:
+            nbrs = gated[w] = gated_neighbours(g, w)
+        return nbrs
+
     recheck(range(g.n))
-    gated = {}
     trajectory = []
     for round_no in range(max_rounds):
         if not bad:
             return labels
         v = min(bad)
-        ev = make_event(g, v, bad[v][0])
+        ev = make_event(g, v, bad[v][0], gated_of(v))
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
@@ -150,26 +178,27 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 
         scope_verts = {w for w, _ in ev.scope}
-        changed = set()
+        pairs = []
         for w in scope_verts:
-            if w not in gated:
-                gated[w] = gated_neighbours(g, w)
-            for x in gated[w]:
-                if x in scope_verts and x < w:
-                    continue  # this edge is handled from x
-                lo, hi = (w, x) if w < x else (x, w)
-                flags = risk_flags(deg[lo], deg[hi], es[lo], es[hi],
-                                   c1[lo], c1[hi], c2[lo], c2[hi])
-                for set_lo, set_hi, now in zip(risky[lo], risky[hi], flags):
-                    if (hi in set_lo) != now:
-                        if now:
-                            set_lo.add(hi)
-                            set_hi.add(lo)
-                        else:
-                            set_lo.discard(hi)
-                            set_hi.discard(lo)
-                        changed.add(lo)
-                        changed.add(hi)
+            terms[w] = risk_terms(deg[w], es[w], c1[w], c2[w])
+            for x in gated_of(w):
+                if x not in scope_verts:
+                    pairs.append((w, x) if w < x else (x, w))
+                elif w < x:  # an edge inside the scope is judged once
+                    pairs.append((w, x))
+        changed = set()
+        for t, (edge_set, verdicts) in enumerate(zip(risky_edges, risky_types(pairs, terms, es))):
+            now = set(compress(pairs, verdicts))
+            before = edge_set.intersection(pairs)
+            for lo, hi in before - now:
+                risky[lo][t].discard(hi)
+                risky[hi][t].discard(lo)
+            for lo, hi in now - before:
+                risky[lo][t].add(hi)
+                risky[hi][t].add(lo)
+            edge_set -= before
+            edge_set |= now
+            changed.update(chain.from_iterable(now ^ before))
         recheck(changed)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
@@ -191,13 +220,13 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
     a vertex of positive degree, that targets stay inside the squared-ratio
     window (1/beta^2)*d < d(w) < beta^2*d.
     """
-    events = [make_event(g, v, k) for v in range(g.n) for k in KINDS]
+    nbrs = [gated_neighbours(g, v) for v in range(g.n)]
+    events = [make_event(g, v, k, nbrs[v]) for v in range(g.n) for k in KINDS]
     reach = {}
     for v in range(g.n):
-        around = {v}
-        for u in gated_neighbours(g, v):
-            around.add(u)
-            around.update(gated_neighbours(g, u))
+        around = {v, *nbrs[v]}
+        for u in nbrs[v]:
+            around.update(nbrs[u])
         reach[v] = sorted(around)
     arcs = {}
     for ev in events:
@@ -231,20 +260,30 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
 _SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
 
 
+def _verdict_rows(du: int, dv: int, xs: range, ys: range, t: int):
+    """For each x in xs, the verdicts over y in ys, judged as one
+    risky_types batch per row: t = 0 judges labels x at u and y at v by the
+    congruence that types 1 and 2 share, t = 2 judges sums c1 + c2 = x at u
+    and y at v by type 3."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    terms = [risk_terms(du, eu, x, 0) for x in xs] + [risk_terms(dv, ev, y, 0) for y in ys]
+    es = [eu] * len(xs) + [ev] * len(ys)
+    cols = range(len(xs), len(terms))
+    for i in range(len(xs)):
+        yield risky_types([(i, j) for j in cols], terms, es)[t]
+
+
 @lru_cache(maxsize=1)  # riskprob's two probabilities share one table
 def _type3_rectangles(du: int, dv: int):
     """count(a, b) = the number of sum pairs in a x b risky of type 3, for
     intervals a within [0, 2lu-1) and b within [0, 2lv-1), where a sum is
     c1 + c2 at u or at v.  The verdicts of all (2lu-1)(2lv-1) sum pairs go
-    into a 2-D prefix-sum table, one predicate call each, and each count is
-    four lookups."""
+    into a 2-D prefix-sum table, and each count is four lookups."""
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    svs = range((2 << ev) - 1)
     # rect[i][j] = risky pairs among the sums su < i and sv < j
-    rect = [[0] * (len(svs) + 1)]
-    for su in range((2 << eu) - 1):
-        row = accumulate((risk_flags(du, dv, eu, ev, su, sv, 0, 0)[2] for sv in svs), initial=0)
-        rect.append([a + b for a, b in zip(rect[-1], row)])
+    rect = [[0] * (2 << ev)]
+    for verdicts in _verdict_rows(du, dv, range((2 << eu) - 1), range((2 << ev) - 1), 2):
+        rect.append([a + b for a, b in zip(rect[-1], accumulate(verdicts, initial=0))])
 
     def count(a: range, b: range) -> int:
         return (rect[a.stop][b.stop] - rect[a.start][b.stop]
@@ -260,8 +299,8 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
     values; remaining slots are uniform on their label ranges.
 
     Each type is counted over the coordinates it reads, with every verdict
-    taken from labeling.risk_flags.  With lu, lv the label moduli, the cost
-    in predicate calls is at most:
+    taken from labeling.risky_types, one batch per row of pairs.  With lu,
+    lv the label moduli, the cost in pairs judged is at most:
       1, 2  lu*lv: every ci(u) x ci(v), times the range of each free slot
             the type does not read.
       3     (2lu-1)(2lv-1): the type-3 verdicts of all pairs of sums
@@ -271,7 +310,7 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
       "23"  (2lu-1)(2lv-1) + lu*lv: the same table and rectangle sums,
             over only the c2 pairs risky of type 2.
     """
-    if not ratio_gate(du, dv):
+    if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
     lam = {"c1_u": 1 << eu, "c2_u": 1 << eu, "c1_v": 1 << ev, "c2_v": 1 << ev}
@@ -287,19 +326,21 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
     c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
 
     if rtype in (1, 2):
-        read, flag = (("c1_u", "c1_v"), 0) if rtype == 1 else (("c2_u", "c2_v"), 1)
-        # types 1 and 2 are one congruence on c1 or on c2: feed (x, y) to both
-        hits = sum(risk_flags(du, dv, eu, ev, x, y, x, y)[flag]
-                   for x in span[read[0]] for y in span[read[1]])
+        read = ("c1_u", "c1_v") if rtype == 1 else ("c2_u", "c2_v")
+        hits = sum(sum(row) for row in _verdict_rows(du, dv, span[read[0]], span[read[1]], 0))
         count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
     elif rtype in (3, "23"):
         # the c1 pairs put the sums of a c2 pair (x, y) in (x + c1u) x (y + c1v);
         # type "23" keeps only the c2 pairs risky of type 2
         count_type3 = _type3_rectangles(du, dv)
+        if rtype == 3:
+            c2_pairs = product(c2u, c2v)
+        else:
+            c2_pairs = ((x, y) for x, row in zip(c2u, _verdict_rows(du, dv, c2u, c2v, 0))
+                        for y, hit in zip(c2v, row) if hit)
         count = sum(count_type3(range(x + c1u.start, x + c1u.stop),
                                 range(y + c1v.start, y + c1v.stop))
-                    for x in c2u for y in c2v
-                    if rtype == 3 or risk_flags(du, dv, eu, ev, 0, 0, x, y)[1])
+                    for x, y in c2_pairs)
     else:
         raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
     return Fraction(count, math.prod(len(r) for r in span.values()))
@@ -319,17 +360,17 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
       "type3_given_rest"    max over (c1v, c2v, c2u), free c1(u)
       "both23_given_c1v_c2v" max over (c1v, c2v), free (c1u, c2u)
 
-    Types 1 and 2 take the largest exact_edge_risk_probability over the
-    conditioned slot, lu*lv predicate calls in all.  Type 3 and the joint
+    Types 1 and 2 take the largest conditioned probability, a column sum
+    of one table of lu*lv pairs judged.  Type 3 and the joint
     scheme read the type-3 table of exact_edge_risk_probability, built once
-    per degree pair from (2lu-1)(2lv-1) predicate calls; each conditioning
+    per degree pair from (2lu-1)(2lv-1) pairs judged; each conditioning
     then reads the column of its sum at v over the lu sums that a free
     c1(u) gives at u.  Type 3 takes the largest such column sum over
-    (2lv-1)*lu of them, with no further predicate call; the joint scheme
-    adds, for each (c1v, c2v), the column sums of the c2(u) values risky
-    of type 2 against c2(v), lu*lv more calls.
+    (2lv-1)*lu of them, judging no further pair; the joint scheme adds,
+    for each (c1v, c2v), the column sums of the c2(u) values risky of
+    type 2 against c2(v), from lu*lv more pairs judged.
     """
-    if not ratio_gate(du, dv):
+    if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
     k = 3 << (2 * min(eu, ev))
@@ -345,8 +386,10 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
 
     lu, lv = 1 << eu, 1 << ev
     if which in ("type1_given_c1v", "type2_given_c2v"):
-        rtype, slot = (1, "c1_v") if which == "type1_given_c1v" else (2, "c2_v")
-        worst = max(exact_edge_risk_probability(du, dv, rtype, {slot: y}) for y in range(lv))
+        # given ci(v) = y, the risk is the share of ci(u) values risky against
+        # y: a column of the table of the congruence both types share
+        columns = zip(*_verdict_rows(du, dv, range(lu), range(lv), 0))
+        worst = Fraction(max(map(sum, columns)), lu)
     else:
         # c1(u) is free in both schemes, so given c2(u) = x the sum at u
         # ranges over [x, x + lu); (c1v, c2v) enters type 3 only as sv
@@ -359,8 +402,9 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
             worst = Fraction(max(column(x, sv) for x in range(lu) for sv in range(2 * lv - 1)), lu)
         else:
             best = 0
+            type2 = list(_verdict_rows(du, dv, range(lu), range(lv), 0))  # [c2u][c2v]
             for c2v in range(lv):
-                risky = [x for x in range(lu) if risk_flags(du, dv, eu, ev, 0, 0, x, c2v)[1]]
+                risky = [x for x in range(lu) if type2[x][c2v]]
                 for sv in range(c2v, c2v + lv):  # sv = c1v + c2v
                     best = max(best, sum(column(x, sv) for x in risky))
             worst = Fraction(best, lu * lu)

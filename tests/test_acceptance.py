@@ -180,7 +180,7 @@ def test_criterion_4_factor_solver():
     failures = 0
     for i in range(100):
         g, spec = _random_modular_instance(rng)
-        assert g.n <= 24 and spec.check_precondition(g) == []
+        assert g.n <= 24 and spec.check_precondition(g.degrees()) == []
         h = find_modular_subgraph(g, spec, mode="exact", seed=i)
         if isinstance(h, Failure):
             failures += 1

@@ -29,7 +29,7 @@ from irrdec.graph_core import (
     spider,
     t_family_members,
 )
-from irrdec.labeling import risk_flags
+from irrdec.labeling import risky_types
 
 from test_labeling import lambda_of
 
@@ -127,6 +127,21 @@ class TestDecompose:
         assert diag["stage"] == "part1_factor"
         assert diag["code"] == "WindowTargetInfeasible"
         assert 0 < rec["result"]["edge_counts"]["g_prime"] <= 91
+
+    def test_stage_seconds_sit_outside_the_digest(self, capsys, graph_file):
+        # the digest is the one this run had before stage times were recorded
+        src = graph_file("gnp.txt", gnp(30, 0.5, seed=3))
+        code, out, _ = run(capsys, "decompose", src, "--seed", "1", "--slack", "0.5", "--json")
+        assert code == 2
+        rec = json.loads(out)
+        assert rec["manifest"]["result_digest"] == \
+            "sha256:ab314974f0f215ed3eebfb91b8ac7638641147b54d357a17708155d5b79646dc"
+        assert rec["result"]["edge_counts"] == {"g_prime": 155}
+        # three stages ran (the last stopped at part 1), one timing each
+        seconds = rec["manifest"]["stage_seconds"]
+        assert len(rec["result"]["stages"]) == 3
+        assert sorted(seconds) == ["labels", "part1", "preflight"]
+        assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
 
     def test_infinite_slack_builds_no_neighbour_sets(self, capsys, graph_file, monkeypatch):
         # the parsed graph and g' are read only through their degrees, and
@@ -373,18 +388,18 @@ class TestRiskProb:
         # pairs; type 23 adds lu*lv type-2 verdicts for each of them
         lu, lv = lambda_of(30), lambda_of(41)
         assert (lu, lv) == (4, 8)
-        calls = []
+        judged = []
 
-        def counted(*args):
-            calls.append(args)
-            return risk_flags(*args)
+        def counted(pairs, terms, es):
+            judged.extend(pairs)
+            return risky_types(pairs, terms, es)
 
-        monkeypatch.setattr(lll_engine, "risk_flags", counted)
+        monkeypatch.setattr(lll_engine, "risky_types", counted)
         lll_engine._WORST_CACHE.clear()
         lll_engine._type3_rectangles.cache_clear()
         assert run(capsys, "riskprob", "30", "41", "--type", rtype)[0] == 0
         bound = (2 * lu - 1) * (2 * lv - 1) + (2 * lu * lv if rtype == "23" else 0)
-        assert 0 < len(calls) <= bound
+        assert 0 < len(judged) <= bound
 
     @pytest.mark.parametrize("du,dv", [("2", "5000"), ("0", "5")])
     def test_ungated_pairs(self, capsys, du, dv):

@@ -112,7 +112,7 @@ class TestPipelineOutcomes:
         assert out.code == "WindowTargetInfeasible"
         assert out.detail["count"] >= 1
         # the first failing vertex keeps one edge: both windows are empty
-        assert trace.g_prime.degree(out.detail["vertices"][0]) == out.detail["degree"] == 1
+        assert trace.g_prime_degrees[out.detail["vertices"][0]] == out.detail["degree"] == 1
         assert out.detail["window_widths"] == [0, 0]
         assert out.detail["modulus"] == 12
 
@@ -121,14 +121,14 @@ class TestPipelineOutcomes:
         # 2 integers while a residue class mod 48 needs 48
         out, trace = decompose3(complete(14), PipelineConfig(seed=3, **RELAXED))
         assert out.code == "WindowTargetInfeasible" and out.detail["count"] == 14
-        assert trace.g_prime.degree(out.detail["vertices"][0]) == 9
+        assert trace.g_prime_degrees[out.detail["vertices"][0]] == 9
         assert (out.detail["degree"], out.detail["window_widths"], out.detail["modulus"]) \
             == (9, [1, 2], 48)
 
     def test_solver_failure_reports_flips(self):
         g = complete(13)
         cfg = PipelineConfig(seed=1, solver_mode="heuristic", solver_budget=3)
-        out = _stage_factor(PipelineTrace(g, cfg), "part1_factor", g,
+        out = _stage_factor(PipelineTrace(g, cfg), "part1_factor", g.degrees(), lambda: g,
                             ModularTargetSpec([0] * 13, [1] * 13))
         assert out.code == "FactorSolverFailure"
         assert out.detail == {"mode": "heuristic", "reason": "flip budget exhausted",
@@ -176,7 +176,7 @@ class TestPipelineOutcomes:
         assert isinstance(out, Diagnostic)
         assert out.stage in ("part1_factor", "overlap_colouring",
                              "part2_factor", "final_gate")
-        assert trace.labels is not None and trace.g_prime is not None
+        assert trace.labels is not None and trace.g_prime_degrees is not None
 
     def test_deterministic_per_seed(self):
         g = gnp(30, 0.5, seed=3)

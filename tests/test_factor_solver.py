@@ -44,7 +44,7 @@ class TestWindows:
     def test_precondition_raise(self):
         g = path(1)
         spec = ModularTargetSpec([0, 0], [3, 3])  # 6*3 > 1
-        assert spec.check_precondition(g) == [0, 1]
+        assert spec.check_precondition(g.degrees()) == [0, 1]
         with pytest.raises(ValueError):
             choose_window_targets(g, spec)
 

@@ -13,9 +13,12 @@ from irrdec.labeling import (
     ceil_log_beta,
     classify,
     exponents,
+    gate,
+    gate_passes_all,
     ratio_gate,
-    risk_flags,
+    risk_terms,
     risky_neighbours,
+    risky_types,
     sample_labels,
     size_limits,
 )
@@ -34,8 +37,14 @@ def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
     return r < b or r > k - b
 
 
+def pair_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
+    """One pair's (type 1, type 2, type 3) verdicts, as a batch of one."""
+    terms = [risk_terms(du, eu, c1u, c2u), risk_terms(dv, ev, c1v, c2v)]
+    return tuple(verdicts[0] for verdicts in risky_types([(0, 1)], terms, [eu, ev]))
+
+
 def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
-    """One edge's verdict of one type, read off risk_flags."""
+    """One edge's verdict of one type, read off risky_types."""
     if rtype not in (1, 2, 3):
         raise ValueError(f"risky type must be 1, 2 or 3, got {rtype}")
     if not g.has_edge(u, v):
@@ -43,13 +52,13 @@ def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
     du, dv = g.degree(u), g.degree(v)
     if not ratio_gate(du, dv):
         return False
-    flags = risk_flags(du, dv, ceil_log_beta(du), ceil_log_beta(dv),
+    flags = pair_flags(du, dv, ceil_log_beta(du), ceil_log_beta(dv),
                        labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
     return flags[rtype - 1]
 
 
 # The congruences as the probability enumeration wrote them before it moved
-# onto risk_flags, kept as an independent reference for risk_flags.
+# onto the shared predicate, kept as an independent reference for risky_types.
 def _type3_offset(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> int:
     return du - 3 * ((c1u + c2u) << eu) - dv + 3 * ((c1v + c2v) << ev)
 
@@ -159,6 +168,19 @@ class TestLabels:
         labels.validate(g)
         assert len(calls) == 1
 
+    def test_classify_maps_degrees_to_e_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return exponents(g)
+
+        g = complete(9)
+        labels = sample_labels(g, 1)
+        monkeypatch.setattr(labeling, "exponents", counted)
+        classify(g, labels)
+        assert len(calls) == 1
+
 
 class TestSymmetricModPredicate:
     def test_examples(self):
@@ -206,14 +228,61 @@ class TestRisky:
          (5, 7, False), (7, 5, False), (30, 41, False), (41, 30, False)],
     )
     def test_risk_flags_match_probability_predicate(self, du, dv, same_band):
-        # _holds is the separate reference copy of the congruences above
+        # _holds is the separate reference copy of the congruences above;
+        # every label pair of both endpoints is judged in one batch
         assert ratio_gate(du, dv)
         eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
         assert (eu == ev) == same_band
-        for c1u, c2u in product(range(1 << eu), repeat=2):
-            for c1v, c2v in product(range(1 << ev), repeat=2):
-                args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
-                assert risk_flags(*args) == tuple(_holds(t, *args) for t in (1, 2, 3)), args
+        at_u = list(product(range(1 << eu), repeat=2))
+        at_v = list(product(range(1 << ev), repeat=2))
+        terms = ([risk_terms(du, eu, c1, c2) for c1, c2 in at_u]
+                 + [risk_terms(dv, ev, c1, c2) for c1, c2 in at_v])
+        es = [eu] * len(at_u) + [ev] * len(at_v)
+        pairs = list(product(range(len(at_u)), range(len(at_u), len(terms))))
+        for (i, j), *flags in zip(pairs, *risky_types(pairs, terms, es)):
+            (c1u, c2u), (c1v, c2v) = at_u[i], at_v[j - len(at_u)]
+            args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
+            assert tuple(flags) == tuple(_holds(t, *args) for t in (1, 2, 3)), args
+
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6),
+                              st.integers(0, 2**20), st.integers(0, 2**20),
+                              st.integers(0, 2**20), st.integers(0, 2**20)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_verdicts_match_reference(self, rows):
+        # random degree pairs (mixed bands, and pairs the gate rejects: the
+        # congruences do not read the gate) with labels reduced into
+        # [0, 2lam - 1), which covers every label value and every sum
+        # c1 + c2 the riskprob tables judge; all pairs go in one batch
+        terms, es, pairs, want = [], [], [], []
+        for du, dv, c1u, c1v, c2u, c2v in rows:
+            eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+            c1u, c2u = c1u % ((2 << eu) - 1), c2u % ((2 << eu) - 1)
+            c1v, c2v = c1v % ((2 << ev) - 1), c2v % ((2 << ev) - 1)
+            pairs.append((len(terms), len(terms) + 1))
+            terms += [risk_terms(du, eu, c1u, c2u), risk_terms(dv, ev, c1v, c2v)]
+            es += [eu, ev]
+            args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
+            want.append(tuple(_holds(t, *args) for t in (1, 2, 3)))
+        assert list(zip(*risky_types(pairs, terms, es))) == want
+
+    def test_gate_cache_stays_bounded(self):
+        # vertex i joins j when i + j >= n: about n^2/4 edges over as many
+        # distinct degree pairs, more than the cache holds, many of them
+        # failing the gate
+        n = 200
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if i + j >= n])
+        deg = g.degrees()
+        pairs = {(deg[u], deg[v]) for u, v in g.edges}
+        info = gate.cache_info()
+        assert len(pairs) > info.maxsize == 4096
+        assert not gate_passes_all(list(filter(None, deg)))
+        labels = sample_labels(g, 1)
+        gate.cache_clear()
+        cls = classify(g, labels)
+        assert gate.cache_info().currsize == info.maxsize
+        for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
+            assert rset == {e for e in g.edges if is_risky(g, labels, *e, rtype)}
 
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):

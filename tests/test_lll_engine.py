@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from irrdec.lll_engine import (
     event_scope,
     exact_binomial_tail,
     exact_edge_risk_probability,
+    gated_neighbours,
     make_event,
     moser_tardos,
     risk_bound_holds,
@@ -118,6 +120,22 @@ class TestMoserTardos:
         assert rounds > 300
         assert outcomes == {LabelPair, Timeout}
         assert irregular_instances >= 2
+
+    @pytest.mark.parametrize("g", [complete(14), gnp(50, 0.15, seed=4)])
+    def test_gated_lists_built_once_per_call(self, monkeypatch, g):
+        # event scopes and re-judged edges read one list per vertex; gnp
+        # has gate-failing edges, so its lists are gated pair by pair
+        built = Counter()
+
+        def counted(graph, v):
+            built[v] += 1
+            return gated_neighbours(graph, v)
+
+        monkeypatch.setattr(lll_engine, "gated_neighbours", counted)
+        rounds = []
+        moser_tardos(g, 1, 0.1, 200, observer=lambda r, *_: rounds.append(r))
+        assert len(rounds) > 10
+        assert max(built.values()) == 1
 
     def test_infinite_slack_never_classifies(self, monkeypatch):
         def fail(*args):
