@@ -79,7 +79,8 @@ _KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels eac
 
 
 def event_scope(g: Graph, v: int, kind: str, nbrs=None) -> frozenset:
-    """nbrs is gated_neighbours(g, v), when the caller has built it."""
+    """The label slots that event (v, kind) reads; nbrs is
+    gated_neighbours(g, v), when the caller has built it."""
     if kind not in _KIND_SLOTS:
         raise ValueError(f"unknown event kind {kind!r}")
     if nbrs is None:
