@@ -88,7 +88,6 @@ class PipelineTrace:
     labels: LabelPair | None = None
     classification: object = None
     g_prime_degrees: list | None = None
-    g_prime: Graph | None = None
     h1: Graph | None = None
     g1: Graph | None = None
     overlap_c: Graph | None = None
@@ -233,12 +232,8 @@ def stage_part1(trace: PipelineTrace):
         deg[u] -= 1
         deg[v] -= 1
 
-    def build_g_prime():
-        trace.g_prime = g.without_edges(r1)
-        return trace.g_prime
-
     spec = _residue_spec(trace, [3 * (c << e) for c, e in zip(trace.labels.c1, trace.exponents)])
-    out = _stage_factor(trace, "part1_factor", deg, build_g_prime, spec)
+    out = _stage_factor(trace, "part1_factor", deg, lambda: g.without_edges(r1), spec)
     if isinstance(out, Diagnostic):
         return out
     trace.h1 = out

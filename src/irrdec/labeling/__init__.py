@@ -71,12 +71,6 @@ def gate(du: int, dv: int) -> bool:
     return ratio_gate(du, dv)
 
 
-def gate_passes_all(degrees: list) -> bool:
-    """Whether every pair of these positive degrees passes the ratio gate.
-    The gate bounds the ratio, so the extreme pair decides."""
-    return not degrees or gate(min(degrees), max(degrees))
-
-
 @dataclass
 class LabelPair:
     """Per-vertex labels c1, c2, each uniform on [0, lam(v))."""
@@ -189,14 +183,15 @@ def risky_neighbours(n: int, cls: RiskyClassification) -> list:
 def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
     """The risky edges of each type: the gated edges, with every vertex's
     risk_terms computed once and all edges judged in one risky_types call.
-    Edges are gated one by one only when the graph's extreme degrees fail
-    the gate."""
+    The gate bounds a degree ratio, so when the graph's extreme positive
+    degrees pass it every edge does; only otherwise are edges gated one by
+    one."""
     es = exponents(g)
     labels._check(es)
     deg = g.degrees()
     terms = list(map(risk_terms, deg, es, labels.c1, labels.c2))
     gated = list(g.edges)
-    if not gate_passes_all(list(filter(None, deg))):
+    if gated and not gate(min(filter(None, deg)), max(deg)):
         ends = (map(deg.__getitem__, map(itemgetter(i), gated)) for i in (0, 1))
         gated = list(compress(gated, map(gate, *ends)))
     return RiskyClassification(*(compress(gated, t) for t in risky_types(gated, terms, es)))

@@ -40,7 +40,6 @@ from ..labeling import (
     draw_labels,
     exponents,
     gate,
-    gate_passes_all,
     risk_terms,
     risky_neighbours,
     risky_types,
@@ -65,31 +64,24 @@ class BadEvent:
 
 
 def gated_neighbours(g: Graph, v: int) -> list:
-    """The neighbours u of v that pass the ratio gate, ascending; gated one
-    by one only when the extreme degrees around v fail the gate."""
+    """The neighbours u of v that pass the ratio gate, ascending."""
     dv = g.degree(v)
-    nbrs = sorted(g.neighbours(v))
-    degrees = list(map(g.degree, nbrs))
-    if not nbrs or gate_passes_all([dv, *degrees]):
-        return nbrs
-    return [u for u, du in zip(nbrs, degrees) if gate(du, dv)]
+    return [u for u in sorted(g.neighbours(v)) if gate(g.degree(u), dv)]
 
 
 _KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels each kind reads
 
 
-def event_scope(g: Graph, v: int, kind: str, nbrs=None) -> frozenset:
-    """The label slots that event (v, kind) reads; nbrs is
-    gated_neighbours(g, v), when the caller has built it."""
+def event_scope(v: int, kind: str, nbrs: list) -> frozenset:
+    """The label slots that event (v, kind) reads, where nbrs is
+    gated_neighbours(g, v)."""
     if kind not in _KIND_SLOTS:
         raise ValueError(f"unknown event kind {kind!r}")
-    if nbrs is None:
-        nbrs = gated_neighbours(g, v)
     return frozenset((w, s) for w in [v, *nbrs] for s in _KIND_SLOTS[kind])
 
 
-def make_event(g: Graph, v: int, kind: str, nbrs=None) -> BadEvent:
-    return BadEvent(v, kind, event_scope(g, v, kind, nbrs))
+def make_event(v: int, kind: str, nbrs: list) -> BadEvent:
+    return BadEvent(v, kind, event_scope(v, kind, nbrs))
 
 
 def violated_events(g: Graph, labels: LabelPair, slack) -> list:
@@ -99,11 +91,13 @@ def violated_events(g: Graph, labels: LabelPair, slack) -> list:
     tested against this function."""
     risky = risky_neighbours(g.n, classify(g, labels))
     limits = size_limits(g, slack)
-    return [
-        make_event(g, v, kind)
-        for v in range(g.n)
-        for kind in violated_kinds(limits[v], *risky[v])
-    ]
+    events = []
+    for v in range(g.n):
+        kinds = violated_kinds(limits[v], *risky[v])
+        if kinds:
+            nbrs = gated_neighbours(g, v)
+            events.extend(make_event(v, kind, nbrs) for kind in kinds)
+    return events
 
 
 @dataclass
@@ -145,7 +139,6 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
     terms = list(map(risk_terms, deg, es, c1, c2))
     cls = classify(g, labels)
     risky = risky_neighbours(g.n, cls)
-    risky_edges = [set(cls.r1), set(cls.r2), set(cls.r3)]
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
 
     def recheck(vertices):
@@ -170,7 +163,7 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
         if not bad:
             return labels
         v = min(bad)
-        ev = make_event(g, v, bad[v][0], gated_of(v))
+        ev = make_event(v, bad[v][0], gated_of(v))
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
@@ -188,18 +181,16 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
                 elif w < x:  # an edge inside the scope is judged once
                     pairs.append((w, x))
         changed = set()
-        for t, (edge_set, verdicts) in enumerate(zip(risky_edges, risky_types(pairs, terms, es))):
+        for t, verdicts in enumerate(risky_types(pairs, terms, es)):
             now = set(compress(pairs, verdicts))
-            before = edge_set.intersection(pairs)
-            for lo, hi in before - now:
+            was = {(lo, hi) for lo, hi in pairs if hi in risky[lo][t]}
+            for lo, hi in was - now:
                 risky[lo][t].discard(hi)
                 risky[hi][t].discard(lo)
-            for lo, hi in now - before:
+            for lo, hi in now - was:
                 risky[lo][t].add(hi)
                 risky[hi][t].add(lo)
-            edge_set -= before
-            edge_set |= now
-            changed.update(chain.from_iterable(now ^ before))
+            changed.update(chain.from_iterable(now ^ was))
         recheck(changed)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
@@ -222,7 +213,7 @@ def build_dependency_digraph(g: Graph) -> DependencyDigraph:
     window (1/beta^2)*d < d(w) < beta^2*d.
     """
     nbrs = [gated_neighbours(g, v) for v in range(g.n)]
-    events = [make_event(g, v, k, nbrs[v]) for v in range(g.n) for k in KINDS]
+    events = [make_event(v, k, nbrs[v]) for v in range(g.n) for k in KINDS]
     reach = {}
     for v in range(g.n):
         around = {v, *nbrs[v]}

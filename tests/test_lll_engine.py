@@ -42,23 +42,23 @@ INSTRUMENTED = (14, 0.1)  # complete(14) at slack 0.1: tight but terminating
 class TestEvents:
     def test_scope_slots(self):
         g = path(2)  # degrees 1,2,1; every adjacent pair is gated
-        assert event_scope(g, 0, "A") == {(0, 1), (1, 1)}
-        assert event_scope(g, 0, "B") == {(0, 2), (1, 2)}
-        assert event_scope(g, 1, "C") == {(w, s) for w in (0, 1, 2) for s in (1, 2)}
+        assert event_scope(0, "A", gated_neighbours(g, 0)) == {(0, 1), (1, 1)}
+        assert event_scope(0, "B", gated_neighbours(g, 0)) == {(0, 2), (1, 2)}
+        assert event_scope(1, "C", gated_neighbours(g, 1)) == {(w, s) for w in (0, 1, 2) for s in (1, 2)}
         with pytest.raises(ValueError):
-            event_scope(g, 0, "Z")
+            event_scope(0, "Z", gated_neighbours(g, 0))
 
     def test_scope_excludes_ungated_neighbours(self):
         g = Graph(8, [(0, i) for i in range(1, 8)])  # star, centre degree 7
-        assert event_scope(g, 0, "A") == {(0, 1)}
-        assert event_scope(g, 1, "A") == {(1, 1)}
+        assert event_scope(0, "A", gated_neighbours(g, 0)) == {(0, 1)}
+        assert event_scope(1, "A", gated_neighbours(g, 1)) == {(1, 1)}
 
     def test_sort_order_is_vertex_then_kind(self):
         n, slack = INSTRUMENTED
         g = complete(n)
         bad = violated_events(g, LabelPair([0] * n, [0] * n), slack)
         assert [(e.vertex, e.kind) for e in bad] == [(v, k) for v in range(n) for k in KINDS]
-        assert bad[0] == make_event(g, 0, "A")
+        assert bad[0] == make_event(0, "A", gated_neighbours(g, 0))
 
     def test_violated_events_on_tight_instance(self):
         n, slack = INSTRUMENTED
