@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,10 +33,11 @@ class Graph:
     The constructor checks each edge (no self-loop, ends in 0..n-1) and
     stores it as (u, v) with u < v.  _canonical trusts its edges to be
     distinct canonical pairs in range already; only parse_edge_list (which
-    checks 0 <= u < v < n and duplicates line by line) and without_edges (a
-    subset of self.edges) call it.  Both paths add the edges to a set one at
-    a time, so equal inputs give edge and neighbour sets that iterate alike:
-    the oracle's edge order follows that order.
+    checks 0 <= u < v < n over the whole id list, and duplicates by the size
+    of the edge set) and without_edges (a subset of self.edges) call it.
+    Both paths add the edges to a set one at a time, so equal inputs give
+    edge and neighbour sets that iterate alike: the oracle's edge order
+    follows that order.
 
     Degrees are counted when the graph is built.  The neighbour sets are
     built on the first call to neighbours or components, so a graph whose
@@ -62,6 +64,7 @@ class Graph:
 
     @classmethod
     def _canonical(cls, n: int, edges) -> "Graph":
+        """A graph on edges already checked to be distinct pairs 0 <= u < v < n."""
         g = cls.__new__(cls)
         g._build(n, set(iter(edges)))  # iter(): one insertion at a time, as in __init__
         return g
@@ -385,26 +388,64 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 # edge-list format: first line n, then one "u v" pair per line, '#' comments.
 # Lines break at '\n' only (a trailing '\r' is whitespace, so "\r\n" works);
-# the count and the vertex ids are strings of ASCII digits.
+# the count and the vertex ids are strings of ASCII digits.  The body after
+# the header loses its comments in one pass and is then checked in a few
+# passes over the whole text: one search for a bad line, one int() per id,
+# then the order, range and duplicate tests over the id slices.  Only a
+# rejected body is walked line by line, to name the first line at fault.
+
+_COMMENT = re.compile(r"#[^\n]*")
+# a line that is neither blank nor two ASCII-digit tokens; [^\S\n] is any
+# whitespace but '\n'.  Each line start costs time linear in its line: no
+# quantifier nests, so a failed match backtracks one step per character.
+_BAD_LINE = re.compile(r"^(?![^\S\n]*(?:[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?$)", re.M)
+
 
 def parse_edge_list(text: str) -> Graph:
-    lines = enumerate(text.split("\n"), start=1)
-    for hdr_no, raw in lines:  # the header is the first line with more than a comment
-        hdr = raw.split("#", 1)[0].strip()
+    start, hdr_no = 0, 1
+    while True:  # the header is the first line with more than a comment
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        hdr = line.split("#", 1)[0].strip()
         if hdr:
             break
-    else:
-        raise ValueError("empty edge list: missing vertex-count header")
+        if end < 0:
+            raise ValueError("empty edge list: missing vertex-count header")
+        start, hdr_no = end + 1, hdr_no + 1
     if not (hdr.isascii() and hdr.isdigit()):
         raise ValueError(f"line {hdr_no}: vertex count expected, got {hdr!r}")
     count = hdr.lstrip("0") or "0"  # int() refuses strings of over 4,300 digits
     if len(count) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
         raise ValueError(f"line {hdr_no}: vertex count {count} exceeds the limit {MAX_VERTICES}")
     n = int(count)
+    body = _COMMENT.sub("", text[end + 1:]) if end >= 0 else ""
+    edges = _batch_edges(body, n)
+    if edges is None:
+        _raise_line_fault(enumerate(body.split("\n"), start=hdr_no + 1), n)
+    return Graph._canonical(n, edges)
+
+
+def _batch_edges(body: str, n: int):
+    """The set of edges of a comment-free body, added in file order, or None
+    if any line breaks a rule."""
+    if _BAD_LINE.search(body):
+        return None
+    try:
+        ids = list(map(int, body.split()))
+    except ValueError:  # int() refuses strings of over 4,300 digits
+        return None
+    us, vs = ids[0::2], ids[1::2]
+    if not all(map(int.__lt__, us, vs)) or max(vs, default=-1) >= n:
+        return None
+    edges = set(zip(us, vs))
+    return edges if len(edges) == len(us) else None
+
+
+def _raise_line_fault(lines, n: int):
+    """Raise the ValueError that names the first bad (number, line) of a
+    comment-free body the batch checks rejected."""
     edges = set()
-    for ln_no, raw in lines:  # the same iterator: the lines after the header
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
+    for ln_no, raw in lines:
         parts = raw.split()
         if len(parts) != 2:
             if not parts:
@@ -426,7 +467,7 @@ def parse_edge_list(text: str) -> Graph:
         if e in edges:
             raise ValueError(f"line {ln_no}: duplicate edge {u} {v}")
         edges.add(e)
-    return Graph._canonical(n, edges)
+    raise InvariantViolated("the batch checks rejected an edge list whose every line passes")
 
 
 def serialize_edge_list(g: Graph) -> str:

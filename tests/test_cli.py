@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrdec import lll_engine
-from irrdec.cli import RISKPROB_MAX_EXPONENT, _exception_components, canonical_json, main
+from irrdec.cli import (
+    RISKPROB_MAX_EXPONENT,
+    _exception_components,
+    build_parser,
+    canonical_json,
+    main,
+)
 from irrdec.exact import iroot
 from irrdec.graph_core import (
     GENERATORS,
@@ -197,6 +203,68 @@ class TestDecompose:
         run(capsys, "decompose", src, "--seed", "2", "--out", str(dest))
         assert json.loads(dest.read_text())["manifest"]["result_digest"] == \
             rec["manifest"]["result_digest"]
+
+
+class TestRepeatedCalls:
+    """main() builds its argument parser once per process; each call still
+    behaves like the first one in a fresh process."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_json_does_not_stick(self, capsys, graph_file):
+        src = graph_file("k14.txt", complete(14))
+        code, out, _ = run(capsys, "decompose", src, "--seed", "3", "--json")
+        assert code == 2 and json.loads(out)["manifest"]["command"] == "decompose"
+        code, out, _ = run(capsys, "decompose", src, "--seed", "3")
+        assert code == 2
+        assert out.startswith("diagnostic: WindowTargetInfeasible at stage part1_factor\n")
+        assert out.splitlines()[-1].startswith("digest: sha256:")
+
+    def test_out_does_not_stick(self, capsys, graph_file, tmp_path):
+        src = graph_file("p4.txt", path(4))
+        dest = tmp_path / "rec.json"
+        run(capsys, "decompose", src, "--seed", "2", "--out", str(dest))
+        first = dest.read_text()
+        _, out, _ = run(capsys, "decompose", src, "--seed", "5", "--json")
+        assert json.loads(out)["manifest"]["seed"] == 5
+        assert dest.read_text() == first
+        assert json.loads(first)["manifest"]["seed"] == 2
+
+    def test_usage_error_between_successes(self, capsys, graph_file):
+        src = graph_file("sp.txt", spider(2))
+        code, out, _ = run(capsys, "oracle", src)
+        assert code == 0 and "least parts: 3" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", src, "--kmax", "two"])
+        assert exc.value.code == 64 and "invalid int value" in capsys.readouterr().err
+        code, out, err = run(capsys, "oracle", src, "--json")
+        assert code == 0 and err == "" and json.loads(out)["result"]["k"] == 3
+
+
+class TestParseTiming:
+    """decompose and oracle time the read and parse of their input in the
+    manifest, outside the result digest."""
+
+    @pytest.mark.parametrize("argv,g,digest", [
+        (("decompose", "--seed", "1", "--slack", "0.5"), gnp(30, 0.5, seed=3),
+         "ab314974f0f215ed3eebfb91b8ac7638641147b54d357a17708155d5b79646dc"),
+        (("oracle",), spider(2),
+         "9c8e7461fb55d4f8c52d1fbb3fec6e2f904ad1214d693efc27f878eceef443af"),
+    ], ids=["decompose", "oracle"])
+    def test_parse_seconds_sit_outside_the_digest(self, capsys, graph_file, argv, g, digest):
+        # the digests are the ones these runs had before parse times were recorded
+        src = graph_file("g.txt", g)
+        _, out, _ = run(capsys, argv[0], src, *argv[1:], "--json")
+        rec = json.loads(out)
+        assert rec["manifest"]["result_digest"] == f"sha256:{digest}"
+        timing = rec["manifest"]["timing"]
+        assert sorted(timing) == ["parse_seconds", "seconds"]
+        assert all(isinstance(s, float) and s >= 0 for s in timing.values())
+
+    def test_other_commands_have_no_parse(self, capsys):
+        _, out, _ = run(capsys, "riskprob", "1000", "1000", "--json")
+        assert list(json.loads(out)["manifest"]["timing"]) == ["seconds"]
 
 
 def _ref_exception_components(g: Graph):

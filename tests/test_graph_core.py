@@ -1,14 +1,17 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irrdec.graph_core as graph_core
 from irrdec.graph_core import (
     MAX_VERTICES,
     Decomposition,
     ExceptionFamily,
     Graph,
+    InvariantViolated,
     _isomorphic,
     canon_edge,
     complete,
@@ -321,6 +324,56 @@ class TestParserMatchesReference:
             random.Random(g.m).shuffle(body)
             text = "\n".join([lines[0], *body])
             assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+    LONG_BODY = serialize_edge_list(random_regular(60, 7, seed=3))
+
+    @pytest.mark.parametrize("last,fragment", [
+        (LONG_BODY.split("\n")[1], "duplicate edge"),
+        ("5 3", "need 0 <= u < v < n"),
+        ("4 4", "self-loop at 4"),
+        ("0 60", "need 0 <= u < v < n"),
+        ("0 " + "1" * 4301, "vertex id of over 4,300 digits"),
+        ("0 \u0663", "non-integer vertex id"),
+        ("0 1 2", "expected 'u v'"),
+        ("0 11\u20285 9", "expected 'u v'"),
+    ], ids=["duplicate", "u-above-v", "self-loop", "id-at-n", "id-4301-digits",
+            "non-ascii-digit", "three-tokens", "u2028"])
+    def test_one_bad_line_after_a_long_body(self, last, fragment):
+        # every batch check passes on the 210 edges before the last line
+        text = self.LONG_BODY + last + "\n"
+        out = _outcome(parse_edge_list, text)
+        assert out == _outcome(_reference_parse, text)
+        assert out[0] == "error" and out[1].startswith(f"line 212: {fragment}")
+
+
+class TestParserCost:
+    """The body is checked in whole-text passes: a valid list never reaches
+    the line walk, and a hostile line costs linear time."""
+
+    @pytest.mark.parametrize("g", [random_regular(300, 30, seed=1), complete(80), Graph(5)],
+                             ids=repr)
+    def test_valid_lists_skip_the_line_walk(self, g, monkeypatch):
+        def fail(lines, n):
+            raise AssertionError("a valid edge list was walked line by line")
+
+        monkeypatch.setattr(graph_core, "_raise_line_fault", fail)
+        text = serialize_edge_list(g)
+        _same_graph(parse_edge_list(text), g)
+        _same_graph(parse_edge_list(text.replace("\n", "  # c\r\n")), g)
+
+    def test_the_line_walk_never_passes_a_body(self):
+        lines = enumerate(["0 1", "", " 1 2 "], start=2)
+        with pytest.raises(InvariantViolated):
+            graph_core._raise_line_fault(lines, 3)
+
+    @pytest.mark.parametrize("line", [" " * 10**6 + "x", "9" * 10**6 + "x",
+                                      "1 2" + " " * 10**6 + "x"],
+                             ids=["spaces", "digits", "edge-then-spaces"])
+    def test_hostile_lines_fail_in_linear_time(self, line):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="line 3: expected 'u v'"):
+            parse_edge_list("3\n0 1\n" + line + "\n")
+        assert time.perf_counter() - t0 < 2.0
 
 
 def _eager_neighbours(g: Graph) -> list:
