@@ -18,13 +18,13 @@ first one that returns a Diagnostic:
   stage_final_gate         local irregularity of every part
 
 Each stage reads only the PipelineTrace fields that earlier stages recorded
-(or a test set by hand) and records its own outputs there.  The trace holds
-e = labeling.exponents(g); the factor moduli 3*4^e, the residue targets
-3*c*2^e and the colour caps 2^(e-1) - 1 all come from it, so they follow the
-ORIGINAL graph's degrees, while interval windows follow the degrees of the
-host graph a part is carved out of (an explicit argument of _stage_factor).
-The trace also records each stage's wall time, which the CLI puts in its
-manifest, outside the result digest.
+(or a test set by hand) and records its own outputs there.  The trace maps
+degrees to e = labeling.exponents(g) once; every reader of e takes that
+vector as an argument.  The resampler, the classification, the factor
+moduli 3*4^e, the residue targets 3*c*2^e and the colour caps 2^(e-1) - 1
+thus follow the ORIGINAL graph's degrees, while interval windows follow
+those of the host a part is carved out of (an argument of _stage_factor).
+Each stage's wall time goes to the CLI manifest, outside the result digest.
 """
 
 from __future__ import annotations
@@ -212,16 +212,15 @@ def stage_preflight(trace: PipelineTrace):
 
 
 def stage_labels(trace: PipelineTrace):
-    g, cfg = trace.graph, trace.config
-    labels = moser_tardos(g, cfg.seed, cfg.slack, cfg.lll_rounds)
+    g, cfg, es = trace.graph, trace.config, trace.exponents
+    labels = moser_tardos(g, es, cfg.seed, cfg.slack, cfg.lll_rounds)
     if isinstance(labels, Timeout):
         return trace.fail("labels", "ClaimBoundsUnachieved",
                           {"rounds": labels.rounds, "trajectory_tail": labels.trajectory[-10:]},
                           rounds=labels.rounds)
     # classified afresh: the independent check on the resampler's bookkeeping
-    cls = classify(g, labels)
+    cls = trace.classification = classify(g, labels, es)
     trace.labels = labels
-    trace.classification = cls
     trace.report("labels", True, r1=len(cls.r1), r2=len(cls.r2), r3=len(cls.r3))
 
 

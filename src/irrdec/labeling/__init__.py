@@ -98,9 +98,8 @@ def draw_label(rng: random.Random, e: int) -> int:
     return rng.randrange(1 << e)
 
 
-def draw_labels(g: Graph, rng: random.Random) -> LabelPair:
+def draw_labels(es: list, rng: random.Random) -> LabelPair:
     """Draw all c1 values in vertex order, then all c2 values, from rng."""
-    es = exponents(g)
     c1 = [draw_label(rng, e) for e in es]
     c2 = [draw_label(rng, e) for e in es]
     return LabelPair(c1, c2)
@@ -108,7 +107,7 @@ def draw_labels(g: Graph, rng: random.Random) -> LabelPair:
 
 def sample_labels(g: Graph, seed) -> LabelPair:
     """The labels draw_labels takes from a fresh random.Random(seed)."""
-    return draw_labels(g, random.Random(seed))
+    return draw_labels(exponents(g), random.Random(seed))
 
 
 def risk_terms(d: int, e: int, c1: int, c2: int) -> tuple:
@@ -180,21 +179,22 @@ def risky_neighbours(n: int, cls: RiskyClassification) -> list:
     return out
 
 
-def classify(g: Graph, labels: LabelPair) -> RiskyClassification:
-    """The risky edges of each type: the gated edges, with every vertex's
-    risk_terms computed once and all edges judged in one risky_types call.
-    The gate bounds a degree ratio, so when the graph's extreme positive
-    degrees pass it every edge does; only otherwise are edges gated one by
-    one."""
-    es = exponents(g)
-    labels._check(es)
-    deg = g.degrees()
-    terms = list(map(risk_terms, deg, es, labels.c1, labels.c2))
+def classify_terms(g: Graph, deg: list, terms: list, es: list) -> RiskyClassification:
+    """The risky edges of each type: the gated edges, judged in one
+    risky_types call.  The gate bounds a degree ratio, so when the extreme
+    positive degrees pass it every edge does; only otherwise is each gated."""
     gated = list(g.edges)
     if gated and not gate(min(filter(None, deg)), max(deg)):
         ends = (map(deg.__getitem__, map(itemgetter(i), gated)) for i in (0, 1))
         gated = list(compress(gated, map(gate, *ends)))
     return RiskyClassification(*(compress(gated, t) for t in risky_types(gated, terms, es)))
+
+
+def classify(g: Graph, labels: LabelPair, es: list) -> RiskyClassification:
+    """classify_terms for labels checked against es, each term built once."""
+    labels._check(es)
+    deg = g.degrees()
+    return classify_terms(g, deg, list(map(risk_terms, deg, es, labels.c1, labels.c2)), es)
 
 
 KINDS = ("A", "B", "C", "F")  # the sizes bounded: |A(v)|, |B(v)|, |C(v)|, |F(v)|

@@ -1,7 +1,7 @@
 """Bad events over risky neighbourhoods (violated_events is the one check of
-their size bounds), their dependency digraph, a Moser-Tardos resampler that
-keeps the same verdicts incrementally, exact risk probabilities, and the
-numeric audit of every closed-form constant the machinery relies on.
+their size bounds), a Moser-Tardos resampler that keeps the same verdicts
+incrementally, exact risk probabilities, and the numeric audit of every
+closed-form constant the machinery relies on.
 
 Every verdict comes from labeling.risky_types, which judges a batch of
 pairs of risk_terms in one call; costs below count the pairs judged.  The
@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, product
 
-from ..exact import floor_beta_mult, iroot, BETA_POW, BETA_SHIFT
-from ..graph_core import Graph, InvariantViolated
+from ..exact import floor_beta_mult, iroot
+from ..graph_core import Graph
 from ..labeling import (
-    KINDS,
     LabelPair,
     ceil_log_beta,
     classify,
+    classify_terms,
     draw_label,
     draw_labels,
     exponents,
@@ -89,7 +89,7 @@ def violated_events(g: Graph, labels: LabelPair, slack) -> list:
     order: the one check of the neighbourhood-size bounds.  Classifies from
     scratch; moser_tardos keeps the same verdicts incrementally and is
     tested against this function."""
-    risky = risky_neighbours(g.n, classify(g, labels))
+    risky = risky_neighbours(g.n, classify(g, labels, exponents(g)))
     limits = size_limits(g, slack)
     events = []
     for v in range(g.n):
@@ -108,37 +108,35 @@ class Timeout:
     trajectory: list
 
 
-def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
+def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None):
     """Resample until no event is violated, or Timeout after max_rounds.
 
-    One PRNG stream drives everything: the initial labels are drawn exactly
-    as sample_labels draws them, then each round resamples the scope slots
-    of the lexicographically least violated event, in sorted slot order.
-    observer, when given, is called as observer(round_no, event, before,
-    after) with label snapshots around each resampling.
+    es = exponents(g) holds for the whole call: resampling redraws labels
+    only.  One PRNG stream drives everything: the initial labels are drawn
+    exactly as sample_labels draws them, then each round resamples the scope
+    slots of the lexicographically least violated event, in sorted slot
+    order.  observer, when given, is called as observer(round_no, event,
+    before, after) with label snapshots around each resampling.
 
-    One full classify gives the risky_neighbours sets that later rounds
-    update in place.  Resampling changes labels only at the scope vertices,
-    so a round refreshes their risk_terms, re-judges just the gated edges
-    at those vertices in one risky_types call and rechecks the events of
-    the endpoints whose sets changed.  Each vertex's gated neighbours are
-    listed once per call and serve both its event scopes and its edges.
-    At slack inf no event has a bound, and the initial draw is returned
-    unclassified.
+    The resampler classifies from its own terms list (classify_terms), and
+    later rounds update those risky_neighbours sets in place: a round
+    refreshes the terms of the scope vertices, whose labels alone change,
+    re-judges just their gated edges in one risky_types call and rechecks
+    the events of the endpoints whose sets changed.  Each vertex's gated
+    neighbours are listed once per call, for its event scopes and its edges.
+    At slack inf no event has a bound: the draw is returned unclassified.
     """
     limits = size_limits(g, slack)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     rng = random.Random(seed)
-    labels = draw_labels(g, rng)
+    labels = draw_labels(es, rng)
     if slack == math.inf:
         return labels
     c1, c2 = labels.c1, labels.c2
     deg = g.degrees()
-    es = exponents(g)
     terms = list(map(risk_terms, deg, es, c1, c2))
-    cls = classify(g, labels)
-    risky = risky_neighbours(g.n, cls)
+    risky = risky_neighbours(g.n, classify_terms(g, deg, terms, es))
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
 
     def recheck(vertices):
@@ -193,57 +191,6 @@ def moser_tardos(g: Graph, seed, slack, max_rounds: int, observer=None):
             changed.update(chain.from_iterable(now ^ was))
         recheck(changed)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
-
-
-@dataclass
-class DependencyDigraph:
-    events: list
-    arcs: dict
-
-    def out_degree(self, key) -> int:
-        return len(self.arcs[key])
-
-
-def build_dependency_digraph(g: Graph) -> DependencyDigraph:
-    """Arcs from each event to every other event whose vertex is the same
-    vertex, a gate-passing neighbour, or a gate-passing neighbour thereof.
-
-    Checks the out-degree bound 3 + 4*d*floor(beta*d) and, for arcs leaving
-    a vertex of positive degree, that targets stay inside the squared-ratio
-    window (1/beta^2)*d < d(w) < beta^2*d.
-    """
-    nbrs = [gated_neighbours(g, v) for v in range(g.n)]
-    events = [make_event(v, k, nbrs[v]) for v in range(g.n) for k in KINDS]
-    reach = {}
-    for v in range(g.n):
-        around = {v, *nbrs[v]}
-        for u in nbrs[v]:
-            around.update(nbrs[u])
-        reach[v] = sorted(around)
-    arcs = {}
-    for ev in events:
-        targets = tuple(
-            (w, k)
-            for w in reach[ev.vertex]
-            for k in KINDS
-            if (w, k) != (ev.vertex, ev.kind)
-        )
-        arcs[(ev.vertex, ev.kind)] = targets
-        d = g.degree(ev.vertex)
-        bound = 3 + 4 * d * floor_beta_mult(d)
-        if len(targets) > bound:
-            raise InvariantViolated(f"event ({ev.vertex}, {ev.kind}): out-degree "
-                                    f"{len(targets)} exceeds the bound {bound}")
-        if d >= 1:
-            pd = d ** BETA_POW
-            for w, _ in targets:
-                if w == ev.vertex:
-                    continue
-                pw = g.degree(w) ** BETA_POW
-                if not (pw < (pd << (2 * BETA_SHIFT)) and pd < (pw << (2 * BETA_SHIFT))):
-                    raise InvariantViolated(f"arc {ev.vertex} -> {w}: degree ratio "
-                                            f"{d}/{g.degree(w)} is not within beta^2")
-    return DependencyDigraph(events, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +365,6 @@ def risk_bound_holds(du: int, dv: int, which: str) -> bool:
     coeff, num = RISK_BOUNDS[which]
     p = worst_conditional_risk(du, dv, which)
     return p.numerator ** 50 * dv ** num <= coeff ** 50 * p.denominator ** 50
-
-
-# ---------------------------------------------------------------------------
-# Chernoff-style tail bound and its exact small-n companion
-
-def chernoff_bound(n: int, p, t) -> float:
-    """The tail bound 2*exp(-t^2/(3np)) for Pr(|BIN(n,p) - np| > t)."""
-    np_ = n * p
-    if not 0 <= t <= np_:
-        raise ValueError(f"need 0 <= t <= n*p, got t={t}, n*p={np_}")
-    return 2.0 * math.exp(-float(t) * float(t) / (3.0 * float(np_)))
-
-
-def exact_binomial_tail(n: int, p: Fraction, t) -> Fraction:
-    """Pr(|BIN(n,p) - np| > t) by direct enumeration; intended for n <= 25."""
-    if n > 25:
-        raise ValueError("exact tail enumeration is capped at n = 25")
-    p = Fraction(p)
-    q = 1 - p
-    np_ = n * p
-    total = Fraction(0)
-    for i in range(n + 1):
-        if abs(i - np_) > t:
-            total += math.comb(n, i) * p ** i * q ** (n - i)
-    return total
 
 
 # ---------------------------------------------------------------------------

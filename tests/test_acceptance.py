@@ -35,7 +35,7 @@ from irrdec.graph_core import (
     spider,
     t_family_members,
 )
-from irrdec.labeling import ratio_gate
+from irrdec.labeling import exponents, ratio_gate
 from irrdec.lll_engine import (
     Timeout,
     audit_constants,
@@ -213,7 +213,7 @@ def test_criterion_5_resampler_contract():
     successes = 0
     for i in range(100):
         g = random_regular(60, 12, seed=1000 + i)
-        out = moser_tardos(g, seed=i, slack=3, max_rounds=10**5)
+        out = moser_tardos(g, exponents(g), seed=i, slack=3, max_rounds=10**5)
         if isinstance(out, Timeout):
             continue
         successes += 1
@@ -233,7 +233,8 @@ def test_criterion_5_resampler_contract():
                 if (v, slot) not in ev.scope and seq_b[v] != seq_a[v]:
                     frame_breaks.append((round_no, v, slot))
 
-    out = moser_tardos(g, seed=0, slack=0.1, max_rounds=20000, observer=observer)
+    out = moser_tardos(g, exponents(g), seed=0, slack=0.1, max_rounds=20000,
+                       observer=observer)
     assert not isinstance(out, Timeout)
     assert rounds_seen > 0
     assert frame_breaks == [], f"labels changed outside scope: {frame_breaks[:5]}"

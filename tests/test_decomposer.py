@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -33,6 +34,7 @@ from irrdec.graph_core import (
     random_regular,
 )
 from irrdec.labeling import LabelPair, RiskyClassification, exponents
+from irrdec.lll_engine import moser_tardos
 
 RELAXED = dict(slack=math.inf)
 
@@ -187,6 +189,60 @@ class TestPipelineOutcomes:
         if isinstance(out1, Diagnostic):
             assert (out1.stage, out1.code, out1.detail) == (
                 out2.stage, out2.code, out2.detail)
+
+
+class TestOneExponentMap:
+    """Resampling redraws labels only, so e is one function of the degrees:
+    a decompose3 op maps degrees to e once, in PipelineTrace, and every
+    reader takes that vector as an argument."""
+
+    RESAMPLED = (random_regular(240, 22, seed=7), 7, 0.21)  # graph, seed, slack
+
+    @staticmethod
+    def _count_maps(monkeypatch) -> list:
+        """Wrap labeling.exponents at every irrdec module binding that holds
+        it; returns the list each call appends its graph to."""
+        original, calls = labeling.exponents, []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        bindings = [(mod, key) for name, mod in list(sys.modules.items())
+                    if name == "irrdec" or name.startswith("irrdec.")
+                    for key, value in vars(mod).items() if value is original]
+        assert (labeling, "exponents") in bindings
+        for mod, key in bindings:
+            monkeypatch.setattr(mod, key, counted)
+        return calls
+
+    def test_dense_op_maps_degrees_once(self, monkeypatch):
+        g = complete(14)
+        calls = self._count_maps(monkeypatch)
+        out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+        assert out.stage == "part1_factor" and trace.classification.r1
+        assert calls == [g]
+
+    def test_resampling_op_maps_degrees_once(self, monkeypatch):
+        g, seed, slack = self.RESAMPLED
+        rounds = []
+        moser_tardos(g, exponents(g), seed, slack, 100,
+                     observer=lambda r, *_: rounds.append(r))
+        assert rounds  # the op resamples, so every round reads e
+        calls = self._count_maps(monkeypatch)
+        out, trace = decompose3(g, PipelineConfig(seed=seed, slack=slack, lll_rounds=100))
+        assert out.stage == "part1_factor" and trace.classification is not None
+        assert calls == [g]
+
+    def test_resampler_classifies_from_its_own_terms(self, monkeypatch):
+        g, seed, slack = self.RESAMPLED
+        want = moser_tardos(g, exponents(g), seed, slack, 100)
+
+        def fail(*args):
+            raise AssertionError("moser_tardos called classify")
+
+        monkeypatch.setattr(lll_engine, "classify", fail)
+        assert moser_tardos(g, exponents(g), seed, slack, 100) == want
 
 
 def _manual_trace():

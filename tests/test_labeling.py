@@ -167,7 +167,7 @@ class TestLabels:
         labels.validate(g)
         assert len(calls) == 1
 
-    def test_classify_maps_degrees_to_e_once(self, monkeypatch):
+    def test_classify_takes_e_and_maps_no_degrees(self, monkeypatch):
         calls = []
 
         def counted(g):
@@ -176,9 +176,10 @@ class TestLabels:
 
         g = complete(9)
         labels = sample_labels(g, 1)
+        es = exponents(g)
         monkeypatch.setattr(labeling, "exponents", counted)
-        classify(g, labels)
-        assert len(calls) == 1
+        classify(g, labels, es)
+        assert len(calls) == 0
 
 
 class TestSymmetricModPredicate:
@@ -278,7 +279,7 @@ class TestRisky:
         assert not gate(min(filter(None, deg)), max(deg))  # so classify gates edge by edge
         labels = sample_labels(g, 1)
         gate.cache_clear()
-        cls = classify(g, labels)
+        cls = classify(g, labels, exponents(g))
         assert gate.cache_info().currsize == info.maxsize
         for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
             assert rset == {e for e in g.edges if is_risky(g, labels, *e, rtype)}
@@ -292,7 +293,7 @@ class TestRisky:
     def test_classification_matches_edge_scan(self, seed):
         g = gnp(12, 0.45, seed=101)
         labels = sample_labels(g, seed)
-        cls = classify(g, labels)
+        cls = classify(g, labels, exponents(g))
         assert cls.__slots__ == ("r1", "r2", "r3")
         for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
             expected = {e for e in g.edges if is_risky(g, labels, *e, rtype)}
@@ -309,7 +310,8 @@ class TestBounds:
     def test_complete30_equal_labels(self):
         g = complete(30)
         labels = LabelPair([0] * 30, [0] * 30)
-        assert all(len(a) == 29 for a, _, _ in risky_neighbours(30, classify(g, labels)))
+        risky = risky_neighbours(30, classify(g, labels, exponents(g)))
+        assert all(len(a) == 29 for a, _, _ in risky)
         # single-type neighbourhood bounds hold: 29 <= 8*29^0.62 = 64.5...;
         # the pair-overlap bound genuinely fails: 29 > 12*29^0.24 = 26.92...
         assert size_limits(g, 1)[0] == (64, 26)
@@ -324,7 +326,8 @@ class TestBounds:
         g = path(1)
         labels = sample_labels(g, 0)
         # the edge is risky of every type, but 1 <= 8 and 1 <= 12 at degree 1
-        assert [len(s) for a in risky_neighbours(2, classify(g, labels)) for s in a] == [1] * 6
+        risky = risky_neighbours(2, classify(g, labels, exponents(g)))
+        assert [len(s) for a in risky for s in a] == [1] * 6
         assert violated_events(g, labels, 1) == []
 
     def test_rejects_nonpositive_slack(self):

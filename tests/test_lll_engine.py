@@ -2,6 +2,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,22 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrdec import lll_engine
-from irrdec.exact import iroot
-from irrdec.graph_core import Graph, complete, cycle, gnp, path, random_regular
+from irrdec.exact import BETA_POW, BETA_SHIFT, floor_beta_mult, iroot
+from irrdec.graph_core import Graph, InvariantViolated, complete, cycle, gnp, path, random_regular
 from irrdec.labeling import (
+    KINDS,
     LabelPair,
     ceil_log_beta,
+    exponents,
     ratio_gate,
     sample_labels,
 )
 from irrdec.lll_engine import (
-    KINDS,
     Timeout,
     audit_constants,
-    build_dependency_digraph,
-    chernoff_bound,
     event_scope,
-    exact_binomial_tail,
     exact_edge_risk_probability,
     gated_neighbours,
     make_event,
@@ -103,7 +102,7 @@ class TestMoserTardos:
                 g = random_regular(2 * rng.randrange(15, 35), rng.choice([8, 12, 16]), seed=i)
             slack = rng.choice([0.1, 0.12, 0.15, 0.2, 0.3, 0.5, 1])
             got_calls, want_calls = [], []
-            got = moser_tardos(g, i, slack, 40,
+            got = moser_tardos(g, exponents(g), i, slack, 40,
                                observer=lambda *call: got_calls.append(call))
             want = reference_moser_tardos(g, i, slack, 40,
                                           lambda *call: want_calls.append(call))
@@ -133,7 +132,7 @@ class TestMoserTardos:
 
         monkeypatch.setattr(lll_engine, "gated_neighbours", counted)
         rounds = []
-        moser_tardos(g, 1, 0.1, 200, observer=lambda r, *_: rounds.append(r))
+        moser_tardos(g, exponents(g), 1, 0.1, 200, observer=lambda r, *_: rounds.append(r))
         assert len(rounds) > 10
         assert max(built.values()) == 1
 
@@ -143,11 +142,11 @@ class TestMoserTardos:
 
         monkeypatch.setattr(lll_engine, "classify", fail)
         g = random_regular(60, 12, seed=7)
-        assert moser_tardos(g, 42, math.inf, 1) == sample_labels(g, 42)
+        assert moser_tardos(g, exponents(g), 42, math.inf, 1) == sample_labels(g, 42)
 
     def test_vacuous_bounds_return_initial_sample(self):
         g = random_regular(60, 12, seed=7)
-        labels = moser_tardos(g, 42, 3, 10**5)
+        labels = moser_tardos(g, exponents(g), 42, 3, 10**5)
         assert isinstance(labels, LabelPair)
         # no resampling happened: the output is exactly the initial draw
         assert labels == sample_labels(g, 42)
@@ -159,7 +158,7 @@ class TestMoserTardos:
         rounds_seen = []
         for seed in range(5):
             events = []
-            labels = moser_tardos(g, seed, slack, 20000,
+            labels = moser_tardos(g, exponents(g), seed, slack, 20000,
                                   observer=lambda r, ev, b, a: events.append(r))
             assert isinstance(labels, LabelPair), f"seed {seed} timed out"
             assert violated_events(g, labels, slack) == []
@@ -177,30 +176,81 @@ class TestMoserTardos:
                 if (v, 2) not in ev.scope:
                     assert before.c2[v] == after.c2[v], (round_no, ev, v)
 
-        labels = moser_tardos(g, 1, slack, 20000, observer=check)
+        labels = moser_tardos(g, exponents(g), 1, slack, 20000, observer=check)
         assert isinstance(labels, LabelPair)
 
     def test_resamples_least_violated_event_first(self):
         n, slack = INSTRUMENTED
         g = complete(n)
         picked = []
-        moser_tardos(g, 3, slack, 20000,
+        moser_tardos(g, exponents(g), 3, slack, 20000,
                      observer=lambda r, ev, b, a: picked.append((ev.vertex, ev.kind)))
         assert picked[0] == (0, "A") or picked[0][0] == 0
 
     def test_timeout_carries_trajectory(self):
         n, slack = INSTRUMENTED
         g = complete(n)
-        out = moser_tardos(g, 1, slack, 3)
+        out = moser_tardos(g, exponents(g), 1, slack, 3)
         assert isinstance(out, Timeout)
         assert out.rounds == 3 and len(out.trajectory) == 3
 
     def test_argument_validation(self):
         g = path(1)
         with pytest.raises(ValueError):
-            moser_tardos(g, 0, -1, 10)
+            moser_tardos(g, exponents(g), 0, -1, 10)
         with pytest.raises(ValueError):
-            moser_tardos(g, 0, 1, 0)
+            moser_tardos(g, exponents(g), 0, 1, 0)
+
+
+@dataclass
+class DependencyDigraph:
+    events: list
+    arcs: dict
+
+    def out_degree(self, key) -> int:
+        return len(self.arcs[key])
+
+
+def build_dependency_digraph(g: Graph) -> DependencyDigraph:
+    """Arcs from each event to every other event whose vertex is the same
+    vertex, a gate-passing neighbour, or a gate-passing neighbour thereof.
+
+    Checks the out-degree bound 3 + 4*d*floor(beta*d) and, for arcs leaving
+    a vertex of positive degree, that targets stay inside the squared-ratio
+    window (1/beta^2)*d < d(w) < beta^2*d.
+    """
+    nbrs = [gated_neighbours(g, v) for v in range(g.n)]
+    events = [make_event(v, k, nbrs[v]) for v in range(g.n) for k in KINDS]
+    reach = {}
+    for v in range(g.n):
+        around = {v, *nbrs[v]}
+        for u in nbrs[v]:
+            around.update(nbrs[u])
+        reach[v] = sorted(around)
+    arcs = {}
+    for ev in events:
+        targets = tuple(
+            (w, k)
+            for w in reach[ev.vertex]
+            for k in KINDS
+            if (w, k) != (ev.vertex, ev.kind)
+        )
+        arcs[(ev.vertex, ev.kind)] = targets
+        d = g.degree(ev.vertex)
+        bound = 3 + 4 * d * floor_beta_mult(d)
+        if len(targets) > bound:
+            raise InvariantViolated(f"event ({ev.vertex}, {ev.kind}): out-degree "
+                                    f"{len(targets)} exceeds the bound {bound}")
+        if d >= 1:
+            pd = d ** BETA_POW
+            for w, _ in targets:
+                if w == ev.vertex:
+                    continue
+                pw = g.degree(w) ** BETA_POW
+                if not (pw < (pd << (2 * BETA_SHIFT)) and pd < (pw << (2 * BETA_SHIFT))):
+                    raise InvariantViolated(f"arc {ev.vertex} -> {w}: degree ratio "
+                                            f"{d}/{g.degree(w)} is not within beta^2")
+    return DependencyDigraph(events, arcs)
 
 
 class TestDependencyDigraph:
@@ -495,6 +545,28 @@ class TestWorstConditionalMatchesLoops:
             == {(4, 4), (4, 5), (5, 4), (5, 5)}
         for du, dv in pairs:
             self._assert_same(du, dv)
+
+
+def chernoff_bound(n: int, p, t) -> float:
+    """The tail bound 2*exp(-t^2/(3np)) for Pr(|BIN(n,p) - np| > t)."""
+    np_ = n * p
+    if not 0 <= t <= np_:
+        raise ValueError(f"need 0 <= t <= n*p, got t={t}, n*p={np_}")
+    return 2.0 * math.exp(-float(t) * float(t) / (3.0 * float(np_)))
+
+
+def exact_binomial_tail(n: int, p: Fraction, t) -> Fraction:
+    """Pr(|BIN(n,p) - np| > t) by direct enumeration; intended for n <= 25."""
+    if n > 25:
+        raise ValueError("exact tail enumeration is capped at n = 25")
+    p = Fraction(p)
+    q = 1 - p
+    np_ = n * p
+    total = Fraction(0)
+    for i in range(n + 1):
+        if abs(i - np_) > t:
+            total += math.comb(n, i) * p ** i * q ** (n - i)
+    return total
 
 
 class TestTailBounds:
