@@ -27,7 +27,6 @@ from ..graph_core import (
     Graph,
     generate,
     parse_edge_list,
-    recognize_exception,
     serialize_edge_list,
 )
 from ..labeling import ceil_log_beta, ratio_gate
@@ -155,49 +154,16 @@ def _edge_counts(trace) -> dict:
     return counts
 
 
-def _exception_components(g: Graph):
-    # every exception family has maximum degree <= 3, so a graph of minimum
-    # degree > 3 has no such component and its neighbour sets stay unbuilt
-    if g.min_degree() > 3:
-        return []
-    found = []
-    for comp in g.components():
-        if any(g.degree(v) > 3 for v in comp):
-            continue
-        vs = sorted(comp)
-        relabel = {v: i for i, v in enumerate(vs)}
-        sub = Graph(len(vs), [(relabel[u], relabel[w])
-                              for u in vs for w in g.neighbours(u) if u < w])
-        family = recognize_exception(sub)
-        if family is not None:
-            found.append({"vertices": vs, "family": family.value})
-    return found
-
-
 def cmd_decompose(args) -> int:
-    if not args.slack > 0:
-        raise CommandError(EXIT_USAGE, "--slack must be positive")
-    if args.budget < 0:
-        raise CommandError(EXIT_USAGE, "--budget must be >= 0")
+    try:
+        cfg = PipelineConfig(seed=args.seed, slack=args.slack, solver_mode=args.mode,
+                             solver_budget=args.budget, strict=args.strict)
+    except ValueError as exc:
+        raise CommandError(EXIT_USAGE, str(exc))
     g, parse_s = _load_graph(args.in_path)
     t0 = time.perf_counter()
     params = {"in_path": args.in_path, "slack": args.slack, "mode": args.mode,
               "budget": args.budget, "strict": args.strict}
-
-    exceptional = _exception_components(g)
-    if exceptional:
-        diag = Diagnostic("preflight", "ExceptionComponent", {"components": exceptional})
-        result = {"valid": False, "diagnostic": diag.to_json(), "stages": []}
-        record = make_record("decompose", params, args.seed, result, time.perf_counter() - t0,
-                             parse_s)
-        _emit(record, args, [
-            "diagnostic: ExceptionComponent at stage preflight",
-            f"  components beyond decomposition: {len(exceptional)}",
-        ])
-        return EXIT_DIAGNOSTIC
-
-    cfg = PipelineConfig(seed=args.seed, slack=args.slack, solver_mode=args.mode,
-                         solver_budget=args.budget, strict=args.strict)
     outcome, trace = decompose3(g, cfg)
     seconds = time.perf_counter() - t0
     result = {"stages": trace.stage_reports, "edge_counts": _edge_counts(trace)}

@@ -7,7 +7,9 @@ window reports re-derive why adjacent degrees differ.
 decompose3 runs the stage functions of STAGES in order and stops at the
 first one that returns a Diagnostic:
 
-  stage_preflight          minimum degree (the strict floor)
+  stage_preflight          exception components (odd paths, odd cycles,
+                           the triangle family), then minimum degree (the
+                           strict floor)
   stage_labels             resampled labels and their fresh classification
   stage_part1              h1, carved out of g' = g - R1 (built only for the
                            solver: the windows read its degrees)
@@ -42,7 +44,7 @@ from ..factor_solver import (
     find_degree_set_subgraph,
     windows,
 )
-from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge
+from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge, exception_components
 from ..labeling import LabelPair, classify, exponents, gate
 from ..lll_engine import Timeout, moser_tardos
 
@@ -179,18 +181,19 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
             "degree": d, "window_widths": [len(w) for w in windows(d)],
             "modulus": spec.lam[v],
         }, empty_target_vertices=empty[:20], **capped)
-    trace.report(stage, True, exempt=exempt[:20], exempt_count=len(exempt), **capped)
     allowed.update((v, {0}) for v in exempt)
     result = find_degree_set_subgraph(
         build_host(), DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",
     )
+    report = dict(exempt=exempt[:20], exempt_count=len(exempt), **capped)
     if isinstance(result, Failure):
-        return Diagnostic(stage, "FactorSolverFailure", {
+        return trace.fail(stage, "FactorSolverFailure", {
             "mode": result.mode, "reason": result.reason,
             "nodes_explored": result.nodes_explored,
             "best_penalty": result.best_penalty, "flips": result.flips,
-        })
+        }, **report)
+    trace.report(stage, True, **report)
     return result
 
 
@@ -204,6 +207,11 @@ def _irregularity_offences(part: Graph) -> list:
 
 def stage_preflight(trace: PipelineTrace):
     min_deg = trace.graph.min_degree()
+    found = exception_components(trace.graph)
+    if found:  # no locally irregular decomposition of any size exists
+        return trace.fail("preflight", "ExceptionComponent",
+                          {"components": found[:20], "count": len(found)},
+                          min_degree=min_deg)
     if trace.config.strict and min_deg < STRICT_MIN_DEGREE:
         return trace.fail("preflight", "MinDegreeTooSmall",
                           {"min_degree": min_deg, "required": STRICT_MIN_DEGREE},

@@ -505,6 +505,29 @@ def recognize_exception(g: Graph):
     return None
 
 
+def exception_components(g: Graph) -> list:
+    """The components of g that recognize_exception names, in component
+    order, each as {"vertices": its sorted ids, "family": the family name}.
+
+    Every family has maximum degree <= 3, so a graph of minimum degree > 3
+    has no such component, and its neighbour sets stay unbuilt.
+    """
+    if g.min_degree() > 3:
+        return []
+    found = []
+    for comp in g.components():
+        if any(g.degree(v) > 3 for v in comp):
+            continue
+        vs = sorted(comp)
+        relabel = {v: i for i, v in enumerate(vs)}
+        sub = Graph(len(vs), [(relabel[u], relabel[w])
+                              for u in vs for w in g.neighbours(u) if u < w])
+        family = recognize_exception(sub)
+        if family is not None:
+            found.append({"vertices": vs, "family": family.value})
+    return found
+
+
 def is_t_member(g: Graph) -> bool:
     """Membership in the triangle-based family, by its structure.
 

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from irrdec import lll_engine
 from irrdec.cli import (
     RISKPROB_MAX_EXPONENT,
-    _exception_components,
     build_parser,
     canonical_json,
     main,
 )
+from irrdec.decomposer import PipelineConfig, decompose3
 from irrdec.exact import iroot
 from irrdec.graph_core import (
     GENERATORS,
@@ -26,6 +26,7 @@ from irrdec.graph_core import (
     MAX_VERTICES,
     complete,
     cycle,
+    exception_components,
     gnp,
     parse_edge_list,
     path,
@@ -318,7 +319,7 @@ class TestExceptionPreflight:
         for _ in range(300):
             g = _disjoint_union(rng, [self._component(rng) for _ in range(rng.randint(1, 6))])
             want = _ref_exception_components(g)
-            assert _exception_components(g) == want
+            assert exception_components(g) == want
             families |= {c["family"] for c in want}
         assert families == {"odd_path", "odd_cycle", "t_family"}
 
@@ -327,18 +328,18 @@ class TestExceptionPreflight:
         dense = random_regular(40, 6, seed=2)
         # an odd path beside a dense component is still reported
         g = _disjoint_union(rng, [dense, path(3)])
-        found = _exception_components(g)
+        found = exception_components(g)
         assert [c["family"] for c in found] == ["odd_path"] and len(found[0]["vertices"]) == 4
         # one isolated vertex is no exception: the walk runs and finds nothing
-        assert _exception_components(_disjoint_union(rng, [dense, Graph(1)])) == []
+        assert exception_components(_disjoint_union(rng, [dense, Graph(1)])) == []
 
         # at minimum degree > 3 there is no walk at all
         def fail(self):
             raise AssertionError("components walked at minimum degree > 3")
 
         monkeypatch.setattr(Graph, "components", fail)
-        assert _exception_components(dense) == []
-        assert _exception_components(complete(5)) == []
+        assert exception_components(dense) == []
+        assert exception_components(complete(5)) == []
 
     def test_isolated_vertices_cost_no_edge_scans(self):
         # one component per isolated vertex; a scan of every edge per
@@ -346,9 +347,45 @@ class TestExceptionPreflight:
         rng = random.Random(3)
         g = _disjoint_union(rng, [random_regular(1000, 20, seed=1), Graph(20000), path(3)])
         t0 = time.perf_counter()
-        found = _exception_components(g)
+        found = exception_components(g)
         assert time.perf_counter() - t0 < 2.0
         assert [c["family"] for c in found] == ["odd_path"]
+
+    @pytest.mark.parametrize("kind, family", [
+        ("path3", "odd_path"), ("cycle5", "odd_cycle"), ("t_member", "t_family"),
+        ("dense_and_path", "odd_path")])
+    def test_library_and_cli_agree(self, capsys, graph_file, kind, family):
+        g = {"path3": path(3), "cycle5": cycle(5), "t_member": self.T_MEMBERS[-1],
+             "dense_and_path": _disjoint_union(random.Random(5),
+                                               [random_regular(40, 6, seed=2), path(3)]),
+             }[kind]
+        outcome, trace = decompose3(g, PipelineConfig(seed=1))
+        code, out, _ = run(capsys, "decompose", graph_file("g.txt", g), "--seed", "1", "--json")
+        result = json.loads(out)["result"]
+        assert code == 2 and result["valid"] is False
+        assert result["diagnostic"] == outcome.to_json()
+        assert (outcome.stage, outcome.code) == ("preflight", "ExceptionComponent")
+        assert outcome.detail["count"] == len(outcome.detail["components"]) == 1
+        assert outcome.detail["components"][0]["family"] == family
+        assert result["stages"] == trace.stage_reports == [
+            {"stage": "preflight", "ok": False, "min_degree": g.min_degree()}]
+        assert result["edge_counts"] == {}
+
+    def test_detail_is_capped(self, capsys, graph_file):
+        # 50,000 disjoint edges: every one an odd path; the record names 20
+        g = Graph(100_000, [(2 * i, 2 * i + 1) for i in range(50_000)])
+        code, out, _ = run(capsys, "decompose", graph_file("m.txt", g), "--seed", "1", "--json")
+        assert code == 2
+        detail = json.loads(out)["result"]["diagnostic"]["detail"]
+        assert detail["count"] == 50_000
+        assert detail["components"] == [{"vertices": [2 * i, 2 * i + 1], "family": "odd_path"}
+                                        for i in range(20)]
+
+    def test_human_output_names_only_the_stage(self, capsys, graph_file):
+        code, out, _ = run(capsys, "decompose", graph_file("p3.txt", path(3)), "--seed", "1")
+        assert code == 2
+        assert out.splitlines()[0] == "diagnostic: ExceptionComponent at stage preflight"
+        assert out.splitlines()[1].startswith("digest: sha256:")
 
 
 class TestOracle:

@@ -5,6 +5,7 @@ import pytest
 
 from irrdec import labeling, lll_engine
 from irrdec.decomposer import (
+    STAGES,
     ColouringFailure,
     Diagnostic,
     PipelineConfig,
@@ -37,6 +38,17 @@ from irrdec.labeling import LabelPair, RiskyClassification, exponents
 from irrdec.lll_engine import moser_tardos
 
 RELAXED = dict(slack=math.inf)
+
+
+def _past_preflight(g: Graph, cfg: PipelineConfig):
+    """decompose3 without its preflight.  The smallest inputs that reach a
+    later stage are exception graphs, which the preflight stops."""
+    trace = PipelineTrace(g, cfg)
+    for stage in STAGES[1:]:
+        diag = stage(trace)
+        if diag is not None:
+            return diag, trace
+    return trace.decomposition, trace
 
 
 class TestConfig:
@@ -84,19 +96,21 @@ class TestPipelineOutcomes:
 
     def test_infinite_slack_builds_no_neighbour_sets(self, monkeypatch):
         # at slack inf no size bound exists, so the pipeline reads only r1,
-        # r2 and r3; path(1) runs to overlap colouring, K14 stops at part 1
+        # r2 and r3; past the preflight path(1) runs to overlap colouring,
+        # and K14 stops at part 1
         def fail(*args):
             raise AssertionError("risky_neighbours called at slack inf")
 
         monkeypatch.setattr(lll_engine, "risky_neighbours", fail)
         monkeypatch.setattr(labeling, "risky_neighbours", fail)
-        for g, stage in ((path(1), "overlap_colouring"), (complete(14), "part1_factor")):
-            out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+        for run, g, stage in ((_past_preflight, path(1), "overlap_colouring"),
+                              (decompose3, complete(14), "part1_factor")):
+            out, trace = run(g, PipelineConfig(seed=1, **RELAXED))
             assert out.stage == stage
             assert trace.classification.r1
 
     def test_k2_hits_the_colour_cap(self):
-        out, trace = decompose3(path(1), PipelineConfig(seed=1, **RELAXED))
+        out, trace = _past_preflight(path(1), PipelineConfig(seed=1, **RELAXED))
         assert isinstance(out, Diagnostic)
         assert out.stage == "overlap_colouring"
         assert out.code == "ColouringCapExceeded"
@@ -108,7 +122,7 @@ class TestPipelineOutcomes:
         assert trace.overlap_f.m == 1
 
     def test_triangle_has_no_window_targets(self):
-        out, trace = decompose3(cycle(3), PipelineConfig(seed=1, **RELAXED))
+        out, trace = _past_preflight(cycle(3), PipelineConfig(seed=1, **RELAXED))
         assert isinstance(out, Diagnostic)
         assert out.stage == "part1_factor"
         assert out.code == "WindowTargetInfeasible"
@@ -130,11 +144,16 @@ class TestPipelineOutcomes:
     def test_solver_failure_reports_flips(self):
         g = complete(13)
         cfg = PipelineConfig(seed=1, solver_mode="heuristic", solver_budget=3)
-        out = _stage_factor(PipelineTrace(g, cfg), "part1_factor", g.degrees(), lambda: g,
+        trace = PipelineTrace(g, cfg)
+        out = _stage_factor(trace, "part1_factor", g.degrees(), lambda: g,
                             ModularTargetSpec([0] * 13, [1] * 13))
         assert out.code == "FactorSolverFailure"
         assert out.detail == {"mode": "heuristic", "reason": "flip budget exhausted",
                               "nodes_explored": 0, "best_penalty": 1, "flips": 3}
+        # the stage is reported once, after the solve, with the same fields
+        assert trace.stage_reports == [{
+            "stage": "part1_factor", "ok": False, "exempt": [], "exempt_count": 0,
+            "precondition_failing": [], "precondition_failing_count": 0}]
 
     def test_precondition_failing_is_capped(self):
         # every vertex fails 6*lam <= d here; the report keeps 20 ids and the count
@@ -154,10 +173,20 @@ class TestPipelineOutcomes:
 
     def test_exempt_vertices_are_not_reported_infeasible(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])  # triangle plus isolated 3
-        out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+        out, trace = _past_preflight(g, PipelineConfig(seed=1, **RELAXED))
         assert isinstance(out, Diagnostic)
         assert out.code == "WindowTargetInfeasible"
         assert 3 not in out.detail["vertices"]
+
+    def test_exception_component_preflight(self):
+        # the components are checked before the strict floor; K4 is none
+        g = Graph(9, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(4, 5), (6, 7)])
+        out, trace = decompose3(g, PipelineConfig(seed=1, strict=True))
+        assert (out.stage, out.code) == ("preflight", "ExceptionComponent")
+        assert out.detail == {"components": [{"vertices": [4, 5], "family": "odd_path"},
+                                             {"vertices": [6, 7], "family": "odd_path"}],
+                              "count": 2}
+        assert trace.stage_reports == [{"stage": "preflight", "ok": False, "min_degree": 0}]
 
     def test_strict_minimum_degree_preflight(self):
         out, trace = decompose3(complete(6), PipelineConfig(seed=1, strict=True))
