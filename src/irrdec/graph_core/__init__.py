@@ -35,9 +35,9 @@ class Graph:
     distinct canonical pairs in range already; only parse_edge_list (which
     checks 0 <= u < v < n over the whole id list, and duplicates by the size
     of the edge set) and without_edges (a subset of self.edges) call it.
-    Both paths add the edges to a set one at a time, so equal inputs give
-    edge and neighbour sets that iterate alike: the oracle's edge order
-    follows that order.
+    The edge set is frozen from the set each caller built, so equal graphs
+    built by different paths may iterate in different orders; no result
+    reads that order (the oracle's edge order is a function of the graph).
 
     Degrees are counted when the graph is built.  The neighbour sets are
     built on the first call to neighbours or components, so a graph whose
@@ -66,10 +66,10 @@ class Graph:
     def _canonical(cls, n: int, edges) -> "Graph":
         """A graph on edges already checked to be distinct pairs 0 <= u < v < n."""
         g = cls.__new__(cls)
-        g._build(n, set(iter(edges)))  # iter(): one insertion at a time, as in __init__
+        g._build(n, edges)
         return g
 
-    def _build(self, n: int, es: set) -> None:
+    def _build(self, n: int, es) -> None:
         self.n = n
         self.edges = frozenset(es)
         deg = [0] * n

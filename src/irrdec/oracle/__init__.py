@@ -12,11 +12,46 @@ failure there settles every k at or below it, so an infeasible graph costs
 four searches instead of |E|.  A graph that needs 4 or more parts (some
 cacti do, such as two bow-ties with their centres joined) is bisected
 between 4 and the colours the top search's witness used.
+
+Edges are decided in breadth-first order (`_edge_order`), a function of
+the graph alone.  At position i, the frontier is the set of decided edges
+that still have an open end, an end with an edge at position i or later.
+
+Each probe with k >= 4 keeps its own table of failed states, since a
+state that fails at one k may complete at a larger one.  A state's key is i,
+the frontier edges' colours renamed in order of first appearance, and for
+each frontier edge the frozen class degree of its finished end (an edge
+with both ends open has none; which edges those are is fixed by i).  The
+search returns False at once on a key it has already seen fail, and adds
+its key when its subtree fails.  This is sound:
+
+- The future of a state reads only the class degrees of open vertices and,
+  for each frontier edge, its colour and the frozen class degree of its
+  finished end.  Every decided edge at an open vertex is a frontier edge,
+  so the key fixes both.
+- A colour on no frontier edge has class degree 0 at every open vertex, so
+  it can be swapped with an unused colour.  For the same k, two states with
+  equal keys therefore have completions in one-to-one correspondence, and
+  since the symmetry breaking only drops colour permutations, one subtree
+  fails if and only if the other does.
+- The table cuts only subtrees that have already failed, so the search
+  meets the same first valid colouring.  The witness, the least k and
+  `exhausted` are those of the search without it; only the node count
+  drops.
+
+The table is kept only where it pays.  The top probe runs only after
+k = 1, 2, 3 have failed, which in practice means the exception families
+(maximum degree <= 3, a narrow frontier) and rare cacti that need 4 or more
+parts.  Feasible graphs end at k <= 3, where a key costs about as much as
+a node and seldom hits: K7's k = 2 probe takes 116,728 nodes with a table
+against 120,928 without, and about three times as long (0.50 s against
+0.15-0.19 s in process on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import networkx
@@ -26,7 +61,6 @@ from ..graph_core import (
     Graph,
     InvariantViolated,
     cycle,
-    incident_edges,
     path,
     recognize_exception,
     t_family_members,
@@ -52,22 +86,67 @@ class OracleResult:
 
 
 def _edge_order(g: Graph) -> list:
-    """Edges grouped around vertices in degree-ascending order, so that
-    low-degree vertices finish early and the irreparable-pair prune bites."""
+    """Edges in breadth-first order, a function of the graph alone.
+
+    Each component starts at its least (degree, id) vertex, and each vertex
+    takes its neighbours by ascending (degree, id).  When a vertex is
+    dequeued, its edges not yet listed (those to vertices not yet dequeued)
+    are appended in that order.  Vertices finish close to where they start,
+    so the irreparable-pair prune bites early, and the frontier stays narrow
+    on the graphs of maximum degree <= 3 that the top probe has to exhaust.
+    """
+    deg = g.degrees()
+    rank = sorted(range(g.n), key=lambda v: (deg[v], v))
+    pos = [0] * g.n
+    for r, v in enumerate(rank):
+        pos[v] = r
+    queued = [False] * g.n
+    dequeued = [False] * g.n
     order = []
-    listed = set()
-    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
-        for u in g.neighbours(v):
-            e = (v, u) if v < u else (u, v)
-            if e not in listed:
-                listed.add(e)
-                order.append(e)
+    for s in rank:
+        if queued[s]:
+            continue
+        queued[s] = True
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            dequeued[v] = True
+            for u in sorted(g.neighbours(v), key=pos.__getitem__):
+                if not dequeued[u]:
+                    order.append((v, u) if v < u else (u, v))
+                    if not queued[u]:
+                        queued[u] = True
+                        queue.append(u)
     return order
 
 
-def _search(g: Graph, k: int, edges: list, adj_idx: list):
+def _incidence(edges: list, n: int) -> list:
+    """inc[v] = the (position, other end) pairs of the edges at v."""
+    inc = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        inc[u].append((i, v))
+        inc[v].append((i, u))
+    return inc
+
+
+def _frontiers(edges: list, n: int) -> list:
+    """frontier[i] for each position i: the positions j < i of the frontier
+    edges, and the (j, finished end) pairs of those with a finished end."""
+    last = [0] * n
+    for j, (u, v) in enumerate(edges):
+        last[u] = last[v] = j
+    table = []
+    for i in range(len(edges)):
+        live = [j for j in range(i) if last[edges[j][0]] >= i or last[edges[j][1]] >= i]
+        table.append((live, [(j, x) for j in live for x in edges[j] if last[x] < i]))
+    return table
+
+
+def _search(g: Graph, k: int, edges: list, inc: list, frontier: list | None = None):
     """Colour assignment search at exactly k available colours, over edges
-    in the order given (`_edge_order`) with their `incident_edges` lists.
+    in the order given (`_edge_order`), with their `_incidence` lists.  With
+    a `_frontiers` table the search keeps a table of failed states (see the
+    module docstring); with None it keeps none.
 
     Returns (colour dict | None, nodes).  Symmetry breaking: colour c may be
     used on an edge only if colours 1..c-1 already appear earlier, so each
@@ -80,19 +159,26 @@ def _search(g: Graph, k: int, edges: list, adj_idx: list):
     (edge by edge) among those using at most k colours.
     """
     m = len(edges)
-    undecided = [g.degree(v) for v in range(g.n)]
+    undecided = g.degrees()
     class_deg = [[0] * (k + 1) for _ in range(g.n)]
     colour = [0] * m
     nodes = 0
+    failed = None if frontier is None else set()
+
+    def state_key(i: int) -> tuple:
+        live, finished = frontier[i]
+        names = {}
+        return (i, *[names.setdefault(colour[j], len(names)) for j in live],
+                *[class_deg[x][colour[j]] for j, x in finished])
 
     def frozen_conflict(w) -> bool:
         # w just became finished; compare against finished neighbours
-        for i in adj_idx[w]:
-            c = colour[i]
-            a, b = edges[i]
-            x = b if a == w else a
-            if undecided[x] == 0 and class_deg[w][c] == class_deg[x][c]:
-                return True
+        dw = class_deg[w]
+        for i, x in inc[w]:
+            if undecided[x] == 0:
+                c = colour[i]
+                if dw[c] == class_deg[x][c]:
+                    return True
         return False
 
     def rec(i: int, max_used: int) -> bool:
@@ -100,22 +186,29 @@ def _search(g: Graph, k: int, edges: list, adj_idx: list):
         nodes += 1
         if i == m:
             return True
+        if failed is not None:
+            key = state_key(i)
+            if key in failed:
+                return False
         u, v = edges[i]
-        for c in range(1, min(max_used + 1, k) + 1):
+        du, dv = class_deg[u], class_deg[v]
+        for c in range(1, (max_used + 2 if max_used < k else k + 1)):
             colour[i] = c
-            class_deg[u][c] += 1
-            class_deg[v][c] += 1
+            du[c] += 1
+            dv[c] += 1
             undecided[u] -= 1
             undecided[v] -= 1
-            bad = (undecided[u] == 0 and frozen_conflict(u)) or (
-                undecided[v] == 0 and frozen_conflict(v))
-            if not bad and rec(i + 1, max(max_used, c)):
+            if not ((undecided[u] == 0 and frozen_conflict(u))
+                    or (undecided[v] == 0 and frozen_conflict(v))) \
+                    and rec(i + 1, c if c > max_used else max_used):
                 return True
             undecided[u] += 1
             undecided[v] += 1
-            class_deg[u][c] -= 1
-            class_deg[v][c] -= 1
+            du[c] -= 1
+            dv[c] -= 1
         colour[i] = 0
+        if failed is not None:
+            failed.add(key)
         return False
 
     if rec(0, 0):
@@ -139,7 +232,8 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
     would return: `_search` returns the least valid colouring among those
     with at most k colours, and a least one with exactly k* colours found
     at some k >= k* is also least among those with at most k* colours.
-    searches lists every probe as (k, nodes, found).
+    The probes past k = 3 share one `_frontiers` table, built when the
+    first of them starts.  searches lists every probe as (k, nodes, found).
     """
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -157,11 +251,11 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
         return OracleResult(0, Decomposition(g, 0, {}), True)
     top = m if k_max is None else min(k_max, m)
     edges = _edge_order(g)
-    adj_idx = incident_edges(g.n, edges)
+    inc = _incidence(edges, g.n)
     searches = []
 
-    def probe(k: int):
-        colouring, nodes = _search(g, k, edges, adj_idx)
+    def probe(k: int, frontier=None):
+        colouring, nodes = _search(g, k, edges, inc, frontier)
         searches.append((k, nodes, colouring is not None))
         return colouring
 
@@ -177,12 +271,15 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
         colouring = probe(k)
         if colouring is not None:
             return finish(k, colouring)
-    if top <= 3 or (best := probe(top)) is None:
+    if top <= 3:
+        return finish(None, None)
+    frontier = _frontiers(edges, g.n)
+    if (best := probe(top, frontier)) is None:
         return finish(None, None)
     lo, hi = 4, max(best.values())
     while lo < hi:
         mid = (lo + hi) // 2
-        colouring = probe(mid)
+        colouring = probe(mid, frontier)
         if colouring is None:
             lo = mid + 1
         else:

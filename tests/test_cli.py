@@ -251,10 +251,12 @@ class TestParseTiming:
         (("decompose", "--seed", "1", "--slack", "0.5"), gnp(30, 0.5, seed=3),
          "ab314974f0f215ed3eebfb91b8ac7638641147b54d357a17708155d5b79646dc"),
         (("oracle",), spider(2),
-         "9c8e7461fb55d4f8c52d1fbb3fec6e2f904ad1214d693efc27f878eceef443af"),
+         "cb254d91102754c306fd42621794159c1081ed993755e75fcb57fad73d9fe8d2"),
     ], ids=["decompose", "oracle"])
     def test_parse_seconds_sit_outside_the_digest(self, capsys, graph_file, argv, g, digest):
-        # the digests are the ones these runs had before parse times were recorded
+        # the digests are the ones these runs had before parse times were
+        # recorded; the oracle's is re-pinned for its breadth-first edge order,
+        # which moved the witness and the node count
         src = graph_file("g.txt", g)
         _, out, _ = run(capsys, argv[0], src, *argv[1:], "--json")
         rec = json.loads(out)

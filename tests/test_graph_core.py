@@ -31,7 +31,7 @@ from irrdec.graph_core import (
     t_family,
     t_family_members,
 )
-from irrdec.oracle import atlas_connected_graphs
+from irrdec.oracle import DEFAULT_EDGE_LIMIT, _edge_order, atlas_connected_graphs, min_parts
 
 
 class TestGraph:
@@ -255,8 +255,23 @@ def _outcome(parse, text):
         g = parse(text)
     except ValueError as err:
         return ("error", str(err))
-    # iteration order too: the oracle's edge order follows it
-    return ("graph", g, list(g.edges), [list(g.neighbours(v)) for v in range(g.n)])
+    return ("graph", g, g.degrees(), [g.neighbours(v) for v in range(g.n)], _oracle_view(g))
+
+
+def _oracle_view(g: Graph):
+    """What the oracle reads of a graph's build: its edge order, and its
+    result where the graph is within the search limit."""
+    if g.m > DEFAULT_EDGE_LIMIT:
+        return _edge_order(g), None
+    res = min_parts(g)
+    return _edge_order(g), res.to_json(), res.searches
+
+
+def _shuffled_lines(g: Graph, seed: int) -> str:
+    """serialize_edge_list(g) with its edge lines in a seeded order."""
+    head, *body = serialize_edge_list(g).splitlines()
+    random.Random(seed).shuffle(body)
+    return "\n".join([head, *body]) + "\n"
 
 
 _SPACES = st.sampled_from([" ", "  ", "\t", "\x0c", "\x0b", "\xa0", "\u3000"])
@@ -279,7 +294,8 @@ _TEXTS = st.tuples(st.lists(_BLANKS, max_size=2), _HEADERS, st.lists(_LINES, max
 
 class TestParserMatchesReference:
     """parse_edge_list against the two-pass parser: both return equal graphs
-    that iterate alike, or both raise ValueError with the same message."""
+    with the same oracle view, or both raise ValueError with the same
+    message."""
 
     @pytest.mark.parametrize("text", [
         "# c\n\n  # d\n3\n0 1\n",           # comment-only lines before the header
@@ -318,11 +334,9 @@ class TestParserMatchesReference:
         assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
 
     def test_generated_graphs(self):
-        for g in (random_regular(60, 7, seed=2), gnp(40, 0.3, seed=5), complete(12)):
-            lines = serialize_edge_list(g).splitlines()
-            body = lines[1:]
-            random.Random(g.m).shuffle(body)
-            text = "\n".join([lines[0], *body])
+        for g in (random_regular(60, 7, seed=2), gnp(40, 0.3, seed=5), complete(12),
+                  gnp(9, 0.45, seed=5), spider(2)):
+            text = _shuffled_lines(g, g.m)
             assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
 
     LONG_BODY = serialize_edge_list(random_regular(60, 7, seed=3))
@@ -412,12 +426,10 @@ class TestCanonicalBuilder:
         _same_graph(g.without_edges(drop), Graph(g.n, sorted(keep)))
         _same_graph(g.without_edges(frozenset(drop)), Graph(g.n, sorted(keep)))
         _same_graph(g.without_edges([(v, u) for u, v in drop]), Graph(g.n, sorted(keep)))
-        # the same iteration order as building from the same set
-        for got, want in ((g.spanning(keep), Graph(g.n, keep)),
-                          (g.without_edges(drop), Graph(g.n, g.edges - drop))):
-            assert list(got.edges) == list(want.edges)
-            assert [list(got.neighbours(v)) for v in range(g.n)] == \
-                [list(want.neighbours(v)) for v in range(g.n)]
+        want = Graph(g.n, sorted(keep))
+        for got in (g.spanning(keep), g.without_edges(drop),
+                    parse_edge_list(_shuffled_lines(want, g.n))):
+            assert _oracle_view(got) == _oracle_view(want)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
     def test_neighbours_iterate_as_one_add_per_edge(self, g):

@@ -1,9 +1,11 @@
 import functools
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,9 @@ from irrdec.graph_core import (
 from irrdec.oracle import (
     OracleResult,
     _edge_order,
+    _frontiers,
+    _incidence,
+    _search,
     atlas_connected_graphs,
     exceptions_never_decompose,
     min_parts,
@@ -40,24 +45,46 @@ TWO_BOWTIES = Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5),
 
 
 class TestEdgeOrder:
-    # pinned: _edge_order follows the iteration order of the neighbour sets,
-    # so any change to how Graph builds them shows here
+    # pinned: breadth-first from the least (degree, id) vertex, neighbours
+    # by ascending (degree, id), a vertex's unlisted edges when it is dequeued
     def test_small_graphs(self):
-        assert _edge_order(spider(2)) == [(2, 3), (4, 5), (6, 7), (8, 9), (0, 2), (0, 4),
-                                          (1, 6), (1, 8), (0, 1)]
+        assert _edge_order(spider(2)) == [(2, 3), (0, 2), (0, 4), (0, 1), (4, 5), (1, 6),
+                                          (1, 8), (6, 7), (8, 9)]
         assert _edge_order(parse_edge_list("6\n4 5\n0 5\n2 3\n1 4\n0 1\n3 5\n1 2\n")) == \
-            [(0, 1), (0, 5), (1, 2), (2, 3), (3, 5), (1, 4), (4, 5)]
+            [(0, 1), (0, 5), (1, 2), (1, 4), (3, 5), (4, 5), (2, 3)]
+        # each component from its own least vertex; isolated vertices add nothing
+        assert _edge_order(Graph(7, [(5, 6), (0, 1), (1, 2)])) == [(0, 1), (1, 2), (5, 6)]
 
     def test_larger_graphs(self):
         rr = random_regular(40, 5, seed=2)
-        cases = [(rr, "c1685b5cb76f15b8"),
-                 (gnp(30, 0.3, seed=4), "897f7eae5ce67159"),
-                 (parse_edge_list(serialize_edge_list(gnp(30, 0.3, seed=4))), "897f7eae5ce67159"),
-                 (rr.without_edges(sorted(rr.edges)[::3]), "97a8af3e1206caf2"),
-                 (rr.spanning(sorted(rr.edges)[1::2]), "9363c590fd63ee9d")]
-        assert _edge_order(rr)[:6] == [(0, 17), (0, 2), (0, 4), (0, 22), (0, 13), (1, 32)]
+        cases = [(rr, "4f56f5b5bb558545"),
+                 (gnp(30, 0.3, seed=4), "e53f5d182867ca37"),
+                 (parse_edge_list(serialize_edge_list(gnp(30, 0.3, seed=4))), "e53f5d182867ca37"),
+                 (rr.without_edges(sorted(rr.edges)[::3]), "ad83c99c17b1a70f"),
+                 (rr.spanning(sorted(rr.edges)[1::2]), "62a6364e3725f8ad")]
+        assert _edge_order(rr)[:6] == [(0, 2), (0, 4), (0, 13), (0, 17), (0, 22), (2, 4)]
         for g, want in cases:
             assert hashlib.sha256(repr(_edge_order(g)).encode()).hexdigest()[:16] == want
+
+    @pytest.mark.parametrize("g", [random_regular(40, 5, seed=2), gnp(30, 0.3, seed=4),
+                                   complete(12), t_family_members(11)[-1], spider(2),
+                                   gnp(9, 0.45, seed=1), cycle(8)], ids=repr)
+    def test_same_across_build_paths(self, g):
+        # the order, and min_parts within the edge limit, read the graph only
+        es = sorted(g.edges)
+        host = complete(g.n)
+        head, *body = serialize_edge_list(g).splitlines()
+        random.Random(1).shuffle(body)
+        builds = [Graph(g.n, es[::-1]), parse_edge_list("\n".join([head, *body])),
+                  host.spanning(es), host.without_edges(host.edges - g.edges)]
+        want = _edge_order(g)
+        assert sorted(want) == es
+        assert all(_edge_order(h) == want for h in builds)
+        if g.m <= oracle.DEFAULT_EDGE_LIMIT:
+            res = min_parts(g)
+            for h in builds:
+                got = min_parts(h)
+                assert (got.to_json(), got.searches) == (res.to_json(), res.searches)
 
 
 class TestMinParts:
@@ -234,6 +261,67 @@ class TestAgainstLinearScan:
             {k for k, ex in verdicts if k is not None} | {v for v in verdicts if v[0] is None}
 
 
+def _plain_and_tabled(g, ks=None):
+    """(k, plain result, tabled result) of `_search` without and with the
+    failed-state table, for each k in ks (default 1..|E|)."""
+    edges = _edge_order(g)
+    inc = _incidence(edges, g.n)
+    frontier = _frontiers(edges, g.n)
+    for k in ks or range(1, g.m + 1):
+        yield k, _search(g, k, edges, inc), _search(g, k, edges, inc, frontier)
+
+
+class TestFailedStateTable:
+    """The table of failed states cuts only subtrees that fail, so every
+    probe returns the colouring the plain search returns, in no more nodes."""
+
+    def test_same_colourings_at_every_k(self):
+        rng = random.Random(18)
+        graphs = (atlas_connected_graphs(6) + t_family_members(13) + [TWO_BOWTIES]
+                  + [path(m) for m in range(1, 20)] + [cycle(m) for m in range(3, 20)]
+                  + [gnp(rng.randint(6, 9), 0.45, seed=s) for s in range(50)])
+        cases = [(g, None) for g in graphs]
+        # every k of the 21-edge ones costs the plain search 18 s; take the
+        # k = 1, 2, 3 probes, the first k past them and the top one
+        cases += [(g, [1, 2, 3, 4, 21]) for g in (path(21), cycle(21))]
+        found = cut = 0
+        for g, ks in cases:
+            for k, (plain, plain_nodes), (tabled, tabled_nodes) in _plain_and_tabled(g, ks):
+                assert tabled == plain, (g, k)
+                assert tabled_nodes <= plain_nodes, (g, k)
+                cut += tabled_nodes < plain_nodes
+                if plain is not None:
+                    found += 1
+                    assert is_locally_irregular_decomposition(Decomposition(g, k, plain))
+        assert found > 1000 and cut > 100  # neither side of the comparison is vacuous
+
+    def test_node_ceilings(self):
+        # measured with the breadth-first order and the table on every k >= 4 probe
+        assert min_parts(cycle(17)).nodes_explored <= 764
+        members = t_family_members(13)
+        assert max(min_parts(g).nodes_explored for g in members if g.m == 13) <= 1382
+        assert max(min_parts(g).nodes_explored
+                   for g in members + [cycle(19), path(21)]) <= 1422
+
+    def test_verdicts_match_the_previous_search(self):
+        # (least k, exhausted) as the search over the degree-ascending,
+        # neighbour-set-order edge list without the table gave them
+        got = [(r.feasible_k, r.exhausted) for r in map(min_parts, atlas_connected_graphs(7))]
+        assert Counter(got) == {(2, True): 864, (1, True): 83, (3, True): 38,
+                                (None, True): 10, (0, True): 1}
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "912d215ad1a13385"
+        # odd paths and cycles never decompose; even paths need 2 parts
+        # (path(2) needs 1), even cycles 2 at m = 0 mod 4 and 3 at m = 2 mod 4
+        cases = [(g, None) for g in t_family_members(13)]
+        cases += [(path(m), None if m % 2 else min(m // 2, 2)) for m in range(1, 22)]
+        cases += [(cycle(m), None if m % 2 else 2 + m % 4 // 2) for m in range(3, 22)]
+        for g, want in cases:
+            res = min_parts(g)
+            assert (res.feasible_k, res.exhausted) == (want, True), g
+            if res.witness is not None:
+                assert is_locally_irregular_decomposition(res.witness)
+
+
 class TestBisection:
     """The probe logic alone, over a stand-in search: feasible from k_star
     on, and at each k the least colouring with at most k colours uses the
@@ -250,7 +338,8 @@ class TestBisection:
         k_max = data.draw(st.one_of(st.none(), st.integers(1, m + 2)))
         probes = []
 
-        def fake_search(g, k, edges, adj_idx):
+        def fake_search(g, k, edges, inc, frontier=None):
+            assert (frontier is None) == (k <= 3)  # the table only past k = 3
             probes.append(k)
             if k < k_star:
                 return None, 1
