@@ -48,9 +48,9 @@ RANDOMIZED_FAMILIES = ("gnp", "random_regular")
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
 # moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
-# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.09 s and types 3
-# and 23 in about 0.2-0.4 s, and each step of e costs about 4x (2-vCPU
-# Intel Xeon).
+# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.05 s, type 3 in
+# about 0.12 s and type 23 in about 0.15 s, and each step of e costs about
+# 4x (2-vCPU Intel Xeon).
 RISKPROB_MAX_EXPONENT = 8
 
 

@@ -20,27 +20,49 @@ BETA_SHIFT = 50
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer."""
+    """Floor of the k-th root of a nonnegative integer.
+
+    The cost grows with the root's bit length, not with k: a root of at
+    most bitlen(k) + 2 bits is decided bit by bit from the top, one k-th
+    power per bit, and a longer root of r bits takes O(log r) Newton steps,
+    each one (k-1)-th power and one division of n.
+    """
     if n < 0:
         raise ValueError("iroot of negative number")
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if n == 0:
-        return 0
-    if k == 1:
+    if n == 0 or k == 1:
         return n
-    # Newton iteration from a bit-length overestimate; converges in a few
-    # steps and the final check makes the result exact.
-    x = 1 << ((n.bit_length() + k - 1) // k)
+    r = (n.bit_length() - 1) // k  # 2^r <= root < 2^(r+1)
+    t = k.bit_length() + 1
+    if r <= t:
+        return _root_bits(n, k, r)
+    # Newton's method from above, started from the root z of m = n >> k*s,
+    # which holds the top h + 1 bits of the root (the top half of a long
+    # root, taken the same way): n < (m+1) * 2^(k*s) <= ((z+1) * 2^s)^k, so
+    # the start lies above the root, within a factor 1 + 2^-h <= 1 + 1/(2k),
+    # where the steps converge quadratically.  A step from above the floor
+    # lands on the floor or above it, strictly lower, so the first step that
+    # does not descend was taken from the floor.
+    h = t if r < 8 * t else (r + 1) // 2
+    s = r - h
+    x = (iroot(n >> (k * s), k) + 1) << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
+
+
+def _root_bits(n: int, k: int, r: int) -> int:
+    """iroot(n, k) for 2^(r*k) <= n < 2^((r+1)*k), decided bit by bit from
+    the top: with x the root's bits above b and bit b set, (x * 2^b)^k <= n
+    iff x^k <= n >> (k*b), so every power is of the bits decided so far."""
+    x = 1
+    for b in range(r - 1, -1, -1):
+        x = x << 1 | 1
+        if x ** k > n >> (k * b):
+            x -= 1
     return x
 
 

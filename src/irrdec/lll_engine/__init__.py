@@ -9,15 +9,17 @@ resampler keeps one terms list, refreshes it at the resampled vertices
 only and re-judges their gated edges as one batch per round.
 
 An edge's risk probability is a count of label assignments, taken over
-only the coordinates each type reads: O(lam(u)*lam(v)) pairs judged for
-every type, against the lam(u)^2 * lam(v)^2 assignments of the full label
-space.  Types 1 and 2 read (ci(u), ci(v)); type 3 reads the sums c1 + c2
-at both endpoints.  Every type-3 and joint "23" count is a rectangle sum
-over one prefix-sum table of the type-3 verdicts of all sum pairs, built
-once per degree pair and shared by the exact and the worst conditional
-probabilities.  The worst conditional risks of types 1 and 2 are maxima of
-conditioned probabilities, so every scheme costs about 4^e steps for
-e = max(e(u), e(v)).
+only the coordinates each type reads, against the lam(u)^2 * lam(v)^2
+assignments of the full label space.  Types 1 and 2 read (ci(u), ci(v)):
+lam(u)*lam(v) pairs judged.  Type 3 reads the sums c1 + c2 at both
+endpoints, and those only through a residue mod 2^emin, emin = min(e(u),
+e(v)): 2^emin pairs judged.  Every type-3 and joint "23" count is a
+rectangle sum over one prefix-sum table of the type-3 verdicts of all sum
+pairs, looked up from those 2^emin verdicts, built once per degree pair and
+shared by the exact and the worst conditional probabilities.  The worst
+conditional risks of types 1 and 2 are maxima of conditioned
+probabilities.  So every scheme costs about 4^e steps for e = max(e(u),
+e(v)), counting table entries and lookups with the pairs judged.
 """
 
 from __future__ import annotations
@@ -216,13 +218,30 @@ def _verdict_rows(du: int, dv: int, xs: range, ys: range, t: int):
 def _type3_rectangles(du: int, dv: int):
     """count(a, b) = the number of sum pairs in a x b risky of type 3, for
     intervals a within [0, 2lu-1) and b within [0, 2lv-1), where a sum is
-    c1 + c2 at u or at v.  The verdicts of all (2lu-1)(2lv-1) sum pairs go
-    into a 2-D prefix-sum table, and each count is four lookups."""
+    c1 + c2 at u or at v.  Each count is four lookups in a 2-D prefix-sum
+    table of the verdicts of all sum pairs.
+
+    The verdict of sums (x, y) reads them only through the residue r =
+    (x*2^(eu-emin) - y*2^(ev-emin)) mod 2^emin: the third terms differ by
+    du - dv - 3*2^emin times that difference, and type 3's modulus is
+    3*4^emin.  So 2^emin pairs are judged, one per residue in one batch,
+    and the table's rows are looked up from their verdicts."""
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    emin = min(eu, ev)
+    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    # a pair of residue r: x = r when pu = 1, else y = -r mod m, as pv = 1
+    reps = [(r, 0) if eu == emin else (0, -r % m) for r in range(m)]
+    terms = [t for x, y in reps for t in (risk_terms(du, eu, x, 0), risk_terms(dv, ev, y, 0))]
+    by_residue = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, [eu, ev] * m)[2]
+    # the verdicts of sum x at u read x only through c = x*pu mod m, a
+    # multiple of pu: one row of prefix sums over the sums at v per such c
+    ys = range((2 << ev) - 1)
+    row_sums = {c: list(accumulate((by_residue[(c - y * pv) % m] for y in ys), initial=0))
+                for c in range(0, m, pu)}
     # rect[i][j] = risky pairs among the sums su < i and sv < j
     rect = [[0] * (2 << ev)]
-    for verdicts in _verdict_rows(du, dv, range((2 << eu) - 1), range((2 << ev) - 1), 2):
-        rect.append([a + b for a, b in zip(rect[-1], accumulate(verdicts, initial=0))])
+    for x in range((2 << eu) - 1):
+        rect.append([p + q for p, q in zip(rect[-1], row_sums[x * pu % m])])
 
     def count(a: range, b: range) -> int:
         return (rect[a.stop][b.stop] - rect[a.start][b.stop]
@@ -238,16 +257,17 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
     values; remaining slots are uniform on their label ranges.
 
     Each type is counted over the coordinates it reads, with every verdict
-    taken from labeling.risky_types, one batch per row of pairs.  With lu,
-    lv the label moduli, the cost in pairs judged is at most:
-      1, 2  lu*lv: every ci(u) x ci(v), times the range of each free slot
-            the type does not read.
-      3     (2lu-1)(2lv-1): the type-3 verdicts of all pairs of sums
-            s = c1 + c2 of the two endpoints, as one prefix-sum table that
-            worst_conditional_risk shares, then for each c2(u) x c2(v)
-            pair a rectangle sum over the c1 pairs: lu*lv lookups.
-      "23"  (2lu-1)(2lv-1) + lu*lv: the same table and rectangle sums,
-            over only the c2 pairs risky of type 2.
+    taken from labeling.risky_types.  With lu, lv the label moduli, the
+    cost is at most:
+      1, 2  lu*lv pairs judged, one batch per row: every ci(u) x ci(v),
+            times the range of each free slot the type does not read.
+      3     min(lu, lv) pairs judged in one batch, one per residue class of
+            the sums s = c1 + c2 of the two endpoints, looked up into a
+            (2lu-1) x (2lv-1) prefix-sum table that worst_conditional_risk
+            shares; then for each c2(u) x c2(v) pair a rectangle sum over
+            the c1 pairs: lu*lv lookups.
+      "23"  min(lu, lv) + lu*lv pairs judged: the same table and rectangle
+            sums, over only the c2 pairs risky of type 2.
     """
     if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -302,7 +322,7 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
     Types 1 and 2 take the largest conditioned probability, a column sum
     of one table of lu*lv pairs judged.  Type 3 and the joint
     scheme read the type-3 table of exact_edge_risk_probability, built once
-    per degree pair from (2lu-1)(2lv-1) pairs judged; each conditioning
+    per degree pair from min(lu, lv) pairs judged; each conditioning
     then reads the column of its sum at v over the lu sums that a free
     c1(u) gives at u.  Type 3 takes the largest such column sum over
     (2lv-1)*lu of them, judging no further pair; the joint scheme adds,
@@ -385,13 +405,6 @@ AUDIT_PRINTED = {
 }
 
 
-def _mp():
-    import mpmath
-
-    mpmath.mp.dps = 60
-    return mpmath
-
-
 def _root_claim(claim_id, formula, float_root, exact_floor, printed):
     """A threshold claim passes when the printed figure is the root rounded
     to integer precision and the exact integer floor brackets the root."""
@@ -410,8 +423,15 @@ def _root_claim(claim_id, formula, float_root, exact_floor, printed):
 
 
 def audit_constants() -> list:
-    """Recompute every printed constant and inequality; list of claim records."""
-    mp = _mp()
+    """Recompute every printed constant and inequality; list of claim records.
+    Works at 60 digits and leaves mpmath's working precision as it was."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        return _audit_claims(mpmath)
+
+
+def _audit_claims(mp) -> list:
     out = []
 
     beta = mp.power(2, mp.mpf(50) / 19)

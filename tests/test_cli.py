@@ -491,8 +491,8 @@ class TestRiskProb:
 
     @pytest.mark.parametrize("rtype", ["3", "23"])
     def test_one_type3_table_per_op(self, capsys, monkeypatch, rtype):
-        # both probabilities read one table of the (2lu-1)(2lv-1) type-3 sum
-        # pairs; type 23 adds lu*lv type-2 verdicts for each of them
+        # both probabilities read one type-3 table, built from one sum pair
+        # per residue mod 2^emin; type 23 adds lu*lv type-2 verdicts for each
         lu, lv = lambda_of(30), lambda_of(41)
         assert (lu, lv) == (4, 8)
         judged = []
@@ -505,7 +505,7 @@ class TestRiskProb:
         lll_engine._WORST_CACHE.clear()
         lll_engine._type3_rectangles.cache_clear()
         assert run(capsys, "riskprob", "30", "41", "--type", rtype)[0] == 0
-        bound = (2 * lu - 1) * (2 * lv - 1) + (2 * lu * lv if rtype == "23" else 0)
+        bound = min(lu, lv) + (2 * lu * lv if rtype == "23" else 0)
         assert 0 < len(judged) <= bound
 
     @pytest.mark.parametrize("du,dv", [("2", "5000"), ("0", "5")])

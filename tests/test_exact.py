@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrdec.exact import (
@@ -33,10 +33,47 @@ class TestIroot:
         with pytest.raises(ValueError):
             iroot(4, 0)
 
-    @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=60))
+    # n of up to about 12,000 bits and k up to 700 reach the audit's
+    # k = 589 root and both of iroot's paths: short roots decided bit by bit
+    # and long roots taken by Newton's method
+    @given(st.integers(min_value=0, max_value=12000).flatmap(
+               lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)),
+           st.integers(min_value=1, max_value=700))
+    @example((75**475) << 7500, 589)
+    @example(221460**589, 589)
+    @example(221460**589 - 1, 589)
+    @example(3**700, 700)
+    @example(3**700 - 1, 700)
+    @example(2**11999, 2)
+    @example(10**40 - 1, 40)
     def test_floor_property(self, n, k):
         r = iroot(n, k)
         assert r**k <= n < (r + 1) ** k
+
+    @given(st.integers(min_value=1, max_value=700).flatmap(
+        lambda k: st.tuples(st.integers(min_value=1, max_value=1 << (12000 // k)), st.just(k))))
+    @example((221460, 589))
+    @example((2, 700))
+    @example((3617959, 6))
+    def test_exact_powers(self, root_k):
+        root, k = root_k
+        assert iroot(root**k, k) == root
+        assert iroot(root**k - 1, k) == root - 1
+        assert iroot(root**k + 1, k) == root + (k == 1)
+
+    # the eight roots of the constants audit and their exact floors
+    @pytest.mark.parametrize("n,k,floor", [
+        ((75**475) << 7500, 589, 221460),
+        (75**25 >> 25, 6, 3617958),
+        (1 << 200, 7, 398893554),
+        (219**25, 6, 5647425084),
+        (24**50, 7, 7221904256),
+        (44**50, 19, 21128),
+        (2664**50, 19, 1034102857),
+        ((10**10) ** 19 << 50, 19, 61970385690),
+    ])
+    def test_audit_floors(self, n, k, floor):
+        assert iroot(n, k) == floor
 
 
 class TestFloorBetaMult:

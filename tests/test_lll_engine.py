@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -5,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -379,6 +382,34 @@ class TestCountingMatchesEnumeration:
             assert str(got.value) == str(want.value), args
 
 
+class TestType3Rectangles:
+    # eu == ev, eu < ev and eu > ev, with e <= 4
+    PAIRS = [(1, 1), (5, 5), (20, 31), (100, 100), (300, 301), (5, 7), (7, 5), (30, 41),
+             (41, 30), (39, 238), (238, 39), (238, 300), (300, 238)]
+
+    def test_counts_match_direct_sums(self):
+        rng = random.Random(1905)
+        shapes = set()
+        for du, dv in self.PAIRS:
+            assert ratio_gate(du, dv)
+            eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+            shapes.add((eu > ev) - (eu < ev))
+            assert max(eu, ev) <= 4
+            nu, nv = 2 * lambda_of(du) - 1, 2 * lambda_of(dv) - 1
+            rows = list(lll_engine._verdict_rows(du, dv, range(nu), range(nv), 2))
+            lll_engine._type3_rectangles.cache_clear()
+            count = lll_engine._type3_rectangles(du, dv)
+            rects = [(range(nu), range(nv))]
+            for _ in range(60):
+                a0, a1 = sorted(rng.randint(0, nu) for _ in range(2))
+                b0, b1 = sorted(rng.randint(0, nv) for _ in range(2))
+                rects.append((range(a0, a1), range(b0, b1)))
+            for a, b in rects:
+                want = sum(rows[x][y] for x in a for y in b)
+                assert count(a, b) == want, (du, dv, a, b)
+        assert shapes == {-1, 0, 1}
+
+
 class TestWorstConditional:
     @pytest.mark.parametrize(
         "du,dv,which,expected",
@@ -632,3 +663,11 @@ class TestAudit:
         for c in audit_constants():
             assert c["formula"] and c["computed"] is not None
             assert "printed" in c
+
+    def test_precision_is_scoped_and_records_frozen(self):
+        with mpmath.workdps(20):  # a precision the audit does not use
+            claims = audit_constants()
+            assert mpmath.mp.dps == 20
+        blob = json.dumps(claims, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "1c63d43865cb7bae4bef57834a9aec4a63088cd8ff9b2a879bdce9534f3543b4"
