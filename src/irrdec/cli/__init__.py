@@ -24,6 +24,7 @@ from .. import __version__
 from ..decomposer import Diagnostic, PipelineConfig, decompose3
 from ..graph_core import (
     GENERATORS,
+    RANDOMIZED_FAMILIES,
     Graph,
     generate,
     parse_edge_list,
@@ -43,8 +44,6 @@ EXIT_OK = 0
 EXIT_DIAGNOSTIC = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-RANDOMIZED_FAMILIES = ("gnp", "random_regular")
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
 # moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
@@ -335,7 +334,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"irrdec: bad data: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -94,7 +94,7 @@ def cmp_scaled_pow(value, coeff, d: int, num: int, den: int) -> int:
         raise ValueError("negative degree")
     rhs_zero = coeff == 0 or d == 0
     if value < 0:
-        return 0 if rhs_zero and value == 0 else -1
+        return -1
     if rhs_zero:
         return 1 if value > 0 else 0
     # value**den vs coeff**den * d**num with both sides nonnegative.

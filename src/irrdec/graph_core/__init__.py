@@ -347,14 +347,14 @@ GENERATORS = {
     "gnp": gnp,
     "random_regular": random_regular,
     "spider": spider,
-    "t_family": t_family,
 }
+RANDOMIZED_FAMILIES = ("gnp", "random_regular")  # the families that take a seed
 
 
 MAX_GENERATED_EDGES = 10**6
 
-# (vertices, edges or the pairs scanned) of each family with numeric
-# parameters, known before building, so that a huge request fails fast
+# (vertices, edges or the pairs scanned) of each family in GENERATORS,
+# known before building, so that a huge request fails fast
 _GENERATED_SIZE = {
     "path": lambda m: (m + 1, m),
     "cycle": lambda m: (m, m),
@@ -372,13 +372,12 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
     refused before anything is built."""
     if family not in GENERATORS:
         raise ValueError(f"unknown family {family!r}")
-    if family in _GENERATED_SIZE:
-        n, m = _GENERATED_SIZE[family](**params)
-        if n > MAX_VERTICES or m > MAX_GENERATED_EDGES:
-            raise ValueError(f"{family} {params} has {n} vertices and up to {m} edges; the limits "
-                             f"are {MAX_VERTICES} and {MAX_GENERATED_EDGES}")
+    n, m = _GENERATED_SIZE[family](**params)
+    if n > MAX_VERTICES or m > MAX_GENERATED_EDGES:
+        raise ValueError(f"{family} {params} has {n} vertices and up to {m} edges; the limits "
+                         f"are {MAX_VERTICES} and {MAX_GENERATED_EDGES}")
     fn = GENERATORS[family]
-    if family in ("gnp", "random_regular"):
+    if family in RANDOMIZED_FAMILIES:
         if seed is None:
             raise ValueError(f"{family} requires a seed")
         return fn(**params, seed=seed)

@@ -34,16 +34,13 @@ _CLB_CACHE = {}
 
 
 def ceil_log_beta(d: int) -> int:
-    """Least k >= 0 with d <= beta^k, i.e. with d^19 <= 2^(50k)."""
+    """Least k >= 0 with d <= beta^k, i.e. with d^19 <= 2^(50k), i.e. with
+    d^19 - 1 < 2^(50k): k = ceil(bitlen(d^19 - 1) / 50)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     k = _CLB_CACHE.get(d)
     if k is None:
-        p = d ** BETA_POW
-        k = max(0, (p.bit_length() - 1) // BETA_SHIFT - 1)
-        while p > (1 << (BETA_SHIFT * k)):
-            k += 1
-        _CLB_CACHE[d] = k
+        k = _CLB_CACHE[d] = -(-(d ** BETA_POW - 1).bit_length() // BETA_SHIFT)
     return k
 
 

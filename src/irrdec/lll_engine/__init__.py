@@ -390,6 +390,7 @@ def risk_bound_holds(du: int, dv: int, which: str) -> bool:
 # ---------------------------------------------------------------------------
 # constants audit
 
+# claim id -> the figure the paper prints, in the order of the audit's records
 AUDIT_PRINTED = {
     "beta_interval": "6.19 < beta < 6.2",
     "chain_exp_threshold": 221460,
@@ -405,21 +406,10 @@ AUDIT_PRINTED = {
 }
 
 
-def _root_claim(claim_id, formula, float_root, exact_floor, printed):
-    """A threshold claim passes when the printed figure is the root rounded
-    to integer precision and the exact integer floor brackets the root."""
-    ok = (
-        round(float_root) == printed
-        and exact_floor in (printed - 1, printed)
-        and abs(float_root - exact_floor) < 1
-    )
-    return {
-        "claim_id": claim_id,
-        "formula": formula,
-        "computed": f"{float_root:.4f} (exact floor {exact_floor})",
-        "printed": printed,
-        "pass": bool(ok),
-    }
+def _claim(claim_id, formula, computed, ok) -> dict:
+    """One claim record; the printed figure comes from AUDIT_PRINTED."""
+    return {"claim_id": claim_id, "formula": formula, "computed": computed,
+            "printed": AUDIT_PRINTED[claim_id], "pass": bool(ok)}
 
 
 def audit_constants() -> list:
@@ -432,100 +422,52 @@ def audit_constants() -> list:
 
 
 def _audit_claims(mp) -> list:
-    out = []
-
     beta = mp.power(2, mp.mpf(50) / 19)
-    ok = 619 ** 19 < 2 ** 50 * 100 ** 19 and 2 ** 50 * 10 ** 19 < 62 ** 19 * 10 ** 19
-    out.append({
-        "claim_id": "beta_interval",
-        "formula": "beta = 2^(50/19)",
-        "computed": mp.nstr(beta, 12),
-        "printed": AUDIT_PRINTED["beta_interval"],
-        "pass": bool(ok and mp.mpf("6.19") < beta < mp.mpf("6.2")),
-    })
+    # One row per threshold root: (claim_id, formula, base, x, n, k).  The
+    # root base^(1/x) is taken as the paper prints it, and iroot(n, k) is
+    # its exact floor from the integer form of the same root: d <= root iff
+    # d^k <= n.  The two sides are written independently, so the claim
+    # checks that they agree.
+    thresholds = [
+        ("chain_exp_threshold", "(3*25*beta^6)^(1/1.24)", 75 * mp.power(beta, 6), "1.24",
+         (75 ** 475) << 7500, 589),  # d^589 <= 75^475 * 2^7500
+        ("f_derivative_root", "(3/0.08)^(1/0.24)", mp.mpf(3) / mp.mpf("0.08"), "0.24",
+         75 ** 25 >> 25, 6),  # (75/2)^(25/6): d^6 * 2^25 <= 75^25
+        ("deg_margin_threshold_16", "16^(1/0.14)", 16, "0.14", 1 << 200, 7),
+        ("deg_margin_threshold_219", "(3*73)^(1/0.24)", 219, "0.24", 219 ** 25, 6),
+        ("f_margin_threshold_24", "24^(1/0.14)", 24, "0.14", 24 ** 50, 7),
+        ("window_upper_threshold_44", "44^(1/0.38)", 44, "0.38", 44 ** 50, 19),
+        ("window_lower_threshold_2664", "(8*333)^(1/0.38)", 2664, "0.38", 2664 ** 50, 19),
+    ]
+    out = []
+    for claim_id, formula, base, x, n, k in thresholds:
+        # passes when the printed figure is the root rounded to an integer
+        # and the exact floor brackets the root
+        root = float(mp.power(base, mp.mpf(1) / mp.mpf(x)))
+        floor = iroot(n, k)
+        printed = AUDIT_PRINTED[claim_id]
+        ok = round(root) == printed and floor in (printed - 1, printed) and abs(root - floor) < 1
+        out.append(_claim(claim_id, formula, f"{root:.4f} (exact floor {floor})", ok))
 
-    # (75 * beta^6)^(1/1.24); exact floor from d^589 <= 75^475 * 2^7500
-    root = mp.power(75 * mp.power(beta, 6), mp.mpf(1) / mp.mpf("1.24"))
-    out.append(_root_claim(
-        "chain_exp_threshold", "(3*25*beta^6)^(1/1.24)",
-        float(root), iroot((75 ** 475) << 7500, 589),
-        AUDIT_PRINTED["chain_exp_threshold"],
-    ))
+    ok = 619 ** 19 < 2 ** 50 * 100 ** 19 and 2 ** 50 * 10 ** 19 < 62 ** 19 * 10 ** 19
+    out.append(_claim("beta_interval", "beta = 2^(50/19)", mp.nstr(beta, 12),
+                      ok and mp.mpf("6.19") < beta < mp.mpf("6.2")))
 
     # f(d) = d^0.24/3 - ln(2d^3) at d = 1e10
-    d = mp.mpf(10) ** 10
+    dd = 10 ** 10
+    d = mp.mpf(dd)
     f10 = mp.power(d, mp.mpf("0.24")) / 3 - mp.log(2 * d ** 3)
-    out.append({
-        "claim_id": "f10_positive",
-        "formula": "d^0.24/3 - ln(2*d^3) at d=1e10",
-        "computed": mp.nstr(f10, 8),
-        "printed": AUDIT_PRINTED["f10_positive"],
-        "pass": bool(abs(f10 - 14) <= mp.mpf("0.5")),
-    })
-
-    # (3/0.08)^(1/0.24) = (75/2)^(25/6); exact floor from d^6 * 2^25 <= 75^25
-    root = mp.power(mp.mpf(3) / mp.mpf("0.08"), mp.mpf(1) / mp.mpf("0.24"))
-    out.append(_root_claim(
-        "f_derivative_root", "(3/0.08)^(1/0.24)",
-        float(root), iroot(75 ** 25 >> 25, 6),
-        AUDIT_PRINTED["f_derivative_root"],
-    ))
-
-    # 16^(1/0.14) = 2^(200/7)
-    root = mp.power(16, mp.mpf(1) / mp.mpf("0.14"))
-    out.append(_root_claim(
-        "deg_margin_threshold_16", "16^(1/0.14)",
-        float(root), iroot(1 << 200, 7),
-        AUDIT_PRINTED["deg_margin_threshold_16"],
-    ))
-
-    # (3*73)^(1/0.24) = 219^(25/6)
-    root = mp.power(219, mp.mpf(1) / mp.mpf("0.24"))
-    out.append(_root_claim(
-        "deg_margin_threshold_219", "(3*73)^(1/0.24)",
-        float(root), iroot(219 ** 25, 6),
-        AUDIT_PRINTED["deg_margin_threshold_219"],
-    ))
-
-    # 24^(1/0.14) = 24^(50/7)
-    root = mp.power(24, mp.mpf(1) / mp.mpf("0.14"))
-    out.append(_root_claim(
-        "f_margin_threshold_24", "24^(1/0.14)",
-        float(root), iroot(24 ** 50, 7),
-        AUDIT_PRINTED["f_margin_threshold_24"],
-    ))
-
-    # 44^(1/0.38) = 44^(50/19)
-    root = mp.power(44, mp.mpf(1) / mp.mpf("0.38"))
-    out.append(_root_claim(
-        "window_upper_threshold_44", "44^(1/0.38)",
-        float(root), iroot(44 ** 50, 19),
-        AUDIT_PRINTED["window_upper_threshold_44"],
-    ))
-
-    # (8*333)^(1/0.38) = 2664^(50/19)
-    root = mp.power(2664, mp.mpf(1) / mp.mpf("0.38"))
-    out.append(_root_claim(
-        "window_lower_threshold_2664", "(8*333)^(1/0.38)",
-        float(root), iroot(2664 ** 50, 19),
-        AUDIT_PRINTED["window_lower_threshold_2664"],
-    ))
+    out.append(_claim("f10_positive", "d^0.24/3 - ln(2*d^3) at d=1e10", mp.nstr(f10, 8),
+                      abs(f10 - 14) <= mp.mpf("0.5")))
 
     # (2/3) / (4/37) = 37/6 < 6.17 < beta, all exact
-    gap_ok = 37 * 100 < 617 * 6 and 617 ** 19 < (2 ** 50) * (100 ** 19)
-    out.append({
-        "claim_id": "part_ratio_gap",
-        "formula": "(2/3)/(4/37) = 37/6 vs 6.17 vs beta",
-        "computed": f"37/6 = {37 / 6:.6f}",
-        "printed": AUDIT_PRINTED["part_ratio_gap"],
-        "pass": bool(gap_ok),
-    })
+    out.append(_claim(
+        "part_ratio_gap", "(2/3)/(4/37) = 37/6 vs 6.17 vs beta", f"37/6 = {37 / 6:.6f}",
+        37 * 100 < 617 * 6 and 617 ** 19 < (2 ** 50) * (100 ** 19)))
 
     # the feasibility chain at d = 1e10: weight * (1-weight)^(out-degree+1)
     # must dominate both event probability bounds
-    dd = 10 ** 10
-    bd = floor_beta_mult(dd)
-    exponent = 4 + 4 * dd * bd
+    exponent = 4 + 4 * dd * floor_beta_mult(dd)
     exact_pre = (
         exponent <= 25 * dd ** 2
         # 75 * beta^6 <= d^1.24  <=>  75^475 * 2^7500 <= d^589
@@ -533,23 +475,17 @@ def _audit_claims(mp) -> list:
         # 2*e^(-4d^0.62/3) <= 2*e^(-2d^0.24/3)  <=>  2*d^0.62 >= d^0.24
         and 2 ** 50 * dd ** 31 >= dd ** 12
     )
-    x = mp.mpf(1) / (1 + mp.mpf(dd) ** 3)
-    chain_value = x * mp.power(1 - x, exponent)
-    lower = (1 / mp.mpf(dd) ** 3) * mp.exp(-25 * mp.power(beta, 6) / dd)
-    target = 2 * mp.exp(-2 * mp.power(mp.mpf(dd), mp.mpf("0.24")) / 3)
-    abc_bound = 2 * mp.exp(-4 * mp.power(mp.mpf(dd), mp.mpf("0.62")) / 3)
-    f_pos = mp.power(mp.mpf(dd), mp.mpf("0.24")) / 3 - mp.log(2 * mp.mpf(dd) ** 3) > 0
-    ok = bool(
-        exact_pre and f_pos
-        and chain_value > lower > target > abc_bound
-    )
-    out.append({
-        "claim_id": "lll_chain_at_1e10",
-        "formula": "x*(1-x)^(4+4d*floor(beta*d)) >= (1/d^3)*exp(-25*beta^6/d)"
-                   " >= 2*exp(-2d^0.24/3) >= 2*exp(-4d^0.62/3) at d=1e10",
-        "computed": f"{mp.nstr(chain_value, 6)} >= {mp.nstr(lower, 6)}"
-                    f" >= {mp.nstr(target, 6)} >= {mp.nstr(abc_bound, 6)}",
-        "printed": AUDIT_PRINTED["lll_chain_at_1e10"],
-        "pass": ok,
-    })
-    return out
+    weight = 1 / (1 + d ** 3)
+    chain_value = weight * mp.power(1 - weight, exponent)
+    lower = (1 / d ** 3) * mp.exp(-25 * mp.power(beta, 6) / dd)
+    target = 2 * mp.exp(-2 * mp.power(d, mp.mpf("0.24")) / 3)
+    abc_bound = 2 * mp.exp(-4 * mp.power(d, mp.mpf("0.62")) / 3)
+    out.append(_claim(
+        "lll_chain_at_1e10",
+        "x*(1-x)^(4+4d*floor(beta*d)) >= (1/d^3)*exp(-25*beta^6/d)"
+        " >= 2*exp(-2d^0.24/3) >= 2*exp(-4d^0.62/3) at d=1e10",
+        f"{mp.nstr(chain_value, 6)} >= {mp.nstr(lower, 6)}"
+        f" >= {mp.nstr(target, 6)} >= {mp.nstr(abc_bound, 6)}",
+        exact_pre and f10 > 0 and chain_value > lower > target > abc_bound))
+    by_id = {c["claim_id"]: c for c in out}
+    return [by_id[claim_id] for claim_id in AUDIT_PRINTED]

@@ -99,6 +99,29 @@ class TestGen:
         assert exc.value.code == 64
         capsys.readouterr()
 
+    def test_t_family_is_not_offered(self, capsys):
+        # t_family takes a script, not numbers, so no parameter list builds it
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "t_family"])
+        assert exc.value.code == 64
+        assert "invalid choice: 't_family'" in capsys.readouterr().err
+
+    # one valid parameter list per family that gen offers
+    VALID_PARAMS = {
+        "path": ["4"], "cycle": ["5"], "complete": ["4"], "complete_bipartite": ["2", "3"],
+        "gnp": ["6", "0.5", "--seed", "1"], "random_regular": ["6", "3", "--seed", "1"],
+        "spider": ["2"],
+    }
+
+    def test_every_family_builds(self, capsys):
+        assert set(self.VALID_PARAMS) == set(GENERATORS)
+        for family, params in self.VALID_PARAMS.items():
+            code, out, err = run(capsys, "gen", family, *params, "--json")
+            assert code == 0, (family, err)
+            rec = json.loads(out)["result"]
+            g = parse_edge_list(rec["edge_list"])
+            assert (g.n, g.m) == (rec["n"], rec["m"]) and g.n > 0, family
+
     def test_unknown_command_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

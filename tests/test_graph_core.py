@@ -153,6 +153,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate("gnp", {"n": 5, "p": 0.5})  # missing seed
 
+    def test_every_family_has_a_size_bound(self):
+        # generate checks the size of every request before building it
+        assert set(graph_core.GENERATORS) == set(graph_core._GENERATED_SIZE)
+
 
 class TestEdgeListFormat:
     def test_roundtrip(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrdec import labeling
-from irrdec.exact import floor_beta_mult
+from irrdec.exact import floor_beta_mult, iroot
 from irrdec.graph_core import Graph, complete, gnp, path
 from irrdec.labeling import (
     LabelPair,
@@ -98,6 +98,15 @@ class TestCeilLogBeta:
         # beta^(e-1) < d <= beta^e, exactly: d^19 <= 2^(50e) and d^19 > 2^(50(e-1))
         assert d**19 <= 1 << (50 * e)
         assert d**19 > 1 << (50 * (e - 1))
+
+    @pytest.mark.parametrize("k", range(60))
+    def test_near_powers_of_beta(self, k):
+        # every d within 3 of floor(beta^k), where d^19 meets 2^(50k) closest
+        b = iroot(1 << (50 * k), 19)
+        for d in range(max(1, b - 3), b + 4):
+            e = ceil_log_beta(d)
+            assert d**19 <= 1 << (50 * e)
+            assert e == 0 or d**19 > 1 << (50 * (e - 1))
 
 
 class TestRatioGate:
