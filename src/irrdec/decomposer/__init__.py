@@ -16,7 +16,7 @@ first one that returns a Diagnostic:
   stage_overlap_colouring  g1 = g - h1, the overlap graphs C and F, and h
   stage_part2              h2, carved out of g'' = g1 - (R2 | R3)
   stage_assembly           h2' = h2 + C and h3' = g1 - h2'
-  stage_windows            the degree windows of every part (strict only)
+  stage_windows            how many vertices each degree window holds
   stage_final_gate         local irregularity of every part
 
 Each stage reads only the PipelineTrace fields that earlier stages recorded
@@ -150,23 +150,19 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
     """Carve a spanning subgraph of the host over the sets
     factor_solver.allowed_degrees gives (degrees spec.t or spec.t+1 mod
     spec.lam in the windows of the host degrees deg); returns it or a
-    Diagnostic.  Only pipeline policy lives here: the strict precondition,
-    the degree-0 exemption and the diagnostics.  Every check reads deg, so
-    build_host() is called for the host graph only when the solver runs.
-    The solver is seeded by the config seed and stage.
+    Diagnostic.  Only pipeline policy lives here: the degree-0 exemption
+    and the diagnostics.  Every check reads deg, so build_host() is called
+    for the host graph only when the solver runs.  The solver is seeded by
+    the config seed and stage.
 
     The report's exempt lists vertices released from the residue contract
     because the host leaves them no edges at all (degree 0 gets the
-    singleton {0}); this only happens in relaxed mode on small inputs.  Like
-    precondition_failing, it keeps the first 20 ids and a count.
+    singleton {0}).  Like precondition_failing (6*lam > d, an observation,
+    never a stop), it keeps the first 20 ids and a count.
     """
     cfg = trace.config
     failing = spec.check_precondition(deg)
     capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
-    if cfg.strict and failing:
-        return trace.fail(stage, "ModulusPreconditionViolated",
-                          {"vertices": failing[:20], "count": len(failing)},
-                          **capped)
     n = len(deg)
     allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) for v in range(n)}
     exempt = [v for v in range(n) if deg[v] == 0]  # both windows of 0 are empty
@@ -291,14 +287,14 @@ def stage_assembly(trace: PipelineTrace):
 
 
 def stage_windows(trace: PipelineTrace):
-    if not trace.config.strict:
-        return
+    """A record, never a gate: the final gate alone decides success."""
     windows = ("h1_window", "h2_window", "h3_window", "final_window")
-    bad = [v for v, rec in window_report(trace).items() if not all(rec[w] for w in windows)]
-    if bad:
-        return trace.fail("windows", "WindowTargetInfeasible",
-                          {"vertices": bad[:20], "count": len(bad)}, vertices=bad[:20])
-    trace.report("windows", True)
+    report = window_report(trace)
+    outside = [v for v, rec in report.items() if not all(rec[w] for w in windows)]
+    recs = report.values()
+    trace.report("windows", True, inside={w: sum(rec[w] for rec in recs) for w in windows},
+                 outside=outside[:20], outside_count=len(outside),
+                 low_degree_count=sum(rec["low_degree_flag"] for rec in recs))
 
 
 def stage_final_gate(trace: PipelineTrace):
@@ -323,10 +319,10 @@ def decompose3(g: Graph, cfg: PipelineConfig):
     """Run the full pipeline; returns (outcome, trace) where outcome is a
     Decomposition on success or a Diagnostic naming the failed stage.
 
-    Strict mode enforces the large-scale preconditions literally (minimum
-    degree, modulus preconditions, degree windows); relaxed mode checks and
-    records them but proceeds whenever every vertex still has a candidate
-    target degree, relying on the final gate for soundness.
+    Strict mode stops at the preflight below the paper's minimum degree
+    STRICT_MIN_DEGREE; past it both modes run alike.  Modulus preconditions
+    and degree windows are recorded, not enforced: a stage proceeds while
+    every vertex has a candidate target degree, relying on the final gate.
     """
     trace = PipelineTrace(g, cfg)
     for stage in STAGES:
@@ -389,31 +385,36 @@ def window_report(trace: PipelineTrace) -> dict:
       part 3 in [d/9 - 8d^0.62, 4d/9 + (64/9)d^0.62]
       all parts in [4/37*d, 2/3*d]
     low_degree_flag marks vertices with d^0.38 < 44, where the part-2 upper
-    window is not guaranteed to sit inside 2d/3.
+    window is not guaranteed to sit inside 2d/3.  The verdicts depend on the
+    four degrees alone, so each distinct tuple is judged once.
     """
     if trace.h1 is None or trace.h2_prime is None or trace.h3_prime is None:
         raise ValueError("trace does not contain all three parts")
-    g = trace.graph
+    parts = (trace.graph, trace.h1, trace.h2_prime, trace.h3_prime)
+    judged = {}
     out = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        d1 = trace.h1.degree(v)
-        d2 = trace.h2_prime.degree(v)
-        d3 = trace.h3_prime.degree(v)
-        h1_ok = (le_scaled_pow(Fraction(d, 3) - d1, Fraction(8, 3), d, 31, 50)
-                 and 3 * d1 <= 2 * d)
-        h2_ok = (le_scaled_pow(Fraction(d, 9) - d2, Fraction(16, 3), d, 31, 50)
-                 and le_scaled_pow(d2 - Fraction(4 * d, 9), Fraction(88, 9), d, 31, 50))
-        h3_ok = (le_scaled_pow(Fraction(d, 9) - d3, 8, d, 31, 50)
-                 and le_scaled_pow(d3 - Fraction(4 * d, 9), Fraction(64, 9), d, 31, 50))
-        final_ok = all(_in_final_window(x, d) for x in (d1, d2, d3))
-        out[v] = {
-            "degree": d,
-            "part_degrees": (d1, d2, d3),
-            "h1_window": h1_ok,
-            "h2_window": h2_ok,
-            "h3_window": h3_ok,
-            "final_window": final_ok,
-            "low_degree_flag": d ** 19 < 44 ** 50,
-        }
+    for v in range(trace.graph.n):
+        key = tuple(part.degree(v) for part in parts)
+        if key not in judged:
+            judged[key] = _window_verdicts(*key)
+        out[v] = dict(judged[key])
     return out
+
+
+def _window_verdicts(d: int, d1: int, d2: int, d3: int) -> dict:
+    h1_ok = (le_scaled_pow(Fraction(d, 3) - d1, Fraction(8, 3), d, 31, 50)
+             and 3 * d1 <= 2 * d)
+    h2_ok = (le_scaled_pow(Fraction(d, 9) - d2, Fraction(16, 3), d, 31, 50)
+             and le_scaled_pow(d2 - Fraction(4 * d, 9), Fraction(88, 9), d, 31, 50))
+    h3_ok = (le_scaled_pow(Fraction(d, 9) - d3, 8, d, 31, 50)
+             and le_scaled_pow(d3 - Fraction(4 * d, 9), Fraction(64, 9), d, 31, 50))
+    final_ok = all(_in_final_window(x, d) for x in (d1, d2, d3))
+    return {
+        "degree": d,
+        "part_degrees": (d1, d2, d3),
+        "h1_window": h1_ok,
+        "h2_window": h2_ok,
+        "h3_window": h3_ok,
+        "final_window": final_ok,
+        "low_degree_flag": d ** 19 < 44 ** 50,
+    }

@@ -80,12 +80,8 @@ def floor_beta_mult(d: int) -> int:
 def cmp_scaled_pow(value, coeff, d: int, num: int, den: int) -> int:
     """Sign of value - coeff * d**(num/den), decided exactly.
 
-    value and coeff may be int or Fraction; coeff must be >= 0 (slack
-    scaled coefficients are).  Accepts coeff == math.inf as the documented
-    "bound disabled" sentinel, in which case the result is -1.
+    value and coeff may be int or Fraction; coeff must be >= 0.
     """
-    if coeff == math.inf:
-        return -1
     value = Fraction(value)
     coeff = Fraction(coeff)
     if coeff < 0:

@@ -75,13 +75,9 @@ class LabelPair:
     c1: list
     c2: list
 
-    def validate(self, g: Graph) -> None:
-        """Both arrays hold one label per vertex, in [0, lam(v)); an
-        isolated vertex has modulus 1 (label 0)."""
-        self._check(exponents(g))
-
-    def _check(self, es: list) -> None:
-        """The checks of validate, against the graph's exponent vector es."""
+    def validate(self, es: list) -> None:
+        """Both arrays hold one label per vertex, in [0, 2^e(v)) for the
+        graph's exponent vector es; an isolated vertex has e = 0 (label 0)."""
         for labels in (self.c1, self.c2):
             if len(labels) != len(es):
                 raise ValueError("label array length differs from vertex count")
@@ -189,7 +185,7 @@ def classify_terms(g: Graph, deg: list, terms: list, es: list) -> RiskyClassific
 
 def classify(g: Graph, labels: LabelPair, es: list) -> RiskyClassification:
     """classify_terms for labels checked against es, each term built once."""
-    labels._check(es)
+    labels.validate(es)
     deg = g.degrees()
     return classify_terms(g, deg, list(map(risk_terms, deg, es, labels.c1, labels.c2)), es)
 

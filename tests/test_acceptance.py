@@ -59,9 +59,8 @@ PIPELINE_STAGES = {
     "part2_factor", "windows", "final_gate",
 }
 DIAGNOSTIC_CODES = {
-    "MinDegreeTooSmall", "ClaimBoundsUnachieved", "ModulusPreconditionViolated",
-    "WindowTargetInfeasible", "FactorSolverFailure", "ColouringCapExceeded",
-    "PartNotIrregular", "ExceptionComponent",
+    "MinDegreeTooSmall", "ClaimBoundsUnachieved", "WindowTargetInfeasible",
+    "FactorSolverFailure", "ColouringCapExceeded", "PartNotIrregular", "ExceptionComponent",
 }
 
 

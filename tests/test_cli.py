@@ -138,7 +138,16 @@ class TestDecompose:
         rec = json.loads(out)
         assert rec["result"]["valid"] is True
         assert rec["result"]["k"] == 3
-        assert [s["stage"] for s in rec["result"]["stages"]][0] == "preflight"
+        stages = rec["result"]["stages"]
+        assert [s["stage"] for s in stages][0] == "preflight"
+        # every run that reaches assembly records its windows once
+        (windows,) = [s for s in stages if s["stage"] == "windows"]
+        assert windows == {"stage": "windows", "ok": True, "outside": [], "outside_count": 0,
+                           "inside": {"h1_window": 5, "h2_window": 5, "h3_window": 5,
+                                      "final_window": 5},
+                           "low_degree_count": 5}
+        assert rec["manifest"]["result_digest"] == \
+            "sha256:96064f39a5c4151fce2ca4d89c8bd1ba9ab435fabffc91bd25e22be6382c1b70"
 
     def test_exception_component_preflight(self, capsys, graph_file):
         src = graph_file("p3.txt", path(3))

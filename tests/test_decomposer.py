@@ -38,6 +38,7 @@ from irrdec.labeling import LabelPair, RiskyClassification, exponents
 from irrdec.lll_engine import moser_tardos
 
 RELAXED = dict(slack=math.inf)
+WINDOWS = ("h1_window", "h2_window", "h3_window", "final_window")
 
 
 def _past_preflight(g: Graph, cfg: PipelineConfig):
@@ -91,8 +92,10 @@ class TestPipelineOutcomes:
         assert trace.decomposition is out
         stages = [r["stage"] for r in trace.stage_reports]
         assert stages == ["preflight", "labels", "part1_factor",
-                          "overlap_colouring", "part2_factor", "final_gate"]
+                          "overlap_colouring", "part2_factor", "windows", "final_gate"]
         assert all(r["ok"] for r in trace.stage_reports)
+        # degree 0 sits inside every window: each bound is 0 at d = 0
+        assert trace.stage_reports[5]["inside"] == dict.fromkeys(WINDOWS, 5)
 
     def test_infinite_slack_builds_no_neighbour_sets(self, monkeypatch):
         # at slack inf no size bound exists, so the pipeline reads only r1,
@@ -193,6 +196,17 @@ class TestPipelineOutcomes:
         assert isinstance(out, Diagnostic)
         assert out.stage == "preflight" and out.code == "MinDegreeTooSmall"
         assert out.detail["required"] == 10**10
+
+    def test_strict_is_read_only_by_the_preflight(self):
+        # past the preflight a strict run is a relaxed run: K14's modulus
+        # precondition fails at every vertex, and both stop at part 1
+        outs = [_past_preflight(complete(14), PipelineConfig(seed=3, strict=strict, **RELAXED))
+                for strict in (True, False)]
+        (strict_out, strict_trace), (relaxed_out, relaxed_trace) = outs
+        assert (strict_out.stage, strict_out.code) == ("part1_factor", "WindowTargetInfeasible")
+        assert strict_out == relaxed_out
+        assert strict_trace.stage_reports == relaxed_trace.stage_reports
+        assert strict_trace.stage_reports[-1]["precondition_failing_count"] == 14
 
     def test_label_stage_timeout(self):
         out, trace = decompose3(
@@ -345,13 +359,26 @@ class TestWindowReport:
         assert not report[0]["h1_window"]
         assert not report[0]["final_window"]
 
+    def test_each_vertex_judged_on_its_own_part_degrees(self):
+        # every vertex has degree 3 and one part-1 edge; parts 2 and 3 differ
+        g = complete(4)
+        trace = PipelineTrace(g, PipelineConfig(seed=0))
+        trace.h1 = g.spanning([(0, 1), (2, 3)])
+        trace.h2_prime = g.spanning([(0, 2), (0, 3), (1, 3)])
+        trace.h3_prime = g.spanning([(1, 2)])
+        report = window_report(trace)
+        assert [report[v]["part_degrees"] for v in range(4)] == \
+            [(1, 2, 0), (1, 1, 1), (1, 1, 1), (1, 2, 0)]
+        assert [report[v]["final_window"] for v in range(4)] == [False, True, True, False]
+        assert report[1] == report[2] and report[1] is not report[2]
+
     def test_requires_all_parts(self):
         trace = PipelineTrace(complete(4), PipelineConfig(seed=0))
         with pytest.raises(ValueError):
             window_report(trace)
 
 
-def _octahedron_trace(strict: bool):
+def _octahedron_trace():
     """K6 minus a perfect matching, handed to the late stages as if parts 1
     and 2 had been carved: each part is two disjoint paths of length 2, so
     every part is locally irregular and every part degree (1 or 2 of 4)
@@ -359,7 +386,7 @@ def _octahedron_trace(strict: bool):
     one of them also in F."""
     g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
                   if (u, v) not in {(0, 1), (2, 3), (4, 5)}])
-    trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
+    trace = PipelineTrace(g, PipelineConfig(seed=0))
     trace.classification = RiskyClassification([], [(1, 2)], [(1, 2), (0, 3)])
     trace.h1 = g.spanning([(0, 2), (0, 4), (1, 3), (1, 5)])
     trace.g1 = g.without_edges(trace.h1.edges)
@@ -369,9 +396,9 @@ def _octahedron_trace(strict: bool):
     return trace
 
 
-def _one_part_trace(g: Graph, strict: bool):
+def _one_part_trace(g: Graph):
     """Every edge of g in part 1, nothing at risk."""
-    trace = PipelineTrace(g, PipelineConfig(seed=0, strict=strict))
+    trace = PipelineTrace(g, PipelineConfig(seed=0))
     trace.classification = RiskyClassification([], [], [])
     trace.h1 = g.spanning(g.edges)
     trace.g1 = g.spanning([])
@@ -400,20 +427,22 @@ def _part2_trace():
 
 
 class TestLateStages:
-    """Assembly, the windows gate, the final gate and the separation
+    """Assembly, the windows record, the final gate and the separation
     certificates on hand-built traces with edges; no input reaches them
     through the earlier stages at desk scale."""
 
     def test_octahedron_passes_every_late_stage(self):
-        trace = _octahedron_trace(strict=True)
+        trace = _octahedron_trace()
         assert trace.exponents == exponents(trace.graph) == [1] * 6
         assert stage_assembly(trace) is None
         assert trace.h2_prime.edges == {(1, 2), (2, 4), (0, 3), (3, 5)}
         assert trace.h3_prime.edges == {(1, 4), (3, 4), (0, 5), (2, 5)}
         assert stage_windows(trace) is None
         assert stage_final_gate(trace) is None
-        assert trace.stage_reports == [{"stage": "windows", "ok": True},
-                                       {"stage": "final_gate", "ok": True}]
+        assert trace.stage_reports == [
+            {"stage": "windows", "ok": True, "inside": dict.fromkeys(WINDOWS, 6),
+             "outside": [], "outside_count": 0, "low_degree_count": 6},
+            {"stage": "final_gate", "ok": True}]
         dec = trace.decomposition
         assert isinstance(dec, Decomposition) and is_locally_irregular_decomposition(dec)
         assert {i: dec.class_edges(i) for i in (1, 2, 3)} == \
@@ -438,7 +467,11 @@ class TestLateStages:
         assert [trace.h[v] for v in (0, 1, 2, 3, 4)] == [0, 0, 1, 0, 1]
         assert trace.h2.edges == {(2, 3), (2, 4), (3, 4)}
         assert [r["stage"] for r in trace.stage_reports] == \
-            ["overlap_colouring", "part2_factor", "final_gate"]
+            ["overlap_colouring", "part2_factor", "windows", "final_gate"]
+        # desk-scale degrees miss the final window [4d/37, 2d/3] in some
+        # part at every vertex, so no gate on it could ever pass here
+        windows = trace.stage_reports[2]
+        assert windows["outside_count"] == 39 and windows["inside"]["final_window"] == 0
         assert trace.h3_prime.m == 0
         dec = trace.decomposition
         assert is_locally_irregular_decomposition(dec)
@@ -466,32 +499,39 @@ class TestLateStages:
                                         "vertex": 2, "cap": 0, "f_max_degree": 2}]
 
     def test_final_gate_names_the_offending_edge(self):
-        trace = _one_part_trace(path(3), strict=False)
+        trace = _one_part_trace(path(3))
         assert stage_assembly(trace) is None
-        assert stage_windows(trace) is None and trace.stage_reports == []
+        assert stage_windows(trace) is None
         out = stage_final_gate(trace)
+        assert [r["stage"] for r in trace.stage_reports] == ["windows", "final_gate"]
         assert isinstance(out, Diagnostic)
         assert (out.stage, out.code) == ("final_gate", "PartNotIrregular")
         assert out.detail == {"parts": {"1": [(1, 2)]}}
         assert trace.decomposition is None
 
-    def test_strict_windows_gate_fails(self):
+    def test_windows_record_names_the_vertices_outside(self):
         # K1,3 in one part: each vertex has degree 0 in parts 2 and 3,
-        # below the final window's 4d/37
-        trace = _one_part_trace(complete_bipartite(1, 3), strict=True)
+        # below the final window's 4d/37; part 1 holds all d, above 2d/3
+        trace = _one_part_trace(complete_bipartite(1, 3))
         assert stage_assembly(trace) is None
-        out = stage_windows(trace)
-        assert (out.stage, out.code) == ("windows", "WindowTargetInfeasible")
-        assert out.detail == {"vertices": [0, 1, 2, 3], "count": 4}
-        assert trace.stage_reports == [{"stage": "windows", "ok": False,
-                                        "vertices": [0, 1, 2, 3]}]
+        assert stage_windows(trace) is None
+        assert trace.stage_reports == [{
+            "stage": "windows", "ok": True,
+            "inside": {"h1_window": 0, "h2_window": 4, "h3_window": 4, "final_window": 0},
+            "outside": [0, 1, 2, 3], "outside_count": 4, "low_degree_count": 4}]
+
+    def test_windows_record_caps_the_vertices_outside(self):
+        trace = _one_part_trace(complete_bipartite(1, 30))
+        assert stage_assembly(trace) is None and stage_windows(trace) is None
+        (report,) = trace.stage_reports
+        assert report["outside"] == list(range(20)) and report["outside_count"] == 31
 
     def test_assembly_checks_its_invariants(self):
-        trace = _octahedron_trace(strict=False)
+        trace = _octahedron_trace()
         trace.classification = RiskyClassification([], [], [(1, 4)])
         with pytest.raises(InvariantViolated, match="type-3 risky edge"):
             stage_assembly(trace)
-        trace = _octahedron_trace(strict=False)
+        trace = _octahedron_trace()
         trace.h2 = trace.graph.spanning(trace.h2.edges | {(0, 2)})  # also in part 1
         with pytest.raises(InvariantViolated, match="parts hold 13 edges"):
             stage_assembly(trace)
