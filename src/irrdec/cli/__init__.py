@@ -46,11 +46,11 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
-# moduli lam = 2^e above 256.  Its tables cost about 4^e steps: at e = 8
-# (d = 10^6 and 2*10^6) types 1 and 2 compute in about 0.05 s, type 3 in
-# about 0.12 s and type 23 in about 0.15 s, and each step of e costs about
-# 4x (2-vCPU Intel Xeon).
-RISKPROB_MAX_EXPONENT = 8
+# moduli lam = 2^e above 65536 (d above beta^16, about 4.7*10^12).  A command
+# costs O(2^e) steps: in process, at (10^10, 2*10^10), where e = (13, 14),
+# types 1 and 2 take about 0.02 s and types 3 and 23 about 0.03 s; at the
+# cap, 0.17-0.24 s (2-vCPU Intel Xeon).
+RISKPROB_MAX_EXPONENT = 16
 
 
 class _Parser(argparse.ArgumentParser):

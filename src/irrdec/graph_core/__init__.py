@@ -509,13 +509,14 @@ def exception_components(g: Graph) -> list:
     order, each as {"vertices": its sorted ids, "family": the family name}.
 
     Every family has maximum degree <= 3, so a graph of minimum degree > 3
-    has no such component, and its neighbour sets stay unbuilt.
+    has no such component, and its neighbour sets stay unbuilt.  Every
+    family has an edge, so an isolated vertex is never judged.
     """
     if g.min_degree() > 3:
         return []
     found = []
     for comp in g.components():
-        if any(g.degree(v) > 3 for v in comp):
+        if len(comp) == 1 or any(g.degree(v) > 3 for v in comp):
             continue
         vs = sorted(comp)
         relabel = {v: i for i, v in enumerate(vs)}

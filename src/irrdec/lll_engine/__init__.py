@@ -4,22 +4,19 @@ incrementally, exact risk probabilities, and the numeric audit of every
 closed-form constant the machinery relies on.
 
 Every verdict comes from labeling.risky_types, which judges a batch of
-pairs of risk_terms in one call; costs below count the pairs judged.  The
-resampler keeps one terms list, refreshes it at the resampled vertices
-only and re-judges their gated edges as one batch per round.
+pairs of risk_terms in one call.  The resampler keeps one terms list,
+refreshes it at the resampled vertices only and re-judges their gated
+edges as one batch per round.
 
 An edge's risk probability is a count of label assignments, taken over
 only the coordinates each type reads, against the lam(u)^2 * lam(v)^2
-assignments of the full label space.  Types 1 and 2 read (ci(u), ci(v)):
-lam(u)*lam(v) pairs judged.  Type 3 reads the sums c1 + c2 at both
-endpoints, and those only through a residue mod 2^emin, emin = min(e(u),
-e(v)): 2^emin pairs judged.  Every type-3 and joint "23" count is a
-rectangle sum over one prefix-sum table of the type-3 verdicts of all sum
-pairs, looked up from those 2^emin verdicts, built once per degree pair and
-shared by the exact and the worst conditional probabilities.  The worst
-conditional risks of types 1 and 2 are maxima of conditioned
-probabilities.  So every scheme costs about 4^e steps for e = max(e(u),
-e(v)), counting table entries and lookups with the pairs judged.
+assignments of the full label space.  Every verdict reads its pair, the
+labels ci for types 1 and 2 and the sums c1 + c2 for type 3, only through
+a residue mod 2^emin, emin = min(e(u), e(v)): one batch of 2^emin pairs
+judged gives every risky residue.  Each count sums, over those few
+residues, the products of the residue histograms of the values each side
+spans, and each worst conditional risk is a max over at most 2^emin
+residues.  So every scheme costs O(2^e) steps for e = max(e(u), e(v)).
 """
 
 from __future__ import annotations
@@ -29,7 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, product
+from itertools import chain, compress
+from operator import mul
 
 from ..exact import floor_beta_mult, iroot
 from ..graph_core import Graph
@@ -201,52 +199,44 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
 _SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
 
 
-def _verdict_rows(du: int, dv: int, xs: range, ys: range, t: int):
-    """For each x in xs, the verdicts over y in ys, judged as one
-    risky_types batch per row: t = 0 judges labels x at u and y at v by the
-    congruence that types 1 and 2 share, t = 2 judges sums c1 + c2 = x at u
-    and y at v by type 3."""
-    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    terms = [risk_terms(du, eu, x, 0) for x in xs] + [risk_terms(dv, ev, y, 0) for y in ys]
-    es = [eu] * len(xs) + [ev] * len(ys)
-    cols = range(len(xs), len(terms))
-    for i in range(len(xs)):
-        yield risky_types([(i, j) for j in cols], terms, es)[t]
+@lru_cache(maxsize=1)  # riskprob's two probabilities share one batch
+def _risky_residues(du: int, dv: int) -> tuple:
+    """The residues r mod m = 2^emin, emin = min(e(u), e(v)), that are risky
+    for the congruence types 1 and 2 share, and for type 3: two lists.
 
-
-@lru_cache(maxsize=1)  # riskprob's two probabilities share one table
-def _type3_rectangles(du: int, dv: int):
-    """count(a, b) = the number of sum pairs in a x b risky of type 3, for
-    intervals a within [0, 2lu-1) and b within [0, 2lv-1), where a sum is
-    c1 + c2 at u or at v.  Each count is four lookups in a 2-D prefix-sum
-    table of the verdicts of all sum pairs.
-
-    The verdict of sums (x, y) reads them only through the residue r =
-    (x*2^(eu-emin) - y*2^(ev-emin)) mod 2^emin: the third terms differ by
-    du - dv - 3*2^emin times that difference, and type 3's modulus is
-    3*4^emin.  So 2^emin pairs are judged, one per residue in one batch,
-    and the table's rows are looked up from their verdicts."""
+    With pu = 2^(eu-emin) and pv = 2^(ev-emin), every verdict reads its
+    pair only through r = (x*pu - y*pv) mod m.  For types 1 and 2, x and y
+    are the labels ci(u), ci(v).  For type 3 they are the sums c1 + c2,
+    whose third terms differ by du - dv - 3*2^emin*(x*pu - y*pv), against
+    type 3's modulus 3*4^emin.  So one risky_types batch judges one pair
+    per residue, labels x at u and y at v with c2 = 0: its type-1 verdicts
+    read the pair as labels, its type-3 verdicts as sums."""
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
     emin = min(eu, ev)
-    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    m = 1 << emin
     # a pair of residue r: x = r when pu = 1, else y = -r mod m, as pv = 1
     reps = [(r, 0) if eu == emin else (0, -r % m) for r in range(m)]
     terms = [t for x, y in reps for t in (risk_terms(du, eu, x, 0), risk_terms(dv, ev, y, 0))]
-    by_residue = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, [eu, ev] * m)[2]
-    # the verdicts of sum x at u read x only through c = x*pu mod m, a
-    # multiple of pu: one row of prefix sums over the sums at v per such c
-    ys = range((2 << ev) - 1)
-    row_sums = {c: list(accumulate((by_residue[(c - y * pv) % m] for y in ys), initial=0))
-                for c in range(0, m, pu)}
-    # rect[i][j] = risky pairs among the sums su < i and sv < j
-    rect = [[0] * (2 << ev)]
-    for x in range((2 << eu) - 1):
-        rect.append([p + q for p, q in zip(rect[-1], row_sums[x * pu % m])])
+    t1, _, t3 = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, [eu, ev] * m)
+    return list(compress(range(m), t1)), list(compress(range(m), t3))
 
-    def count(a: range, b: range) -> int:
-        return (rect[a.stop][b.stop] - rect[a.start][b.stop]
-                - rect[a.stop][b.start] + rect[a.start][b.start])
-    return count
+
+def _histogram(m: int, p: int, a: range, b: range = range(1)) -> list:
+    """hist[c] = the number of pairs (x, y) in a x b with (x + y)*p = c mod
+    m.  The sums are trapezoidally distributed, so this costs len(a) +
+    len(b) steps; the default b gives the residues of a single label."""
+    hist = [0] * m
+    lo, hi, top = a.start + b.start, a.stop + b.stop - 2, min(len(a), len(b))
+    for s in range(lo, hi + 1):
+        hist[s * p % m] += min(s - lo + 1, hi - s + 1, top)
+    return hist
+
+
+def _count(hu: list, hv: list, risky: list) -> int:
+    """The number of pairs of values, one counted in each histogram, whose
+    residue a - b mod m is risky: sum over r of sum_a hu[a]*hv[a - r]."""
+    m = len(hu)
+    return sum(sum(map(mul, hu, hv[m - r:] + hv[:m - r])) for r in risky)
 
 
 def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
@@ -256,18 +246,14 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
     conditioned maps slot names from {"c1_u","c2_u","c1_v","c2_v"} to fixed
     values; remaining slots are uniform on their label ranges.
 
-    Each type is counted over the coordinates it reads, with every verdict
-    taken from labeling.risky_types.  With lu, lv the label moduli, the
-    cost is at most:
-      1, 2  lu*lv pairs judged, one batch per row: every ci(u) x ci(v),
-            times the range of each free slot the type does not read.
-      3     min(lu, lv) pairs judged in one batch, one per residue class of
-            the sums s = c1 + c2 of the two endpoints, looked up into a
-            (2lu-1) x (2lv-1) prefix-sum table that worst_conditional_risk
-            shares; then for each c2(u) x c2(v) pair a rectangle sum over
-            the c1 pairs: lu*lv lookups.
-      "23"  min(lu, lv) + lu*lv pairs judged: the same table and rectangle
-            sums, over only the c2 pairs risky of type 2.
+    Each count runs over the residues mod 2^emin that _risky_residues
+    judged, from min(lu, lv) pairs in one risky_types batch that
+    worst_conditional_risk shares: per risky residue, a sum over the
+    residue histograms of the values each side spans.  A free label spans
+    its range, a free sum c1 + c2 a trapezoid, a conditioned slot one
+    value.  Type "23" factorises: type 2 puts the residue of the c2 pair
+    at 0, so the sums' residue is the c1 pair's.  Every type costs O(2^e)
+    steps for e = max(e(u), e(v)).
     """
     if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -279,29 +265,27 @@ def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fr
             raise ValueError(f"unknown slot {name!r}")
         if not 0 <= value < lam[name]:
             raise ValueError(f"{name}={value} outside [0, {lam[name]})")
+    if rtype not in (1, 2, 3, "23"):
+        raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
     # the values each slot ranges over: its fixed value, or all of [0, lam)
     span = {n: range(conditioned[n], conditioned[n] + 1) if n in conditioned else range(lam[n])
             for n in _SLOT_NAMES}
     c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
+    emin = min(eu, ev)
+    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    label_risky, sum_risky = _risky_residues(du, dv)
+
+    def risky_pairs(risky, at_u, at_v):
+        return _count(_histogram(m, pu, *at_u), _histogram(m, pv, *at_v), risky)
 
     if rtype in (1, 2):
         read = ("c1_u", "c1_v") if rtype == 1 else ("c2_u", "c2_v")
-        hits = sum(sum(row) for row in _verdict_rows(du, dv, span[read[0]], span[read[1]], 0))
-        count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
-    elif rtype in (3, "23"):
-        # the c1 pairs put the sums of a c2 pair (x, y) in (x + c1u) x (y + c1v);
-        # type "23" keeps only the c2 pairs risky of type 2
-        count_type3 = _type3_rectangles(du, dv)
-        if rtype == 3:
-            c2_pairs = product(c2u, c2v)
-        else:
-            c2_pairs = ((x, y) for x, row in zip(c2u, _verdict_rows(du, dv, c2u, c2v, 0))
-                        for y, hit in zip(c2v, row) if hit)
-        count = sum(count_type3(range(x + c1u.start, x + c1u.stop),
-                                range(y + c1v.start, y + c1v.stop))
-                    for x, y in c2_pairs)
+        count = risky_pairs(label_risky, (span[read[0]],), (span[read[1]],)) \
+            * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
+    elif rtype == 3:
+        count = risky_pairs(sum_risky, (c1u, c2u), (c1v, c2v))
     else:
-        raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
+        count = risky_pairs(label_risky, (c2u,), (c2v,)) * risky_pairs(sum_risky, (c1u,), (c1v,))
     return Fraction(count, math.prod(len(r) for r in span.values()))
 
 
@@ -319,54 +303,45 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
       "type3_given_rest"    max over (c1v, c2v, c2u), free c1(u)
       "both23_given_c1v_c2v" max over (c1v, c2v), free (c1u, c2u)
 
-    Types 1 and 2 take the largest conditioned probability, a column sum
-    of one table of lu*lv pairs judged.  Type 3 and the joint
-    scheme read the type-3 table of exact_edge_risk_probability, built once
-    per degree pair from min(lu, lv) pairs judged; each conditioning
-    then reads the column of its sum at v over the lu sums that a free
-    c1(u) gives at u.  Type 3 takes the largest such column sum over
-    (2lv-1)*lu of them, judging no further pair; the joint scheme adds,
-    for each (c1v, c2v), the column sums of the c2(u) values risky of
-    type 2 against c2(v), from lu*lv more pairs judged.
+    A free c1(u) spans lu = 2^eu consecutive values, whole periods mod
+    2^emin, and so does the sum c1 + c2 at u whatever c2(u) is.  So one
+    residue histogram at u serves every conditioning, and each scheme is
+    a max over the at most 2^emin residues of the values at v, read
+    against the risky residues of exact_edge_risk_probability's batch.
+    The joint scheme factorises as there: the largest type-2 column times
+    the largest type-3 column of the c1 pair, over lu^2.  Every scheme
+    costs O(2^e) steps.
     """
     if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
     eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    k = 3 << (2 * min(eu, ev))
+    emin = min(eu, ev)
     if which in ("type1_given_c1v", "type2_given_c2v"):
         key = (which, eu, ev)
     elif which in ("type3_given_rest", "both23_given_c1v_c2v"):
-        key = (which, eu, ev, (du - dv) % k)
+        key = (which, eu, ev, (du - dv) % (3 << (2 * emin)))
     else:
         raise ValueError(f"unknown scheme {which!r}")
     hit = _WORST_CACHE.get(key)
     if hit is not None:
         return hit
 
-    lu, lv = 1 << eu, 1 << ev
-    if which in ("type1_given_c1v", "type2_given_c2v"):
-        # given ci(v) = y, the risk is the share of ci(u) values risky against
-        # y: a column of the table of the congruence both types share
-        columns = zip(*_verdict_rows(du, dv, range(lu), range(lv), 0))
-        worst = Fraction(max(map(sum, columns)), lu)
+    lu = 1 << eu
+    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    label_risky, sum_risky = _risky_residues(du, dv)
+    free_u = _histogram(m, pu, range(lu))
+
+    def column(risky):
+        # the most values at u risky against one value at v, whose residues
+        # y*pv mod m are the multiples of pv below m
+        return max(sum(free_u[(b + r) % m] for r in risky) for b in range(0, m, pv))
+
+    if which == "type3_given_rest":
+        worst = Fraction(column(sum_risky), lu)
+    elif which == "both23_given_c1v_c2v":
+        worst = Fraction(column(label_risky) * column(sum_risky), lu * lu)
     else:
-        # c1(u) is free in both schemes, so given c2(u) = x the sum at u
-        # ranges over [x, x + lu); (c1v, c2v) enters type 3 only as sv
-        count_type3 = _type3_rectangles(du, dv)
-
-        def column(x, sv):
-            return count_type3(range(x, x + lu), range(sv, sv + 1))
-
-        if which == "type3_given_rest":
-            worst = Fraction(max(column(x, sv) for x in range(lu) for sv in range(2 * lv - 1)), lu)
-        else:
-            best = 0
-            type2 = list(_verdict_rows(du, dv, range(lu), range(lv), 0))  # [c2u][c2v]
-            for c2v in range(lv):
-                risky = [x for x in range(lu) if type2[x][c2v]]
-                for sv in range(c2v, c2v + lv):  # sv = c1v + c2v
-                    best = max(best, sum(column(x, sv) for x in risky))
-            worst = Fraction(best, lu * lu)
+        worst = Fraction(column(label_risky), lu)
     _WORST_CACHE[key] = worst
     return worst
 

@@ -35,7 +35,7 @@ from irrdec.graph_core import (
     spider,
     t_family_members,
 )
-from irrdec.labeling import exponents, ratio_gate
+from irrdec.labeling import ceil_log_beta, exponents, ratio_gate
 from irrdec.lll_engine import (
     Timeout,
     audit_constants,
@@ -110,6 +110,28 @@ def test_criterion_2_probability_bounds():
             f"{grid_pairs} gated grid pairs + 50 random pairs, 4 bounds each, "
             f"0 violations in {elapsed:.2f}s")
 
+
+
+def test_criterion_2_at_the_papers_degrees():
+    # the theorem is for minimum degree 10^10, where every e is 13 or more:
+    # seeded gated pairs drawn log-uniformly in [10^10, 10^12]
+    t0 = time.perf_counter()
+    rng = random.Random(MASTER_SEED)
+    pairs = []
+    while len(pairs) < 16:
+        du, dv = (round(10 ** rng.uniform(10, 12)) for _ in range(2))
+        if ratio_gate(du, dv):
+            pairs.append((du, dv))
+    bands = {ceil_log_beta(d) for pair in pairs for d in pair}
+    assert bands == {13, 14, 15, 16}, bands
+    violations = [(du, dv, kind) for du, dv in pairs for kind in CONDITIONAL_KINDS
+                  if not risk_bound_holds(du, dv, kind)]
+    elapsed = time.perf_counter() - t0
+    assert violations == [], f"conditional bound violations: {violations[:5]}"
+    assert elapsed < 10.0, f"suite took {elapsed:.1f}s, budget is 10s"
+    _report("probability bounds at the paper's degrees",
+            f"{len(pairs)} gated pairs in [10^10, 10^12] (e = 13..16), 4 bounds each, "
+            f"0 violations in {elapsed:.2f}s")
 
 def test_criterion_3_oracle_ground_truth():
     t0 = time.perf_counter()

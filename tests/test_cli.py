@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrdec import lll_engine
+from irrdec import graph_core, lll_engine
 from irrdec.cli import (
     RISKPROB_MAX_EXPONENT,
     build_parser,
@@ -385,6 +385,20 @@ class TestExceptionPreflight:
         assert time.perf_counter() - t0 < 2.0
         assert [c["family"] for c in found] == ["odd_path"]
 
+    def test_isolated_vertices_are_never_judged(self, monkeypatch):
+        # every family has an edge: only the two components with edges reach
+        # recognize_exception
+        judged = []
+
+        def counted(sub):
+            judged.append(sub.n)
+            return recognize_exception(sub)
+
+        monkeypatch.setattr(graph_core, "recognize_exception", counted)
+        g = _disjoint_union(random.Random(4), [Graph(500), path(3), cycle(4)])
+        assert [c["family"] for c in exception_components(g)] == ["odd_path"]
+        assert sorted(judged) == [4, 4]
+
     @pytest.mark.parametrize("kind, family", [
         ("path3", "odd_path"), ("cycle5", "odd_cycle"), ("t_member", "t_family"),
         ("dense_and_path", "odd_path")])
@@ -515,16 +529,29 @@ class TestRiskProb:
         assert res["bound"].endswith("dv^0.76")
 
     def test_type_23_at_the_cap(self, capsys):
-        # 10^6 and 2*10^6 both have e = 8, the largest e riskprob accepts
-        code, out, _ = run(capsys, "riskprob", str(10**6), str(2 * 10**6), "--type", "23",
-                           "--json")
+        # the last degree with e = 16, the largest e riskprob accepts
+        d = iroot(1 << (50 * RISKPROB_MAX_EXPONENT), 19)
+        code, out, _ = run(capsys, "riskprob", str(d - 10**11), str(d), "--type", "23", "--json")
         assert code == 0
         assert json.loads(out)["result"]["bound_holds"] is True
 
-    @pytest.mark.parametrize("rtype", ["3", "23"])
-    def test_one_type3_table_per_op(self, capsys, monkeypatch, rtype):
-        # both probabilities read one type-3 table, built from one sum pair
-        # per residue mod 2^emin; type 23 adds lu*lv type-2 verdicts for each
+    @pytest.mark.parametrize("rtype,digest", [
+        ("1", "e65ffeca2067610ec1879b1d170e3052635376d162dbc4a219958da9664c06a1"),
+        ("2", "554b99009302e01e65feb46341d55428ef8bbf54e38602517d94c56000792353"),
+        ("3", "8d6c452e155a5064aa1a2512a656ccc38b62cd37ca12b5a7002c2d88b08b4ad6"),
+        ("23", "8099ede25fd8291d9655e6f8833b8499939336c570b69b2e72944ea9385165bb"),
+    ])
+    def test_records_at_e8_are_frozen(self, capsys, rtype, digest):
+        # 10^6 and 2*10^6 both have e = 8
+        code, out, _ = run(capsys, "riskprob", str(10**6), str(2 * 10**6), "--type", rtype,
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["manifest"]["result_digest"] == f"sha256:{digest}"
+
+    @pytest.mark.parametrize("rtype", ["1", "2", "3", "23"])
+    def test_one_residue_batch_per_op(self, capsys, monkeypatch, rtype):
+        # both probabilities read one batch of verdicts, one pair per
+        # residue mod 2^emin, whatever the type
         lu, lv = lambda_of(30), lambda_of(41)
         assert (lu, lv) == (4, 8)
         judged = []
@@ -535,10 +562,9 @@ class TestRiskProb:
 
         monkeypatch.setattr(lll_engine, "risky_types", counted)
         lll_engine._WORST_CACHE.clear()
-        lll_engine._type3_rectangles.cache_clear()
+        lll_engine._risky_residues.cache_clear()
         assert run(capsys, "riskprob", "30", "41", "--type", rtype)[0] == 0
-        bound = min(lu, lv) + (2 * lu * lv if rtype == "23" else 0)
-        assert 0 < len(judged) <= bound
+        assert 0 < len(judged) <= min(lu, lv)
 
     @pytest.mark.parametrize("du,dv", [("2", "5000"), ("0", "5")])
     def test_ungated_pairs(self, capsys, du, dv):
@@ -548,10 +574,10 @@ class TestRiskProb:
 
     def test_degrees_above_the_cap_fail_fast(self, capsys):
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "riskprob", str(10**9), str(10**9))
+        code, out, err = run(capsys, "riskprob", str(10**13), str(10**13))
         assert time.perf_counter() - t0 < 1.0
         assert code == 64 and out == ""
-        assert "has lam = 2^12;" in err and f"capped at lam = 2^{RISKPROB_MAX_EXPONENT}" in err
+        assert "has lam = 2^17;" in err and f"capped at lam = 2^{RISKPROB_MAX_EXPONENT}" in err
 
     # d <= beta^e exactly when d^19 <= 2^(50e): the last degree of band 4 and
     # the first degree past the cap

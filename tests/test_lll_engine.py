@@ -6,6 +6,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, product
 
 import mpmath
 import pytest
@@ -21,6 +23,8 @@ from irrdec.labeling import (
     ceil_log_beta,
     exponents,
     ratio_gate,
+    risk_terms,
+    risky_types,
     sample_labels,
 )
 from irrdec.lll_engine import (
@@ -382,6 +386,98 @@ class TestCountingMatchesEnumeration:
             assert str(got.value) == str(want.value), args
 
 
+# The prefix-table counts that exact_edge_risk_probability and
+# worst_conditional_risk used before they counted by residue class, kept as
+# the reference: each scheme fills a (2lu-1) x (2lv-1) table, about 4^e.
+
+def _verdict_rows(du: int, dv: int, xs: range, ys: range, t: int):
+    """For each x in xs, the verdicts over y in ys, judged as one
+    risky_types batch per row: t = 0 judges labels x at u and y at v by the
+    congruence that types 1 and 2 share, t = 2 judges sums c1 + c2 = x at u
+    and y at v by type 3."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    terms = [risk_terms(du, eu, x, 0) for x in xs] + [risk_terms(dv, ev, y, 0) for y in ys]
+    es = [eu] * len(xs) + [ev] * len(ys)
+    cols = range(len(xs), len(terms))
+    for i in range(len(xs)):
+        yield risky_types([(i, j) for j in cols], terms, es)[t]
+
+
+@lru_cache(maxsize=1)
+def _type3_rectangles(du: int, dv: int):
+    """count(a, b) = the number of sum pairs in a x b risky of type 3, for
+    intervals a within [0, 2lu-1) and b within [0, 2lv-1), where a sum is
+    c1 + c2 at u or at v: four lookups in a 2-D prefix-sum table of the
+    verdicts of all sum pairs, looked up from one verdict per residue."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    emin = min(eu, ev)
+    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    reps = [(r, 0) if eu == emin else (0, -r % m) for r in range(m)]
+    terms = [t for x, y in reps for t in (risk_terms(du, eu, x, 0), risk_terms(dv, ev, y, 0))]
+    by_residue = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, [eu, ev] * m)[2]
+    ys = range((2 << ev) - 1)
+    row_sums = {c: list(accumulate((by_residue[(c - y * pv) % m] for y in ys), initial=0))
+                for c in range(0, m, pu)}
+    rect = [[0] * (2 << ev)]
+    for x in range((2 << eu) - 1):
+        rect.append([p + q for p, q in zip(rect[-1], row_sums[x * pu % m])])
+
+    def count(a: range, b: range) -> int:
+        return (rect[a.stop][b.stop] - rect[a.start][b.stop]
+                - rect[a.stop][b.start] + rect[a.start][b.start])
+    return count
+
+
+def table_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
+    """exact_edge_risk_probability by rows of verdicts (types 1 and 2) and
+    rectangle sums over the type-3 table (types 3 and "23")."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    lam = {"c1_u": 1 << eu, "c2_u": 1 << eu, "c1_v": 1 << ev, "c2_v": 1 << ev}
+    conditioned = dict(conditioned or {})
+    span = {n: range(conditioned[n], conditioned[n] + 1) if n in conditioned else range(lam[n])
+            for n in _SLOT_NAMES}
+    c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
+    if rtype in (1, 2):
+        read = ("c1_u", "c1_v") if rtype == 1 else ("c2_u", "c2_v")
+        hits = sum(sum(row) for row in _verdict_rows(du, dv, span[read[0]], span[read[1]], 0))
+        count = hits * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
+    else:
+        count_type3 = _type3_rectangles(du, dv)
+        if rtype == 3:
+            c2_pairs = product(c2u, c2v)
+        else:
+            c2_pairs = ((x, y) for x, row in zip(c2u, _verdict_rows(du, dv, c2u, c2v, 0))
+                        for y, hit in zip(c2v, row) if hit)
+        count = sum(count_type3(range(x + c1u.start, x + c1u.stop),
+                                range(y + c1v.start, y + c1v.stop))
+                    for x, y in c2_pairs)
+    return Fraction(count, math.prod(len(r) for r in span.values()))
+
+
+def table_worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
+    """worst_conditional_risk by column sums of the verdict rows (types 1
+    and 2) and of the type-3 table (type 3 and the joint scheme)."""
+    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+    lu, lv = 1 << eu, 1 << ev
+    if which in ("type1_given_c1v", "type2_given_c2v"):
+        columns = zip(*_verdict_rows(du, dv, range(lu), range(lv), 0))
+        return Fraction(max(map(sum, columns)), lu)
+    count_type3 = _type3_rectangles(du, dv)
+
+    def column(x, sv):
+        return count_type3(range(x, x + lu), range(sv, sv + 1))
+
+    if which == "type3_given_rest":
+        return Fraction(max(column(x, sv) for x in range(lu) for sv in range(2 * lv - 1)), lu)
+    best = 0
+    type2 = list(_verdict_rows(du, dv, range(lu), range(lv), 0))  # [c2u][c2v]
+    for c2v in range(lv):
+        risky = [x for x in range(lu) if type2[x][c2v]]
+        for sv in range(c2v, c2v + lv):  # sv = c1v + c2v
+            best = max(best, sum(column(x, sv) for x in risky))
+    return Fraction(best, lu * lu)
+
+
 class TestType3Rectangles:
     # eu == ev, eu < ev and eu > ev, with e <= 4
     PAIRS = [(1, 1), (5, 5), (20, 31), (100, 100), (300, 301), (5, 7), (7, 5), (30, 41),
@@ -396,9 +492,9 @@ class TestType3Rectangles:
             shapes.add((eu > ev) - (eu < ev))
             assert max(eu, ev) <= 4
             nu, nv = 2 * lambda_of(du) - 1, 2 * lambda_of(dv) - 1
-            rows = list(lll_engine._verdict_rows(du, dv, range(nu), range(nv), 2))
-            lll_engine._type3_rectangles.cache_clear()
-            count = lll_engine._type3_rectangles(du, dv)
+            rows = list(_verdict_rows(du, dv, range(nu), range(nv), 2))
+            _type3_rectangles.cache_clear()
+            count = _type3_rectangles(du, dv)
             rects = [(range(nu), range(nv))]
             for _ in range(60):
                 a0, a1 = sorted(rng.randint(0, nu) for _ in range(2))
@@ -409,6 +505,103 @@ class TestType3Rectangles:
                 assert count(a, b) == want, (du, dv, a, b)
         assert shapes == {-1, 0, 1}
 
+
+class TestResidueCountsMatchTables:
+    TYPES = (1, 2, 3, "23")
+
+    @staticmethod
+    def _gated_pairs(rng, eu, ev, k):
+        """k seeded gated pairs with e(u) = eu and e(v) = ev."""
+        def degree(e):
+            return rng.randint(_last_degree(e - 1) + 1 if e else 1, _last_degree(e))
+
+        pairs = []
+        while len(pairs) < k:
+            du, dv = degree(eu), degree(ev)
+            if ratio_gate(du, dv):
+                pairs.append((du, dv))
+        return pairs
+
+    def _assert_same(self, rng, du, dv, conditionings):
+        lam_u, lam_v = lambda_of(du), lambda_of(dv)
+        lam = {"c1_u": lam_u, "c2_u": lam_u, "c1_v": lam_v, "c2_v": lam_v}
+        for rtype in self.TYPES:
+            for _ in range(conditionings):
+                subset = rng.randrange(16)
+                cond = {n: rng.randrange(lam[n]) for i, n in enumerate(_SLOT_NAMES)
+                        if subset >> i & 1}
+                want = table_edge_risk_probability(du, dv, rtype, cond)
+                assert exact_edge_risk_probability(du, dv, rtype, cond) == want, \
+                    (du, dv, rtype, cond)
+        for which in _SCHEMES:
+            lll_engine._WORST_CACHE.clear()
+            want = table_worst_conditional_risk(du, dv, which)
+            assert worst_conditional_risk(du, dv, which) == want, (du, dv, which)
+
+    def test_every_shape_up_to_e6(self):
+        # a gated pair has |e(u) - e(v)| <= 1; eight pairs per shape
+        rng = random.Random(2323)
+        shapes = [(eu, ev) for eu in range(7) for ev in range(7) if abs(eu - ev) <= 1]
+        assert len(shapes) == 19
+        for eu, ev in shapes:
+            for du, dv in self._gated_pairs(rng, eu, ev, 8):
+                self._assert_same(rng, du, dv, 4)
+
+    def test_sampled_pairs_at_e7_to_e9(self):
+        rng = random.Random(2324)
+        for eu, ev in ((7, 7), (7, 8), (8, 8), (9, 8), (9, 9)):
+            for du, dv in self._gated_pairs(rng, eu, ev, 1):
+                self._assert_same(rng, du, dv, 1)
+
+
+class TestClosedFormsAtThePapersDegrees:
+    """At d >= 10^10 every e is at least 13, so the label spaces hold 2^52
+    and more assignments; the probabilities have closed forms there."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(1010)
+        pairs = [(10**10, 2 * 10**10)]
+        while len(pairs) < 6:
+            du, dv = (round(10 ** rng.uniform(10, 12)) for _ in range(2))
+            if ratio_gate(du, dv):
+                pairs.append((du, dv))
+        return pairs
+
+    def test_probabilities(self):
+        for du, dv in self._pairs():
+            eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
+            emin = min(eu, ev)
+            m = 1 << emin
+            # a label on the side with e = emin is uniform mod 2^emin, and so
+            # is a sum of two of them: the type-3 residue of the c1 pair and
+            # of the sums is uniform, and risky on the residues _holds names
+            reps = [(r, 0) if eu == emin else (0, -r % m) for r in range(m)]
+            risky3 = sum(_holds(3, du, dv, eu, ev, x, y, 0, 0) for x, y in reps)
+            p1, p2, p3, p23 = (exact_edge_risk_probability(du, dv, t) for t in (1, 2, 3, "23"))
+            assert p1 == p2 == Fraction(1, m), (du, dv)
+            assert p3 == Fraction(risky3, m), (du, dv)
+            assert p23 == p2 * exact_edge_risk_probability(du, dv, 3, {"c2_u": 0, "c2_v": 0}) \
+                == p2 * p3, (du, dv)
+            assert 1 <= risky3 <= 2
+
+    def test_worst_schemes_decide_within_a_second(self):
+        du, dv = 10**10, 2 * 10**10
+        assert (ceil_log_beta(du), ceil_log_beta(dv)) == (13, 14)
+        worst = {}
+        for which in _SCHEMES:
+            lll_engine._WORST_CACHE.clear()
+            lll_engine._risky_residues.cache_clear()
+            t0 = time.perf_counter()
+            assert risk_bound_holds(du, dv, which)
+            assert time.perf_counter() - t0 < 1.0, which
+            worst[which] = worst_conditional_risk(du, dv, which)
+        # e(u) = emin, so a free c1(u) meets each residue mod 2^13 once and
+        # every conditioning is as risky as none
+        w1, w2, w3, w23 = (worst[which] for which in _SCHEMES)
+        assert w1 == w2 == exact_edge_risk_probability(du, dv, 1) == Fraction(1, 1 << 13)
+        assert w3 == exact_edge_risk_probability(du, dv, 3)
+        assert w23 == w2 * w3 == exact_edge_risk_probability(du, dv, "23")
 
 class TestWorstConditional:
     @pytest.mark.parametrize(
