@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from ..exact import le_scaled_pow
 from ..factor_solver import (
+    ISOLATED,
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
@@ -164,9 +165,10 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
     failing = spec.check_precondition(deg)
     capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
     n = len(deg)
-    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) for v in range(n)}
-    exempt = [v for v in range(n) if deg[v] == 0]  # both windows of 0 are empty
-    empty = [v for v in range(n) if deg[v] and not allowed[v]]
+    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) if deg[v] else ISOLATED
+               for v in range(n)}
+    exempt = [v for v in range(n) if deg[v] == 0]
+    empty = [v for v in range(n) if not allowed[v]]
     if empty:
         v = empty[0]
         d = deg[v]
@@ -177,7 +179,6 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
             "degree": d, "window_widths": [len(w) for w in windows(d)],
             "modulus": spec.lam[v],
         }, empty_target_vertices=empty[:20], **capped)
-    allowed.update((v, {0}) for v in exempt)
     result = find_degree_set_subgraph(
         build_host(), DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",

@@ -13,7 +13,7 @@ match equals every match there, which under the pipeline's moduli
 
 Costs: a window is built by arithmetic, O(window/lam) for the values it
 returns.  Exact mode prunes in O(1) per endpoint through a next-allowed-
-degree table per vertex.  Heuristic mode keeps each edge's flip delta in
+degree table per (degree, set).  Heuristic mode keeps each edge's flip delta in
 one of five bitmask buckets and after a flip of (u, v) recomputes only the
 edges at u and v, so an accepted flip costs O(d(u) + d(v)) delta updates.
 """
@@ -70,6 +70,10 @@ class Failure:
     nodes_explored: int = 0
     best_penalty: int | None = None
     flips: int = 0  # accepted flips a heuristic search used
+
+
+# the allowed set of a vertex without edges; {0} lies in [0, d] at every degree d
+ISOLATED = frozenset({0})
 
 
 def windows(d: int) -> tuple:
@@ -129,7 +133,9 @@ def _exact_search(g: Graph, allowed: dict):
     incident = incident_edges(n, edges)
     cur = [0] * n
     rem = [len(incident[v]) for v in range(n)]
-    nxt = [_next_allowed(rem[v], allowed[v]) for v in range(n)]
+    tables = {}  # vertices of one degree and one allowed set share a read-only table
+    nxt = [tables[key] if key in tables else tables.setdefault(key, _next_allowed(*key))
+           for key in zip(rem, map(allowed.__getitem__, range(n)))]
     state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
     nodes = 0
 
@@ -296,6 +302,8 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     """
     for v in range(g.n):
         s = spec.allowed.get(v)
+        if s is ISOLATED:  # valid at every degree
+            continue
         if s is None or len(s) == 0:
             raise ValueError(f"vertex {v}: empty allowed set")
         # integers in [0, d(v)]: _local_search's invariant rests on this

@@ -54,8 +54,6 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx
-
 from ..graph_core import (
     Decomposition,
     Graph,
@@ -289,9 +287,12 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
 
 def atlas_connected_graphs(max_vertices: int = 7):
     """All connected graphs with 1..max_vertices vertices, from the atlas
-    tables (which stop at 7 vertices)."""
+    tables (which stop at 7 vertices).  This call imports networkx."""
     if max_vertices > 7:
         raise ValueError("atlas tables stop at 7 vertices")
+    # the only reader of networkx; importing it costs about 0.12 s and 14 MB a process
+    import networkx
+
     out = []
     for ag in networkx.graph_atlas_g():
         n = ag.number_of_nodes()

@@ -3,7 +3,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -705,3 +709,39 @@ class TestInputContract:
     def test_audit_exits_with_documented_codes(self, claim):
         code, err = _exit_code(["audit", "--claim", claim])
         assert code in (0, 64, 65), (code, err)
+
+
+def test_only_the_atlas_and_the_audit_load_networkx_and_mpmath(tmp_path):
+    """In a fresh interpreter the commands that need neither dependency
+    leave both unloaded: networkx costs about 0.12 s and 14 MB a process."""
+    k6, sp = tmp_path / "k6.txt", tmp_path / "sp.txt"
+    k6.write_text(serialize_edge_list(complete(6)))
+    sp.write_text(serialize_edge_list(spider(2)))
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from irrdec.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return main(list(argv))
+
+        def loaded():
+            return sorted(m for m in ("mpmath", "networkx") if m in sys.modules)
+
+        codes = [run("decompose", sys.argv[1], "--seed", "1"),
+                 run("riskprob", "1801", "1622", "--type", "3", "--json"),
+                 run("oracle", sys.argv[2]), run("gen", "path", "3")]
+        out = {"codes": codes, "commands": loaded()}
+        out["audit"] = run("audit", "--json"), loaded()
+        from irrdec.oracle import atlas_connected_graphs
+        out["atlas"] = len(atlas_connected_graphs(5)), loaded()
+        print(json.dumps(out))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(k6), str(sp)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [2, 0, 0, 0], "commands": [],
+                                       "audit": [0, ["mpmath"]],
+                                       "atlas": [31, ["mpmath", "networkx"]]}

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from irrdec import labeling, lll_engine
+from irrdec import decomposer, labeling, lll_engine
 from irrdec.decomposer import (
     STAGES,
     ColouringFailure,
@@ -21,7 +21,7 @@ from irrdec.decomposer import (
     stage_windows,
     window_report,
 )
-from irrdec.factor_solver import ModularTargetSpec
+from irrdec.factor_solver import ModularTargetSpec, allowed_degrees
 from irrdec.graph_core import (
     Decomposition,
     Graph,
@@ -180,6 +180,24 @@ class TestPipelineOutcomes:
         assert isinstance(out, Diagnostic)
         assert out.code == "WindowTargetInfeasible"
         assert 3 not in out.detail["vertices"]
+
+    def test_isolated_vertices_take_no_window_translation(self, monkeypatch):
+        # a vertex the host leaves no edges takes {0} as it is, so each
+        # factor stage translates the windows of the vertices with edges only
+        calls = []
+
+        def counted(d, lam, t):
+            calls.append(d)
+            return allowed_degrees(d, lam, t)
+
+        monkeypatch.setattr(decomposer, "allowed_degrees", counted)
+        out, trace = decompose3(Graph(500, []), PipelineConfig(seed=7))
+        assert isinstance(out, Decomposition) and calls == []
+        assert [r["exempt_count"] for r in trace.stage_reports if "exempt" in r] == [500, 500]
+        trace = _part2_trace()
+        assert stage_overlap_colouring(trace) is None and stage_part2(trace) is None
+        assert calls == [2, 2, 2]  # the triangle of g'', not its 36 isolated vertices
+        assert trace.stage_reports[-1]["exempt_count"] == 36
 
     def test_exception_component_preflight(self):
         # the components are checked before the strict floor; K4 is none

@@ -238,8 +238,8 @@ def _reference_min_parts(g, k_max=None):
 
 
 class TestAgainstLinearScan:
-    def test_same_verdicts_and_witnesses(self):
-        graphs = (atlas_connected_graphs(6) + t_family_members(13) + [TWO_BOWTIES]
+    def test_same_verdicts_and_witnesses(self, atlas6):
+        graphs = (list(atlas6) + t_family_members(13) + [TWO_BOWTIES]
                   + [path(m) for m in range(1, 14, 2)] + [cycle(m) for m in range(3, 14, 2)])
         verdicts = set()
         _reference_search.cache_clear()
@@ -275,9 +275,9 @@ class TestFailedStateTable:
     """The table of failed states cuts only subtrees that fail, so every
     probe returns the colouring the plain search returns, in no more nodes."""
 
-    def test_same_colourings_at_every_k(self):
+    def test_same_colourings_at_every_k(self, atlas6):
         rng = random.Random(18)
-        graphs = (atlas_connected_graphs(6) + t_family_members(13) + [TWO_BOWTIES]
+        graphs = (list(atlas6) + t_family_members(13) + [TWO_BOWTIES]
                   + [path(m) for m in range(1, 20)] + [cycle(m) for m in range(3, 20)]
                   + [gnp(rng.randint(6, 9), 0.45, seed=s) for s in range(50)])
         cases = [(g, None) for g in graphs]
@@ -303,10 +303,10 @@ class TestFailedStateTable:
         assert max(min_parts(g).nodes_explored
                    for g in members + [cycle(19), path(21)]) <= 1422
 
-    def test_verdicts_match_the_previous_search(self):
+    def test_verdicts_match_the_previous_search(self, atlas7):
         # (least k, exhausted) as the search over the degree-ascending,
         # neighbour-set-order edge list without the table gave them
-        got = [(r.feasible_k, r.exhausted) for r in map(min_parts, atlas_connected_graphs(7))]
+        got = [(r.feasible_k, r.exhausted) for r in map(min_parts, atlas7)]
         assert Counter(got) == {(2, True): 864, (1, True): 83, (3, True): 38,
                                 (None, True): 10, (0, True): 1}
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "912d215ad1a13385"
@@ -366,11 +366,13 @@ class TestBisection:
 
 
 class TestAtlas:
-    def test_connected_counts(self):
-        graphs = atlas_connected_graphs(7)
-        assert len(graphs) == 996
-        assert all(g.is_connected() for g in graphs[:50])
-        assert max(g.n for g in graphs) == 7
+    def test_connected_counts(self, atlas7):
+        assert len(atlas7) == 996
+        assert all(g.is_connected() for g in atlas7[:50])
+        assert max(g.n for g in atlas7) == 7
+        # the graphs themselves, in their order
+        got = repr([(g.n, sorted(g.edges)) for g in atlas7])
+        assert hashlib.sha256(got.encode()).hexdigest()[:16] == "8f4aaf4c2c5acf88"
         assert len(atlas_connected_graphs(5)) == 31  # 1+1+2+6+21
 
     def test_vertex_cap(self):
