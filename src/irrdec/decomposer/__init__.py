@@ -127,10 +127,13 @@ class ColouringFailure:
 
 def greedy_proper_colouring(f_graph: Graph, cap: list):
     """Proper vertex colouring of the overlap graph, ascending vertex id,
-    least free value, subject to h(v) <= cap[v]."""
+    least free value, subject to h(v) <= cap[v].  Neighbour sets are read
+    only at vertices with an edge: the others take 0, so a graph without
+    edges never builds them."""
     h = {}
+    deg = f_graph.degrees()
     for v in range(f_graph.n):
-        used = {h[u] for u in f_graph.neighbours(v) if u in h}
+        used = {h[u] for u in f_graph.neighbours(v) if u in h} if deg[v] else ()
         value = 0
         while value in used:
             value += 1

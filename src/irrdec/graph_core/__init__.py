@@ -9,7 +9,7 @@ import enum
 import random
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 
 # parse_edge_list cap; a Graph counts degrees per vertex when built and
@@ -119,25 +119,24 @@ class Graph:
         return Graph._canonical(self.n, self.edges - drop)
 
     def components(self) -> list[frozenset]:
-        if self._adj is None:
-            self._build_neighbours()
-        adj = self._adj
+        return list(self._components_of(range(self.n)))
+
+    def _components_of(self, starts):
+        """The components that hold the vertices of starts, each once, in
+        the order of its first vertex in starts."""
         seen = set()
-        out = []
-        for s in range(self.n):
+        for s in starts:
             if s in seen:
                 continue
             comp = {s}
             stack = [s]
             while stack:
-                x = stack.pop()
-                for y in adj[x]:
+                for y in self.neighbours(stack.pop()):
                     if y not in comp:
                         comp.add(y)
                         stack.append(y)
             seen |= comp
-            out.append(frozenset(comp))
-        return out
+            yield frozenset(comp)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -510,13 +509,16 @@ def exception_components(g: Graph) -> list:
 
     Every family has maximum degree <= 3, so a graph of minimum degree > 3
     has no such component, and its neighbour sets stay unbuilt.  Every
-    family has an edge, so an isolated vertex is never judged.
+    family has an edge, so the walk starts only at vertices of positive
+    degree: an isolated vertex is never visited, and a graph without edges
+    never builds its neighbour sets.
     """
     if g.min_degree() > 3:
         return []
+    deg = g.degrees()
     found = []
-    for comp in g.components():
-        if len(comp) == 1 or any(g.degree(v) > 3 for v in comp):
+    for comp in g._components_of(compress(range(g.n), deg)):
+        if any(deg[v] > 3 for v in comp):
             continue
         vs = sorted(comp)
         relabel = {v: i for i, v in enumerate(vs)}

@@ -14,7 +14,9 @@ and no Python call per edge.  The ratio gate is decided once per degree
 pair through one bounded cache, gate.
 
 A classification is the risky edge sets r1, r2, r3; risky_neighbours gives
-the per-vertex sets A(v), B(v), C(v) whose sizes size_limits bounds.
+the per-vertex sets A(v), B(v), C(v), and F(v) = B(v) & C(v).  size_limits
+bounds the four sizes and violated_kinds, the one size rule, reads the
+sizes alone, so the resampler can keep them as counts.
 """
 
 from __future__ import annotations
@@ -213,11 +215,14 @@ def size_limits(g: Graph, slack) -> list:
     return out
 
 
-def violated_kinds(limits, a, b, c) -> list:
+def violated_kinds(limits, sizes) -> list:
     """The kinds (in KINDS order) whose size bound fails at one vertex, from
-    its size_limits entry and its risky neighbour sets a, b, c; F is b & c."""
+    its size_limits entry and its sizes (|A|, |B|, |C|, |F|): the one size
+    rule, read by the from-scratch check and the resampler alike."""
     t_abc, t_f = limits
     if t_abc is None:
         return []
-    sizes = (len(a), len(b), len(c), len(b & c))
+    a, b, c, f = sizes
+    if a <= t_abc and b <= t_abc and c <= t_abc and f <= t_f:
+        return []
     return [k for k, size, t in zip(KINDS, sizes, (t_abc, t_abc, t_abc, t_f)) if size > t]

@@ -1,12 +1,12 @@
-"""Bad events over risky neighbourhoods (violated_events is the one check of
-their size bounds), a Moser-Tardos resampler that keeps the same verdicts
-incrementally, exact risk probabilities, and the numeric audit of every
-closed-form constant the machinery relies on.
+"""Bad events over risky neighbourhoods, a Moser-Tardos resampler, exact
+risk probabilities, and the numeric audit of every closed-form constant the
+machinery relies on.
 
 Every verdict comes from labeling.risky_types, which judges a batch of
-pairs of risk_terms in one call.  The resampler keeps one terms list,
-refreshes it at the resampled vertices only and re-judges their gated
-edges as one batch per round.
+pairs of risk_terms in one call, and every size bound from
+labeling.violated_kinds.  violated_events classifies from scratch; the
+resampler keeps risky edge sets and per-vertex counts, no per-vertex
+containers, and a round costs about the edges it re-judges.
 
 An edge's risk probability is a count of label assignments, taken over
 only the coordinates each type reads, against the lam(u)^2 * lam(v)^2
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
 
 from ..exact import floor_beta_mult, iroot
@@ -53,7 +53,7 @@ class BadEvent:
     """One oversized-neighbourhood event at a vertex.
 
     kind A, B, C or F watches |A(v)|, |B(v)|, |C(v)| or |F(v)| (see
-    labeling.risky_neighbours).  scope is the exact set of label slots the
+    labeling.violated_kinds).  scope is the exact set of label slots the
     event reads: (w, 1) for c1 and (w, 2) for c2, over v and its gated
     neighbours.
     """
@@ -86,14 +86,15 @@ def make_event(v: int, kind: str, nbrs: list) -> BadEvent:
 
 def violated_events(g: Graph, labels: LabelPair, slack) -> list:
     """Events whose size bound (scaled by slack) fails, in (vertex, kind)
-    order: the one check of the neighbourhood-size bounds.  Classifies from
-    scratch; moser_tardos keeps the same verdicts incrementally and is
-    tested against this function."""
+    order.  Classifies from scratch and sizes risky_neighbours' sets;
+    moser_tardos keeps the same sizes as counts and is tested against this
+    function."""
     risky = risky_neighbours(g.n, classify(g, labels, exponents(g)))
     limits = size_limits(g, slack)
     events = []
     for v in range(g.n):
-        kinds = violated_kinds(limits[v], *risky[v])
+        a, b, c = risky[v]
+        kinds = violated_kinds(limits[v], (len(a), len(b), len(c), len(b & c)))
         if kinds:
             nbrs = gated_neighbours(g, v)
             events.extend(make_event(v, kind, nbrs) for kind in kinds)
@@ -118,13 +119,16 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     order.  observer, when given, is called as observer(round_no, event,
     before, after) with label snapshots around each resampling.
 
-    The resampler classifies from its own terms list (classify_terms), and
-    later rounds update those risky_neighbours sets in place: a round
-    refreshes the terms of the scope vertices, whose labels alone change,
-    re-judges just their gated edges in one risky_types call and rechecks
-    the events of the endpoints whose sets changed.  Each vertex's gated
-    neighbours are listed once per call, for its event scopes and its edges.
-    At slack inf no event has a bound: the draw is returned unclassified.
+    The state is the risky edge sets r1, r2, r3 of classify_terms, kept
+    mutable, and four per-vertex counts |A|, |B|, |C| and |F|, where an
+    edge counts in F when it is risky of types 2 and 3; violated_kinds reads
+    the counts.  A round refreshes the terms of the scope vertices, whose
+    labels alone change, and re-judges their gated edges, each once in
+    canonical orientation, in one risky_types call.  Only an edge whose
+    verdicts changed touches the sets and counts, and the events of its
+    endpoints are rechecked.  Each vertex's gated neighbours are listed once
+    per call, for its event scopes and its edges.  At slack inf no event
+    has a bound: the draw is returned unclassified.
     """
     limits = size_limits(g, slack)
     if max_rounds < 1:
@@ -136,12 +140,18 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     c1, c2 = labels.c1, labels.c2
     deg = g.degrees()
     terms = list(map(risk_terms, deg, es, c1, c2))
-    risky = risky_neighbours(g.n, classify_terms(g, deg, terms, es))
+    cls = classify_terms(g, deg, terms, es)
+    r1, r2, r3 = set(cls.r1), set(cls.r2), set(cls.r3)
+    na, nb, nc, nf = counts = [[0] * g.n for _ in range(4)]
+    for size, edges in zip(counts, (r1, r2, r3, cls.r2 & cls.r3)):
+        for u, v in edges:
+            size[u] += 1
+            size[v] += 1
     bad = {}  # vertex -> its violated kinds, for every vertex that has any
 
     def recheck(vertices):
         for x in vertices:
-            kinds = violated_kinds(limits[x], *risky[x])
+            kinds = violated_kinds(limits[x], (na[x], nb[x], nc[x], nf[x]))
             if kinds:
                 bad[x] = kinds
             else:
@@ -161,7 +171,8 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
         if not bad:
             return labels
         v = min(bad)
-        ev = make_event(v, bad[v][0], gated_of(v))
+        nbrs = gated_of(v)
+        ev = make_event(v, bad[v][0], nbrs)
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
         for w, slot in sorted(ev.scope):
@@ -169,27 +180,40 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 
-        scope_verts = {w for w, _ in ev.scope}
+        scope_verts = {v, *nbrs}  # every kind reads a slot at each of them
         pairs = []
         for w in scope_verts:
             terms[w] = risk_terms(deg[w], es[w], c1[w], c2[w])
-            for x in gated_of(w):
-                if x not in scope_verts:
-                    pairs.append((w, x) if w < x else (x, w))
-                elif w < x:  # an edge inside the scope is judged once
-                    pairs.append((w, x))
-        changed = set()
-        for t, verdicts in enumerate(risky_types(pairs, terms, es)):
-            now = set(compress(pairs, verdicts))
-            was = {(lo, hi) for lo, hi in pairs if hi in risky[lo][t]}
-            for lo, hi in was - now:
-                risky[lo][t].discard(hi)
-                risky[hi][t].discard(lo)
-            for lo, hi in now - was:
-                risky[lo][t].add(hi)
-                risky[hi][t].add(lo)
-            changed.update(chain.from_iterable(now ^ was))
-        recheck(changed)
+            # an edge inside the scope is judged once, from its lower end
+            pairs += [(w, x) if w < x else (x, w)
+                      for x in gated_of(w) if w < x or x not in scope_verts]
+        marked = set()  # the endpoints of the edges whose verdicts changed
+        for edge, f1, f2, f3 in zip(pairs, *risky_types(pairs, terms, es)):
+            o1, o2, o3 = edge in r1, edge in r2, edge in r3
+            if f1 == o1 and f2 == o2 and f3 == o3:
+                continue
+            u, x = edge
+            # unrolled per type, as this loop is most of a round; a bool
+            # difference is the step, +1 or -1
+            if f1 != o1:
+                (r1.add if f1 else r1.discard)(edge)
+                na[u] += f1 - o1
+                na[x] += f1 - o1
+            if f2 != o2:
+                (r2.add if f2 else r2.discard)(edge)
+                nb[u] += f2 - o2
+                nb[x] += f2 - o2
+            if f3 != o3:
+                (r3.add if f3 else r3.discard)(edge)
+                nc[u] += f3 - o3
+                nc[x] += f3 - o3
+            step = (f2 and f3) - (o2 and o3)
+            if step:
+                nf[u] += step
+                nf[x] += step
+            marked.add(u)
+            marked.add(x)
+        recheck(marked)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
 

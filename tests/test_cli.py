@@ -372,10 +372,11 @@ class TestExceptionPreflight:
         assert exception_components(_disjoint_union(rng, [dense, Graph(1)])) == []
 
         # at minimum degree > 3 there is no walk at all
-        def fail(self):
+        def fail(self, *starts):
             raise AssertionError("components walked at minimum degree > 3")
 
         monkeypatch.setattr(Graph, "components", fail)
+        monkeypatch.setattr(Graph, "_components_of", fail)
         assert exception_components(dense) == []
         assert exception_components(complete(5)) == []
 
@@ -388,6 +389,14 @@ class TestExceptionPreflight:
         found = exception_components(g)
         assert time.perf_counter() - t0 < 2.0
         assert [c["family"] for c in found] == ["odd_path"]
+
+    def test_edgeless_graph_builds_no_neighbour_sets(self, monkeypatch):
+        # the walk starts only at vertices of positive degree
+        def fail(self):
+            raise AssertionError("neighbour sets built for a graph without edges")
+
+        monkeypatch.setattr(Graph, "_build_neighbours", fail)
+        assert exception_components(Graph(100000)) == []
 
     def test_isolated_vertices_are_never_judged(self, monkeypatch):
         # every family has an edge: only the two components with edges reach

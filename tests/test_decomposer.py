@@ -76,6 +76,19 @@ class TestGreedyColouring:
         f = cycle(3)
         assert greedy_proper_colouring(f, [2, 2, 2]) == {0: 0, 1: 1, 2: 2}
 
+    def test_isolated_vertices_take_zero(self, monkeypatch):
+        f = Graph(6, [(1, 4), (4, 5)])
+        assert greedy_proper_colouring(f, [0, 1, 0, 0, 1, 1]) == \
+            {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 0}
+
+        # a graph without edges never builds its neighbour sets
+        def fail(self):
+            raise AssertionError("neighbour sets built for a graph without edges")
+
+        monkeypatch.setattr(Graph, "_build_neighbours", fail)
+        assert greedy_proper_colouring(Graph(100000), [0] * 100000) == \
+            dict.fromkeys(range(100000), 0)
+
     def test_cap_exhaustion(self):
         f = cycle(3)
         out = greedy_proper_colouring(f, [2, 2, 1])

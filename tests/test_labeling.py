@@ -2,7 +2,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrdec import labeling
@@ -20,6 +20,7 @@ from irrdec.labeling import (
     risky_types,
     sample_labels,
     size_limits,
+    violated_kinds,
 )
 from irrdec.lll_engine import violated_events
 
@@ -313,6 +314,29 @@ class TestBounds:
         assert size_limits(g, 1)[0] == (64, 26)
         bad = violated_events(g, labels, 1)
         assert [(ev.vertex, ev.kind) for ev in bad] == [(v, "F") for v in range(30)]
+
+    @given(st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(0, 20))),
+           st.tuples(*[st.integers(-2, 2)] * 4))
+    @example(None, (40, 40, 40, 40))
+    @example((3, 2), (0, 0, 0, 0))  # all four at or below
+    @example((3, 2), (0, 0, 1, 0))  # F alone over
+    @example((3, 2), (1, 1, 1, 1))  # every size one past its bound
+    @settings(max_examples=300, deadline=None)
+    def test_violated_kinds_compares_each_size_to_its_limit(self, limits, offsets):
+        # sizes sit within 2 of their bounds, on both sides; with limits
+        # (None, None) the offsets are the sizes themselves, shifted up
+        if limits is None:
+            limits, sizes = (None, None), tuple(10 + o for o in offsets)
+        else:
+            bounds = (limits[0],) * 3 + (limits[1],)
+            sizes = tuple(max(0, t + o) for t, o in zip(bounds, offsets))
+        t_abc, t_f = limits
+        want = []
+        if t_abc is not None:
+            a, b, c, f = sizes
+            want = [kind for kind, over in (("A", a > t_abc), ("B", b > t_abc),
+                                            ("C", c > t_abc), ("F", f > t_f)) if over]
+        assert violated_kinds(limits, sizes) == want
 
     def test_inf_slack_disables_everything(self):
         g = complete(30)

@@ -143,6 +143,36 @@ class TestMoserTardos:
         assert len(rounds) > 10
         assert max(built.values()) == 1
 
+    def test_bench_regime_outcomes_are_pinned(self):
+        # the decompose-resample regime: labels on success, the trajectory
+        # on Timeout, hashed over 18 runs; seed 1 at d = 20 times out
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for d in (20, 22, 24):
+            g = random_regular(240, d, seed=d)
+            for seed in range(6):
+                out = moser_tardos(g, exponents(g), seed, 0.21, 10)
+                outcomes[type(out)] += 1
+                record = ([out.rounds, out.trajectory] if isinstance(out, Timeout)
+                          else [out.c1, out.c2])
+                digest.update(json.dumps(record).encode())
+        assert outcomes == {LabelPair: 17, Timeout: 1}
+        assert digest.hexdigest() == \
+            "66d28b7979a224b6ef02764ace7edd8fcefb69efd50b2d9bfc94e0346d5d220f"
+
+    def test_finite_slack_builds_no_neighbour_sets(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("risky_neighbours called by moser_tardos")
+
+        monkeypatch.setattr(lll_engine, "risky_neighbours", fail)
+        g = random_regular(60, 12, seed=7)
+        rounds = []
+        labels = moser_tardos(g, exponents(g), 3, 0.15, 200,
+                              observer=lambda r, *_: rounds.append(r))
+        assert len(rounds) == 35  # resampled to success, not a draw returned unchecked
+        monkeypatch.undo()  # the from-scratch reference reads the sets
+        assert violated_events(g, labels, 0.15) == []
+
     def test_infinite_slack_never_classifies(self, monkeypatch):
         def fail(*args):
             raise AssertionError("classify called at slack inf")
