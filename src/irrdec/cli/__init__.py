@@ -47,9 +47,9 @@ EXIT_DATA = 65
 
 # riskprob refuses degrees with e = ceil_log_beta(d) above this, i.e. label
 # moduli lam = 2^e above 65536 (d above beta^16, about 4.7*10^12).  A command
-# costs O(2^e) steps: in process, at (10^10, 2*10^10), where e = (13, 14),
-# types 1 and 2 take about 0.02 s and types 3 and 23 about 0.03 s; at the
-# cap, 0.17-0.24 s (2-vCPU Intel Xeon).
+# costs one batch of 2^emin verdicts plus O(|risky|) steps: in process, every
+# type takes 0.012-0.03 s at (10^10, 2*10^10), where e = (13, 14), and
+# 0.13-0.19 s at the cap (2-vCPU Intel Xeon).
 RISKPROB_MAX_EXPONENT = 16
 
 

@@ -226,7 +226,8 @@ def stage_labels(trace: PipelineTrace):
         return trace.fail("labels", "ClaimBoundsUnachieved",
                           {"rounds": labels.rounds, "trajectory_tail": labels.trajectory[-10:]},
                           rounds=labels.rounds)
-    # classified afresh: the independent check on the resampler's bookkeeping
+    # classified afresh from the final labels: the classification the factor
+    # stages read (tests check the resampler's counts against violated_events)
     cls = trace.classification = classify(g, labels, es)
     trace.labels = labels
     trace.report("labels", True, r1=len(cls.r1), r2=len(cls.r2), r3=len(cls.r3))

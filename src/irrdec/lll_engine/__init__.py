@@ -8,26 +8,25 @@ labeling.violated_kinds.  violated_events classifies from scratch; the
 resampler keeps risky edge sets and per-vertex counts, no per-vertex
 containers, and a round costs about the edges it re-judges.
 
-An edge's risk probability is a count of label assignments, taken over
-only the coordinates each type reads, against the lam(u)^2 * lam(v)^2
-assignments of the full label space.  Every verdict reads its pair, the
-labels ci for types 1 and 2 and the sums c1 + c2 for type 3, only through
-a residue mod 2^emin, emin = min(e(u), e(v)): one batch of 2^emin pairs
-judged gives every risky residue.  Each count sums, over those few
-residues, the products of the residue histograms of the values each side
-spans, and each worst conditional risk is a max over at most 2^emin
-residues.  So every scheme costs O(2^e) steps for e = max(e(u), e(v)).
+An edge's risk probability, over the lam(u)^2 * lam(v)^2 assignments of
+the full label space, is a share of risky residues.  Every verdict reads
+its pair, the labels ci for types 1 and 2 and the sums c1 + c2 for type 3,
+only through a residue mod m = 2^emin, emin = min(e(u), e(v)): one batch
+of 2^emin pairs judged gives every risky residue.  That residue is uniform
+mod m, and the values held at v fix it mod q = min(2^(e(u) - emin), m)
+when c1(u) is free, so each probability and each worst conditional risk
+costs the batch plus O(|risky|) steps.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import mul
 
 from ..exact import floor_beta_mult, iroot
 from ..graph_core import Graph
@@ -220,9 +219,6 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
 # ---------------------------------------------------------------------------
 # exact probabilities for a single gated edge
 
-_SLOT_NAMES = ("c1_u", "c2_u", "c1_v", "c2_v")
-
-
 @lru_cache(maxsize=1)  # riskprob's two probabilities share one batch
 def _risky_residues(du: int, dv: int) -> tuple:
     """The residues r mod m = 2^emin, emin = min(e(u), e(v)), that are risky
@@ -245,72 +241,28 @@ def _risky_residues(du: int, dv: int) -> tuple:
     return list(compress(range(m), t1)), list(compress(range(m), t3))
 
 
-def _histogram(m: int, p: int, a: range, b: range = range(1)) -> list:
-    """hist[c] = the number of pairs (x, y) in a x b with (x + y)*p = c mod
-    m.  The sums are trapezoidally distributed, so this costs len(a) +
-    len(b) steps; the default b gives the residues of a single label."""
-    hist = [0] * m
-    lo, hi, top = a.start + b.start, a.stop + b.stop - 2, min(len(a), len(b))
-    for s in range(lo, hi + 1):
-        hist[s * p % m] += min(s - lo + 1, hi - s + 1, top)
-    return hist
-
-
-def _count(hu: list, hv: list, risky: list) -> int:
-    """The number of pairs of values, one counted in each histogram, whose
-    residue a - b mod m is risky: sum over r of sum_a hu[a]*hv[a - r]."""
-    m = len(hu)
-    return sum(sum(map(mul, hu, hv[m - r:] + hv[:m - r])) for r in risky)
-
-
-def exact_edge_risk_probability(du: int, dv: int, rtype, conditioned=None) -> Fraction:
+def exact_edge_risk_probability(du: int, dv: int, rtype) -> Fraction:
     """Probability that an edge with endpoint degrees (du, dv) is risky of
-    the given type, counted exactly over the unconditioned label slots.
+    the given type, over uniform labels at both endpoints.
 
-    conditioned maps slot names from {"c1_u","c2_u","c1_v","c2_v"} to fixed
-    values; remaining slots are uniform on their label ranges.
-
-    Each count runs over the residues mod 2^emin that _risky_residues
-    judged, from min(lu, lv) pairs in one risky_types batch that
-    worst_conditional_risk shares: per risky residue, a sum over the
-    residue histograms of the values each side spans.  A free label spans
-    its range, a free sum c1 + c2 a trapezoid, a conditioned slot one
-    value.  Type "23" factorises: type 2 puts the residue of the c2 pair
-    at 0, so the sums' residue is the c1 pair's.  Every type costs O(2^e)
-    steps for e = max(e(u), e(v)).
+    The endpoint with e = emin draws its labels over whole periods mod m =
+    2^emin, and so does their sum: the residue every verdict reads is
+    uniform, whatever the other end holds, and the probability is the share
+    of the m residues that _risky_residues judged risky.  Type "23"
+    factorises: type 2 puts the residue of the c2 pair at 0, so the sums'
+    residue is the c1 pair's, and the two pairs are independent.
     """
     if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
-    eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
-    lam = {"c1_u": 1 << eu, "c2_u": 1 << eu, "c1_v": 1 << ev, "c2_v": 1 << ev}
-    conditioned = dict(conditioned or {})
-    for name, value in conditioned.items():
-        if name not in lam:
-            raise ValueError(f"unknown slot {name!r}")
-        if not 0 <= value < lam[name]:
-            raise ValueError(f"{name}={value} outside [0, {lam[name]})")
     if rtype not in (1, 2, 3, "23"):
         raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
-    # the values each slot ranges over: its fixed value, or all of [0, lam)
-    span = {n: range(conditioned[n], conditioned[n] + 1) if n in conditioned else range(lam[n])
-            for n in _SLOT_NAMES}
-    c1u, c2u, c1v, c2v = (span[n] for n in _SLOT_NAMES)
-    emin = min(eu, ev)
-    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    m = 1 << min(ceil_log_beta(du), ceil_log_beta(dv))
     label_risky, sum_risky = _risky_residues(du, dv)
-
-    def risky_pairs(risky, at_u, at_v):
-        return _count(_histogram(m, pu, *at_u), _histogram(m, pv, *at_v), risky)
-
-    if rtype in (1, 2):
-        read = ("c1_u", "c1_v") if rtype == 1 else ("c2_u", "c2_v")
-        count = risky_pairs(label_risky, (span[read[0]],), (span[read[1]],)) \
-            * math.prod(len(span[n]) for n in _SLOT_NAMES if n not in read)
-    elif rtype == 3:
-        count = risky_pairs(sum_risky, (c1u, c2u), (c1v, c2v))
-    else:
-        count = risky_pairs(label_risky, (c2u,), (c2v,)) * risky_pairs(sum_risky, (c1u,), (c1v,))
-    return Fraction(count, math.prod(len(r) for r in span.values()))
+    if rtype == 3:
+        return Fraction(len(sum_risky), m)
+    if rtype == "23":
+        return Fraction(len(label_risky) * len(sum_risky), m * m)
+    return Fraction(len(label_risky), m)
 
 
 # worst-case conditional probabilities; results depend on the degrees only
@@ -327,14 +279,12 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
       "type3_given_rest"    max over (c1v, c2v, c2u), free c1(u)
       "both23_given_c1v_c2v" max over (c1v, c2v), free (c1u, c2u)
 
-    A free c1(u) spans lu = 2^eu consecutive values, whole periods mod
-    2^emin, and so does the sum c1 + c2 at u whatever c2(u) is.  So one
-    residue histogram at u serves every conditioning, and each scheme is
-    a max over the at most 2^emin residues of the values at v, read
-    against the risky residues of exact_edge_risk_probability's batch.
-    The joint scheme factorises as there: the largest type-2 column times
-    the largest type-3 column of the c1 pair, over lu^2.  Every scheme
-    costs O(2^e) steps.
+    Let q = min(2^(e(u) - emin), m).  A free c1(u) spans lu = 2^e(u)
+    consecutive values and meets each multiple of q below m equally often,
+    and so does the sum c1 + c2 at u whatever c2(u) is.  The values held at
+    v then fix one residue class mod q, so a scheme's worst risk is q times
+    the most risky residues in one class mod q, over m.  The joint scheme
+    factorises as in exact_edge_risk_probability.
     """
     if not gate(du, dv):
         raise ValueError(f"degree pair ({du}, {dv}) fails the ratio gate")
@@ -350,22 +300,20 @@ def worst_conditional_risk(du: int, dv: int, which: str) -> Fraction:
     if hit is not None:
         return hit
 
-    lu = 1 << eu
-    m, pu, pv = 1 << emin, 1 << (eu - emin), 1 << (ev - emin)
+    m = 1 << emin
+    q = min(1 << (eu - emin), m)
     label_risky, sum_risky = _risky_residues(du, dv)
-    free_u = _histogram(m, pu, range(lu))
 
-    def column(risky):
-        # the most values at u risky against one value at v, whose residues
-        # y*pv mod m are the multiples of pv below m
-        return max(sum(free_u[(b + r) % m] for r in risky) for b in range(0, m, pv))
+    def worst_share(risky):
+        per_class = Counter(r % q for r in risky)
+        return Fraction(q * max(per_class.values(), default=0), m)
 
     if which == "type3_given_rest":
-        worst = Fraction(column(sum_risky), lu)
+        worst = worst_share(sum_risky)
     elif which == "both23_given_c1v_c2v":
-        worst = Fraction(column(label_risky) * column(sum_risky), lu * lu)
+        worst = worst_share(label_risky) * worst_share(sum_risky)
     else:
-        worst = Fraction(column(label_risky), lu)
+        worst = worst_share(label_risky)
     _WORST_CACHE[key] = worst
     return worst
 
