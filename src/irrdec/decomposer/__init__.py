@@ -391,19 +391,15 @@ def window_report(trace: PipelineTrace) -> dict:
       all parts in [4/37*d, 2/3*d]
     low_degree_flag marks vertices with d^0.38 < 44, where the part-2 upper
     window is not guaranteed to sit inside 2d/3.  The verdicts depend on the
-    four degrees alone, so each distinct tuple is judged once.
+    four degrees alone, so each distinct tuple is judged once, and vertices
+    with equal tuples share one record: treat the records as read-only.
     """
     if trace.h1 is None or trace.h2_prime is None or trace.h3_prime is None:
         raise ValueError("trace does not contain all three parts")
     parts = (trace.graph, trace.h1, trace.h2_prime, trace.h3_prime)
     judged = {}
-    out = {}
-    for v in range(trace.graph.n):
-        key = tuple(part.degree(v) for part in parts)
-        if key not in judged:
-            judged[key] = _window_verdicts(*key)
-        out[v] = dict(judged[key])
-    return out
+    return {v: judged[key] if key in judged else judged.setdefault(key, _window_verdicts(*key))
+            for v, key in enumerate(zip(*(part.degrees() for part in parts)))}
 
 
 def _window_verdicts(d: int, d1: int, d2: int, d3: int) -> dict:

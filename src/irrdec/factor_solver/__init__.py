@@ -216,11 +216,6 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
     edges = sorted(g.edges)
     m = len(edges)
     pen = [_penalty_table(g.degree(v), allowed[v]) for v in range(n)]
-    if m == 0:
-        if all(0 in allowed[v] for v in range(n)):
-            return Graph(n, [])
-        return Failure("heuristic", "empty graph cannot meet targets",
-                       best_penalty=sum(pen[v][0] for v in range(n)))
     incident = incident_edges(n, edges)
     bias = [(sum(allowed[v]) / len(allowed[v])) / g.degree(v) if g.degree(v) else 0.0
             for v in range(n)]
@@ -299,6 +294,8 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     returns a Failure naming the edge count and the limit.
     Heuristic mode runs penalty descent with sideways moves and seeded
     restarts; budget caps the total number of accepted flips.
+    A host without edges is answered by neither search: the checks leave
+    {0} as every vertex's one allowed set, which the empty subgraph meets.
     """
     for v in range(g.n):
         s = spec.allowed.get(v)
@@ -309,12 +306,14 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
         # integers in [0, d(v)]: _local_search's invariant rests on this
         if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
             raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in [0, d(v)]")
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    if g.m == 0:
+        return Graph(g.n)
     allowed = {v: frozenset(spec.allowed[v]) for v in range(g.n)}
     if mode == "exact":
         return _exact_search(g, allowed)
-    if mode == "heuristic":
-        return _local_search(g, allowed, budget, seed)
-    raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    return _local_search(g, allowed, budget, seed)
 
 
 def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact",

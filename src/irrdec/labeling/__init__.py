@@ -100,11 +100,6 @@ def draw_labels(es: list, rng: random.Random) -> LabelPair:
     return LabelPair(c1, c2)
 
 
-def sample_labels(g: Graph, seed) -> LabelPair:
-    """The labels draw_labels takes from a fresh random.Random(seed)."""
-    return draw_labels(exponents(g), random.Random(seed))
-
-
 def risk_terms(d: int, e: int, c1: int, c2: int) -> tuple:
     """The per-vertex part of the risk congruences at a vertex of degree d,
     exponent e and labels c1, c2: (c1*2^e, c2*2^e, d - 3*(c1 + c2)*2^e)."""

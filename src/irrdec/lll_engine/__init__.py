@@ -112,8 +112,8 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     """Resample until no event is violated, or Timeout after max_rounds.
 
     es = exponents(g) holds for the whole call: resampling redraws labels
-    only.  One PRNG stream drives everything: the initial labels are drawn
-    exactly as sample_labels draws them, then each round resamples the scope
+    only.  One PRNG stream drives everything: draw_labels draws the initial
+    labels from random.Random(seed), then each round resamples the scope
     slots of the lexicographically least violated event, in sorted slot
     order.  observer, when given, is called as observer(round_no, event,
     before, after) with label snapshots around each resampling.

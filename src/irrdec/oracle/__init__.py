@@ -54,15 +54,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..graph_core import (
-    Decomposition,
-    Graph,
-    InvariantViolated,
-    cycle,
-    path,
-    recognize_exception,
-    t_family_members,
-)
+from ..graph_core import Decomposition, Graph
 
 DEFAULT_EDGE_LIMIT = 22  # IRRDEC_EDGE_LIMIT overrides it
 
@@ -304,53 +296,3 @@ def atlas_connected_graphs(max_vertices: int = 7):
         out.append(Graph(n, [(relabel[a], relabel[b]) for a, b in ag.edges()]))
     return out
 
-
-def exceptions_never_decompose(max_edges: int, other_max_vertices: int = 7) -> dict:
-    """Exhaustively confirm the exception catalogue on small instances.
-
-    Checks that every odd path, odd cycle, and triangle-family member with
-    at most max_edges edges is infeasible for every k, and that every other
-    connected graph with at most other_max_vertices vertices is feasible,
-    with infeasibility agreeing exactly with the recognizer.
-    """
-    exceptions = []
-    for length in range(1, max_edges + 1, 2):
-        exceptions.append((f"path({length})", path(length)))
-    for length in range(3, max_edges + 1, 2):
-        exceptions.append((f"cycle({length})", cycle(length)))
-    for i, member in enumerate(t_family_members(max_edges)):
-        exceptions.append((f"t_member_{i}_m{member.m}", member))
-
-    exception_verdicts = {}
-    for name, g in exceptions:
-        res = min_parts(g)
-        if res.feasible_k is not None or not res.exhausted:
-            raise InvariantViolated(f"exception {name} is not certified infeasible: "
-                                    f"least k {res.feasible_k}, exhausted {res.exhausted}")
-        exception_verdicts[name] = {"edges": g.m, "infeasible": True}
-
-    others = 0
-    feasible_hist = {}
-    disagreements = []
-    for g in atlas_connected_graphs(other_max_vertices):
-        marked = recognize_exception(g)
-        res = min_parts(g)
-        infeasible = res.feasible_k is None
-        if infeasible != (marked is not None):
-            disagreements.append({"n": g.n, "edges": sorted(g.edges),
-                                  "recognizer": None if marked is None else marked.name,
-                                  "oracle_k": res.feasible_k})
-        if marked is None:
-            others += 1
-            if res.feasible_k is None:
-                raise InvariantViolated(f"non-exception graph is infeasible: {sorted(g.edges)}")
-            feasible_hist[res.feasible_k] = feasible_hist.get(res.feasible_k, 0) + 1
-    if disagreements:
-        raise InvariantViolated(f"recognizer and oracle disagree on {len(disagreements)} "
-                                f"graph(s): {disagreements[:3]}")
-    return {
-        "exceptions": exception_verdicts,
-        "other_connected_graphs": others,
-        "feasible_k_histogram": {str(k): v for k, v in sorted(feasible_hist.items())},
-        "recognizer_agreement": True,
-    }

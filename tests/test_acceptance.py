@@ -43,7 +43,9 @@ from irrdec.lll_engine import (
     risk_bound_holds,
     violated_events,
 )
-from irrdec.oracle import exceptions_never_decompose, min_parts
+from irrdec.oracle import min_parts
+
+from conftest import exceptions_never_decompose
 
 MASTER_SEED = 20260816
 
@@ -133,7 +135,7 @@ def test_criterion_2_at_the_papers_degrees():
             f"{len(pairs)} gated pairs in [10^10, 10^12] (e = 13..16), 4 bounds each, "
             f"0 violations in {elapsed:.2f}s")
 
-def test_criterion_3_oracle_ground_truth():
+def test_criterion_3_oracle_ground_truth(atlas7):
     t0 = time.perf_counter()
     assert min_parts(path(2)).feasible_k == 1
     assert min_parts(cycle(4)).feasible_k == 2
@@ -151,7 +153,7 @@ def test_criterion_3_oracle_ground_truth():
         r = min_parts(g)
         assert r.feasible_k is None and r.exhausted, "triangle-family member decomposed"
 
-    sweep = exceptions_never_decompose(9)
+    sweep = exceptions_never_decompose(9, atlas7)
     assert sweep["recognizer_agreement"] is True
     assert sweep["other_connected_graphs"] == 986
     assert sum(sweep["feasible_k_histogram"].values()) == 986

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from irrdec import factor_solver
 from irrdec.factor_solver import (
+    ISOLATED,
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
@@ -212,6 +213,34 @@ class TestExactSearch:
             assert feasible
             assert all(out.degree(v) in allowed[v] for v in range(n))
             assert out.edges <= g.edges
+
+
+class TestEdgelessHost:
+    def test_empty_subgraph_in_both_modes_without_a_search(self, monkeypatch):
+        def entered(*args):
+            raise AssertionError("a search ran on a host without edges")
+
+        monkeypatch.setattr(factor_solver, "_exact_search", entered)
+        monkeypatch.setattr(factor_solver, "_local_search", entered)
+        for n in (0, 1, 5):
+            g = Graph(n)
+            # {0} given by hand, or the pipeline's shared set for isolated vertices
+            for spec in (DegreeTargetSpec({v: {0} for v in range(n)}),
+                         DegreeTargetSpec({v: ISOLATED for v in range(n)})):
+                assert find_degree_set_subgraph(g, spec, mode="exact") == Graph(n)
+                for budget in (0, 1, 10000):
+                    h = find_degree_set_subgraph(g, spec, mode="heuristic", budget=budget, seed=3)
+                    assert h == Graph(n)
+
+    def test_checks_still_run_first(self):
+        g = Graph(3)
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'heuristic'"):
+            find_degree_set_subgraph(g, DegreeTargetSpec({v: {0} for v in range(3)}),
+                                     mode="bogus")
+        with pytest.raises(ValueError, match="not integers in"):
+            find_degree_set_subgraph(g, DegreeTargetSpec({0: {1}, 1: {0}, 2: {0}}))
+        with pytest.raises(ValueError, match="empty allowed set"):
+            find_degree_set_subgraph(g, DegreeTargetSpec({0: {0}, 1: {0}}), mode="heuristic")
 
 
 class TestHeuristicSearch:

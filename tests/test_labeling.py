@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -12,13 +13,13 @@ from irrdec.labeling import (
     LabelPair,
     ceil_log_beta,
     classify,
+    draw_labels,
     exponents,
     gate,
     ratio_gate,
     risk_terms,
     risky_neighbours,
     risky_types,
-    sample_labels,
     size_limits,
     violated_kinds,
 )
@@ -135,15 +136,15 @@ class TestRatioGate:
 class TestLabels:
     def test_sample_deterministic_and_valid(self):
         g = gnp(15, 0.4, seed=3)
-        a = sample_labels(g, 11)
-        b = sample_labels(g, 11)
+        a = draw_labels(exponents(g), random.Random(11))
+        b = draw_labels(exponents(g), random.Random(11))
         assert a == b
-        assert a != sample_labels(g, 12)
+        assert a != draw_labels(exponents(g), random.Random(12))
         a.validate(exponents(g))
 
     def test_ranges(self):
         g = Graph(3, [(0, 1)])  # degrees 1, 1, 0
-        labels = sample_labels(g, 0)
+        labels = draw_labels(exponents(g), random.Random(0))
         assert labels.c1 == [0, 0, 0] and labels.c2 == [0, 0, 0]
         labels.validate(exponents(g))
 
@@ -172,7 +173,7 @@ class TestLabels:
             return exponents(g)
 
         g = complete(9)
-        labels = sample_labels(g, 1)
+        labels = draw_labels(exponents(g), random.Random(1))
         es = exponents(g)
         monkeypatch.setattr(labeling, "exponents", counted)
         classify(g, labels, es)
@@ -203,19 +204,19 @@ class TestSymmetricModPredicate:
 class TestRisky:
     def test_k2_edge_is_risky_of_all_types(self):
         g = path(1)
-        labels = sample_labels(g, 0)
+        labels = draw_labels(exponents(g), random.Random(0))
         for rtype in (1, 2, 3):
             assert is_risky(g, labels, 0, 1, rtype)
 
     def test_non_edge_rejected(self):
         g = path(2)
         with pytest.raises(ValueError):
-            is_risky(g, sample_labels(g, 0), 0, 2, 1)
+            is_risky(g, draw_labels(exponents(g), random.Random(0)), 0, 2, 1)
 
     def test_gate_failure_is_never_risky(self):
         # star: centre degree 7 vs leaf degree 1 is outside the ratio gate
         g = Graph(8, [(0, i) for i in range(1, 8)])
-        labels = sample_labels(g, 5)
+        labels = draw_labels(exponents(g), random.Random(5))
         assert not ratio_gate(7, 1)
         assert not any(is_risky(g, labels, 0, 1, t) for t in (1, 2, 3))
 
@@ -274,7 +275,7 @@ class TestRisky:
         info = gate.cache_info()
         assert len(pairs) > info.maxsize == 4096
         assert not gate(min(filter(None, deg)), max(deg))  # so classify gates edge by edge
-        labels = sample_labels(g, 1)
+        labels = draw_labels(exponents(g), random.Random(1))
         gate.cache_clear()
         cls = classify(g, labels, exponents(g))
         assert gate.cache_info().currsize == info.maxsize
@@ -283,13 +284,13 @@ class TestRisky:
 
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):
-            is_risky(path(1), sample_labels(path(1), 0), 0, 1, 4)
+            is_risky(path(1), draw_labels(exponents(path(1)), random.Random(0)), 0, 1, 4)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
     def test_classification_matches_edge_scan(self, seed):
         g = gnp(12, 0.45, seed=101)
-        labels = sample_labels(g, seed)
+        labels = draw_labels(exponents(g), random.Random(seed))
         cls = classify(g, labels, exponents(g))
         assert cls.__slots__ == ("r1", "r2", "r3")
         for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
@@ -344,7 +345,7 @@ class TestBounds:
 
     def test_degree_one_has_no_events(self):
         g = path(1)
-        labels = sample_labels(g, 0)
+        labels = draw_labels(exponents(g), random.Random(0))
         # the edge is risky of every type, but 1 <= 8 and 1 <= 12 at degree 1
         risky = risky_neighbours(2, classify(g, labels, exponents(g)))
         assert [len(s) for a in risky for s in a] == [1] * 6
@@ -352,7 +353,7 @@ class TestBounds:
 
     def test_rejects_nonpositive_slack(self):
         g = path(1)
-        labels = sample_labels(g, 0)
+        labels = draw_labels(exponents(g), random.Random(0))
         for slack in (0, -1):
             with pytest.raises(ValueError, match="slack must be positive"):
                 violated_events(g, labels, slack)

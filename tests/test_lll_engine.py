@@ -21,11 +21,11 @@ from irrdec.labeling import (
     KINDS,
     LabelPair,
     ceil_log_beta,
+    draw_labels,
     exponents,
     ratio_gate,
     risk_terms,
     risky_types,
-    sample_labels,
 )
 from irrdec.lll_engine import (
     Timeout,
@@ -179,14 +179,15 @@ class TestMoserTardos:
 
         monkeypatch.setattr(lll_engine, "classify", fail)
         g = random_regular(60, 12, seed=7)
-        assert moser_tardos(g, exponents(g), 42, math.inf, 1) == sample_labels(g, 42)
+        es = exponents(g)
+        assert moser_tardos(g, es, 42, math.inf, 1) == draw_labels(es, random.Random(42))
 
     def test_vacuous_bounds_return_initial_sample(self):
         g = random_regular(60, 12, seed=7)
         labels = moser_tardos(g, exponents(g), 42, 3, 10**5)
         assert isinstance(labels, LabelPair)
         # no resampling happened: the output is exactly the initial draw
-        assert labels == sample_labels(g, 42)
+        assert labels == draw_labels(exponents(g), random.Random(42))
         assert violated_events(g, labels, 3) == []
 
     def test_instrumented_run_terminates_and_satisfies_bounds(self):

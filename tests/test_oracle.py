@@ -33,9 +33,10 @@ from irrdec.oracle import (
     _incidence,
     _search,
     atlas_connected_graphs,
-    exceptions_never_decompose,
     min_parts,
 )
+
+from conftest import exceptions_never_decompose
 
 # Two bow-ties (pairs of triangles sharing a vertex) whose centres 0 and 5 are
 # joined by an edge: a connected cactus outside the exception families that
@@ -381,8 +382,8 @@ class TestAtlas:
 
 
 class TestExceptionSweep:
-    def test_report_at_nine_edges(self):
-        report = exceptions_never_decompose(9)
+    def test_report_at_nine_edges(self, atlas7):
+        report = exceptions_never_decompose(9, atlas7)
         assert len(report["exceptions"]) == 19
         assert all(rec["infeasible"] for rec in report["exceptions"].values())
         assert report["other_connected_graphs"] == 986
@@ -393,19 +394,22 @@ class TestExceptionSweep:
 def test_sweep_invariants_survive_optimize_flag():
     """Under `python -O` a bare assert vanishes; the sweep's checks must not."""
     script = textwrap.dedent("""
-        import irrdec.oracle as oracle
+        import conftest as sweep
         from irrdec.graph_core import InvariantViolated
+        from irrdec.oracle import OracleResult
 
-        oracle.min_parts = lambda g: oracle.OracleResult(1, None, True)
+        sweep.min_parts = lambda g: OracleResult(1, None, True)
         try:
-            oracle.exceptions_never_decompose(3)
+            sweep.exceptions_never_decompose(3, ())
         except InvariantViolated as exc:
             print("raised:", exc)
         else:
             raise SystemExit("no InvariantViolated")
     """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    here = os.path.dirname(__file__)
+    src = os.path.join(here, os.pardir, "src")
+    path_entries = [src, here, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
