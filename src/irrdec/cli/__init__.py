@@ -22,6 +22,7 @@ import time
 
 from .. import __version__
 from ..decomposer import Diagnostic, PipelineConfig, decompose3
+from ..factor_solver import SOLVER_MODES
 from ..graph_core import (
     GENERATORS,
     RANDOMIZED_FAMILIES,
@@ -156,13 +157,13 @@ def _edge_counts(trace) -> dict:
 def cmd_decompose(args) -> int:
     try:
         cfg = PipelineConfig(seed=args.seed, slack=args.slack, solver_mode=args.mode,
-                             solver_budget=args.budget, strict=args.strict)
+                             solver_budget=args.budget)
     except ValueError as exc:
         raise CommandError(EXIT_USAGE, str(exc))
     g, parse_s = _load_graph(args.in_path)
     t0 = time.perf_counter()
     params = {"in_path": args.in_path, "slack": args.slack, "mode": args.mode,
-              "budget": args.budget, "strict": args.strict}
+              "budget": args.budget}
     outcome, trace = decompose3(g, cfg)
     seconds = time.perf_counter() - t0
     result = {"stages": trace.stage_reports, "edge_counts": _edge_counts(trace)}
@@ -290,10 +291,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="run the three-part pipeline on an edge list")
     p.add_argument("in_path")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--slack", type=float, default=float("inf"))
-    p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--slack", type=float, default=PipelineConfig.slack)
+    p.add_argument("--mode", choices=SOLVER_MODES, default=PipelineConfig.solver_mode)
+    p.add_argument("--budget", type=int, default=PipelineConfig.solver_budget)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_decompose)

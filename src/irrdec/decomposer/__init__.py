@@ -8,8 +8,7 @@ decompose3 runs the stage functions of STAGES in order and stops at the
 first one that returns a Diagnostic:
 
   stage_preflight          exception components (odd paths, odd cycles,
-                           the triangle family), then minimum degree (the
-                           strict floor)
+                           the triangle family); records the minimum degree
   stage_labels             resampled labels and their fresh classification
   stage_part1              h1, carved out of g' = g - R1 (built only for the
                            solver: the windows read its degrees)
@@ -31,6 +30,7 @@ Each stage's wall time goes to the CLI manifest, outside the result digest.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,6 +38,7 @@ from fractions import Fraction
 from ..exact import le_scaled_pow
 from ..factor_solver import (
     ISOLATED,
+    SOLVER_MODES,
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
@@ -49,22 +50,19 @@ from ..graph_core import Decomposition, Graph, InvariantViolated, canon_edge, ex
 from ..labeling import LabelPair, classify, exponents, gate
 from ..lll_engine import Timeout, moser_tardos
 
-STRICT_MIN_DEGREE = 10 ** 10
-
 
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    slack: float = 1.0
+    slack: float = math.inf
     solver_mode: str = "exact"
     solver_budget: int = 10000
-    strict: bool = False
     lll_rounds: int = 100000
 
     def __post_init__(self):
         if not self.slack > 0:
             raise ValueError("slack must be positive")
-        if self.solver_mode not in ("exact", "heuristic"):
+        if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
         if self.solver_budget < 0:
             raise ValueError("solver budget must be >= 0")
@@ -212,10 +210,6 @@ def stage_preflight(trace: PipelineTrace):
         return trace.fail("preflight", "ExceptionComponent",
                           {"components": found[:20], "count": len(found)},
                           min_degree=min_deg)
-    if trace.config.strict and min_deg < STRICT_MIN_DEGREE:
-        return trace.fail("preflight", "MinDegreeTooSmall",
-                          {"min_degree": min_deg, "required": STRICT_MIN_DEGREE},
-                          min_degree=min_deg)
     trace.report("preflight", True, min_degree=min_deg)
 
 
@@ -324,10 +318,11 @@ def decompose3(g: Graph, cfg: PipelineConfig):
     """Run the full pipeline; returns (outcome, trace) where outcome is a
     Decomposition on success or a Diagnostic naming the failed stage.
 
-    Strict mode stops at the preflight below the paper's minimum degree
-    STRICT_MIN_DEGREE; past it both modes run alike.  Modulus preconditions
-    and degree windows are recorded, not enforced: a stage proceeds while
-    every vertex has a candidate target degree, relying on the final gate.
+    The preflight records the minimum degree and stops only at exception
+    components: no graph in memory nears the paper's floor of 10^10, so
+    nothing enforces it.  Modulus preconditions and degree windows are
+    recorded, not enforced: a stage proceeds while every vertex has a
+    candidate target degree, relying on the final gate.
     """
     trace = PipelineTrace(g, cfg)
     for stage in STAGES:

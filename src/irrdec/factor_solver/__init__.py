@@ -75,6 +75,9 @@ class Failure:
 # the allowed set of a vertex without edges; {0} lies in [0, d] at every degree d
 ISOLATED = frozenset({0})
 
+# find_degree_set_subgraph's search modes
+SOLVER_MODES = ("exact", "heuristic")
+
 
 def windows(d: int) -> tuple:
     """The low and high middle-third windows of d, (d/3, d/2] and [d/2, 2d/3)."""
@@ -306,7 +309,7 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
         # integers in [0, d(v)]: _local_search's invariant rests on this
         if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
             raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in [0, d(v)]")
-    if mode not in ("exact", "heuristic"):
+    if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if g.m == 0:
         return Graph(g.n)

@@ -37,7 +37,6 @@ from ..labeling import (
     classify_terms,
     draw_label,
     draw_labels,
-    exponents,
     gate,
     risk_terms,
     risky_neighbours,
@@ -83,12 +82,12 @@ def make_event(v: int, kind: str, nbrs: list) -> BadEvent:
     return BadEvent(v, kind, event_scope(v, kind, nbrs))
 
 
-def violated_events(g: Graph, labels: LabelPair, slack) -> list:
+def violated_events(g: Graph, es: list, labels: LabelPair, slack) -> list:
     """Events whose size bound (scaled by slack) fails, in (vertex, kind)
-    order.  Classifies from scratch and sizes risky_neighbours' sets;
-    moser_tardos keeps the same sizes as counts and is tested against this
-    function."""
-    risky = risky_neighbours(g.n, classify(g, labels, exponents(g)))
+    order, with es the exponent vector classify reads.  Classifies from
+    scratch and sizes risky_neighbours' sets; moser_tardos keeps the same
+    sizes as counts and is tested against this function."""
+    risky = risky_neighbours(g.n, classify(g, labels, es))
     limits = size_limits(g, slack)
     events = []
     for v in range(g.n):

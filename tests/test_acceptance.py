@@ -61,8 +61,8 @@ PIPELINE_STAGES = {
     "part2_factor", "windows", "final_gate",
 }
 DIAGNOSTIC_CODES = {
-    "MinDegreeTooSmall", "ClaimBoundsUnachieved", "WindowTargetInfeasible",
-    "FactorSolverFailure", "ColouringCapExceeded", "PartNotIrregular", "ExceptionComponent",
+    "ClaimBoundsUnachieved", "WindowTargetInfeasible", "FactorSolverFailure",
+    "ColouringCapExceeded", "PartNotIrregular", "ExceptionComponent",
 }
 
 
@@ -236,11 +236,12 @@ def test_criterion_5_resampler_contract():
     successes = 0
     for i in range(100):
         g = random_regular(60, 12, seed=1000 + i)
-        out = moser_tardos(g, exponents(g), seed=i, slack=3, max_rounds=10**5)
+        es = exponents(g)
+        out = moser_tardos(g, es, seed=i, slack=3, max_rounds=10**5)
         if isinstance(out, Timeout):
             continue
         successes += 1
-        assert violated_events(g, out, 3) == [], f"seed {i} terminated outside the bounds"
+        assert violated_events(g, es, out, 3) == [], f"seed {i} terminated outside the bounds"
     assert successes >= 95, f"only {successes}/100 runs terminated"
 
     g = complete(14)

@@ -201,11 +201,15 @@ class TestDecompose:
             assert rec["result"]["diagnostic"]["stage"] == "part1_factor"
             assert 0 < rec["result"]["edge_counts"]["g_prime"] < g.m
 
-    def test_strict_floor(self, capsys, graph_file):
-        src = graph_file("sp.txt", spider(2))
-        code, out, _ = run(capsys, "decompose", src, "--seed", "1", "--strict", "--json")
-        assert code == 2
-        assert json.loads(out)["result"]["diagnostic"]["code"] == "MinDegreeTooSmall"
+    def test_defaults_are_the_configs(self, capsys):
+        args = build_parser().parse_args(["decompose", "g.el", "--seed", "1"])
+        cfg = PipelineConfig()
+        assert (args.slack, args.mode, args.budget) == \
+            (cfg.slack, cfg.solver_mode, cfg.solver_budget)
+        # no option enforces the paper's minimum degree of 10^10
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "g.el", "--seed", "1", "--strict"])
+        assert exc.value.code == 64 and "--strict" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [("--slack", "0"), ("--budget", "-1")])
     def test_bad_numeric_options(self, capsys, graph_file, extra):

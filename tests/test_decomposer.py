@@ -63,7 +63,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(lll_rounds=0)
         cfg = PipelineConfig()
-        assert cfg.solver_mode == "exact" and not cfg.strict
+        assert cfg.slack == math.inf
+        assert (cfg.solver_mode, cfg.solver_budget, cfg.lll_rounds) == ("exact", 10000, 100000)
 
 
 class TestGreedyColouring:
@@ -153,6 +154,7 @@ class TestPipelineOutcomes:
         # 2 integers while a residue class mod 48 needs 48
         out, trace = decompose3(complete(14), PipelineConfig(seed=3, **RELAXED))
         assert out.code == "WindowTargetInfeasible" and out.detail["count"] == 14
+        assert trace.stage_reports[-1]["precondition_failing_count"] == 14
         assert trace.g_prime_degrees[out.detail["vertices"][0]] == 9
         assert (out.detail["degree"], out.detail["window_widths"], out.detail["modulus"]) \
             == (9, [1, 2], 48)
@@ -213,31 +215,14 @@ class TestPipelineOutcomes:
         assert trace.stage_reports[-1]["exempt_count"] == 36
 
     def test_exception_component_preflight(self):
-        # the components are checked before the strict floor; K4 is none
+        # K4 is no exception component, the two single edges are
         g = Graph(9, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(4, 5), (6, 7)])
-        out, trace = decompose3(g, PipelineConfig(seed=1, strict=True))
+        out, trace = decompose3(g, PipelineConfig(seed=1))
         assert (out.stage, out.code) == ("preflight", "ExceptionComponent")
         assert out.detail == {"components": [{"vertices": [4, 5], "family": "odd_path"},
                                              {"vertices": [6, 7], "family": "odd_path"}],
                               "count": 2}
         assert trace.stage_reports == [{"stage": "preflight", "ok": False, "min_degree": 0}]
-
-    def test_strict_minimum_degree_preflight(self):
-        out, trace = decompose3(complete(6), PipelineConfig(seed=1, strict=True))
-        assert isinstance(out, Diagnostic)
-        assert out.stage == "preflight" and out.code == "MinDegreeTooSmall"
-        assert out.detail["required"] == 10**10
-
-    def test_strict_is_read_only_by_the_preflight(self):
-        # past the preflight a strict run is a relaxed run: K14's modulus
-        # precondition fails at every vertex, and both stop at part 1
-        outs = [_past_preflight(complete(14), PipelineConfig(seed=3, strict=strict, **RELAXED))
-                for strict in (True, False)]
-        (strict_out, strict_trace), (relaxed_out, relaxed_trace) = outs
-        assert (strict_out.stage, strict_out.code) == ("part1_factor", "WindowTargetInfeasible")
-        assert strict_out == relaxed_out
-        assert strict_trace.stage_reports == relaxed_trace.stage_reports
-        assert strict_trace.stage_reports[-1]["precondition_failing_count"] == 14
 
     def test_label_stage_timeout(self):
         out, trace = decompose3(
@@ -514,6 +499,29 @@ class TestLateStages:
             cases.add(rec.case)
         # the triangle edges pass the ratio gate, every pendant edge fails it
         assert cases == {"type2_congruence_separation", "window_separation"}
+
+    @pytest.mark.parametrize("c2_at_3,cfg,code,detail", [
+        # c2(3) = 0 moves vertex 3's target to 0 + 0 - 11 = 37 mod 48, which
+        # its host degree 2 misses: the low window holds 1 only, the high none
+        (0, PipelineConfig(), "WindowTargetInfeasible",
+         {"vertices": [3], "count": 1, "degree": 2, "window_widths": [1, 0], "modulus": 48}),
+        (1, PipelineConfig(solver_mode="heuristic", solver_budget=0), "FactorSolverFailure",
+         {"mode": "heuristic", "reason": "flip budget exhausted", "nodes_explored": 0,
+          "best_penalty": None, "flips": 0}),
+    ], ids=["window", "budget"])
+    def test_part2_diagnostic_stops_the_pipeline(self, c2_at_3, cfg, code, detail):
+        trace = _part2_trace()
+        trace.config = cfg
+        trace.labels.c2[3] = c2_at_3
+        for stage in STAGES[STAGES.index(stage_overlap_colouring):]:
+            out = stage(trace)
+            if out is not None:
+                break
+        assert (out.stage, out.code, out.detail) == ("part2_factor", code, detail)
+        assert [r["stage"] for r in trace.stage_reports] == ["overlap_colouring", "part2_factor"]
+        last = trace.stage_reports[-1]
+        assert not last["ok"] and last["precondition_failing_count"] == 39
+        assert trace.h2 is trace.h2_prime is trace.decomposition is None
 
     def test_colouring_failure_names_the_overlap_degree(self):
         # K4 has e = 1 everywhere, so the colour cap is 0; with every edge

@@ -15,6 +15,17 @@ from irrdec.exact import (
 )
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: floor_beta_mult(-1), "negative degree"),
+    (lambda: cmp_scaled_pow(1, -1, 4, 1, 2), "coefficient must be nonnegative"),
+    (lambda: cmp_scaled_pow(1, 1, -4, 1, 2), "negative degree"),
+    (lambda: floor_scaled_pow(1, -4, 1, 2), "negative degree"),
+], ids=["floor_beta_mult", "cmp_coeff", "cmp_degree", "floor_scaled_pow"])
+def test_rejects_negative_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestIroot:
     def test_perfect_powers(self):
         assert iroot(0, 3) == 0
@@ -138,6 +149,8 @@ class TestFloorScaledPow:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             floor_scaled_pow(math.inf, 5, 31, 50)
+        # a negative coefficient has no nonnegative m below it, whatever d is
+        assert floor_scaled_pow(-1, 4, 1, 2) == -1
 
     def test_degree_beyond_float_range(self):
         # 8 * (10**400)**(31/50) = 8 * 10**248 exactly; a float of 10**400 overflows

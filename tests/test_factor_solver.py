@@ -168,7 +168,7 @@ class TestExactSearch:
     def test_past_the_recursion_limit_returns_failure(self):
         # one recursion level per edge: rr(200, 10) has 1,000 edges and used
         # to raise RecursionError even with every degree allowed
-        for g in (random_regular(200, 10, seed=1), complete(60)):
+        for g in (random_regular(200, 10, seed=1), random_regular(300, 8, seed=1), complete(60)):
             every = DegreeTargetSpec({v: set(range(g.degree(v) + 1)) for v in range(g.n)})
             out = find_degree_set_subgraph(g, every, mode="exact")
             assert isinstance(out, Failure)

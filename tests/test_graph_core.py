@@ -115,6 +115,10 @@ class TestGenerators:
         assert complete(5).m == 10
         g = complete_bipartite(3, 4)
         assert g.m == 12 and sorted(g.degrees()) == [3, 3, 3, 3, 4, 4, 4]
+        with pytest.raises(ValueError, match="path length must be >= 0"):
+            path(-1)
+        with pytest.raises(ValueError, match="part sizes must be >= 0"):
+            complete_bipartite(-1, 2)
 
     def test_spider_profile(self):
         g = spider(2)
@@ -130,6 +134,8 @@ class TestGenerators:
         c = gnp(20, 0.3, seed=6)
         assert a == b
         assert a != c
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            gnp(4, 1.5, 0)
 
     def test_random_regular(self):
         g = random_regular(60, 12, seed=7)
@@ -139,6 +145,8 @@ class TestGenerators:
             random_regular(5, 3, seed=1)  # odd degree sum
         with pytest.raises(ValueError):
             random_regular(4, 4, seed=1)
+        with pytest.raises(ValueError, match="n and d must be >= 0"):
+            random_regular(-2, 2, 0)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=10, deadline=None)
@@ -529,6 +537,19 @@ class TestExceptionFamilies:
         # appending one even path of length 2 or one odd path ending in a
         # glued triangle both give 7-edge members; both shapes must appear
         assert len(bigger) == 3
+
+    # after the step (0, 2, False), vertex 0 has degree 3 and the path 0-3-4
+    # hangs off the triangle
+    @pytest.mark.parametrize("script,message", [
+        ([(3, 2, False)], "step 0: attach vertex 3 out of range"),
+        ([(0, 2, False), (0, 2, False)], "step 1: attach vertex 0 has degree 3, need 2"),
+        ([(0, 2, False), (3, 2, False)], "step 1: attach vertex 3 is not on a triangle"),
+        ([(0, 2, True)], "step 0: glued construction needs odd path length >= 1"),
+        ([(0, 1, False)], "step 0: plain path must have even length >= 2"),
+    ])
+    def test_t_family_rejects_bad_steps(self, script, message):
+        with pytest.raises(ValueError, match=message):
+            t_family(script)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,8 @@ class TestCeilLogBeta:
         assert lambda_of(1) == 1
         assert lambda_of(7) == 4
         assert lambda_of(10**10) == 8192
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            ceil_log_beta(0)
 
     @given(st.integers(min_value=2, max_value=10**9))
     def test_is_least_exponent(self, d):
@@ -117,6 +119,8 @@ class TestRatioGate:
         assert ratio_gate(1, 6) and not ratio_gate(1, 7)
         assert not ratio_gate(2, 5000)
         assert ratio_gate(100, 100)
+        with pytest.raises(ValueError, match="degrees must be >= 1"):
+            ratio_gate(0, 1)
 
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=300)
@@ -313,7 +317,7 @@ class TestBounds:
         # single-type neighbourhood bounds hold: 29 <= 8*29^0.62 = 64.5...;
         # the pair-overlap bound genuinely fails: 29 > 12*29^0.24 = 26.92...
         assert size_limits(g, 1)[0] == (64, 26)
-        bad = violated_events(g, labels, 1)
+        bad = violated_events(g, exponents(g), labels, 1)
         assert [(ev.vertex, ev.kind) for ev in bad] == [(v, "F") for v in range(30)]
 
     @given(st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(0, 20))),
@@ -341,7 +345,7 @@ class TestBounds:
 
     def test_inf_slack_disables_everything(self):
         g = complete(30)
-        assert violated_events(g, LabelPair([0] * 30, [0] * 30), math.inf) == []
+        assert violated_events(g, exponents(g), LabelPair([0] * 30, [0] * 30), math.inf) == []
 
     def test_degree_one_has_no_events(self):
         g = path(1)
@@ -349,13 +353,13 @@ class TestBounds:
         # the edge is risky of every type, but 1 <= 8 and 1 <= 12 at degree 1
         risky = risky_neighbours(2, classify(g, labels, exponents(g)))
         assert [len(s) for a in risky for s in a] == [1] * 6
-        assert violated_events(g, labels, 1) == []
+        assert violated_events(g, exponents(g), labels, 1) == []
 
     def test_rejects_nonpositive_slack(self):
         g = path(1)
         labels = draw_labels(exponents(g), random.Random(0))
         for slack in (0, -1):
             with pytest.raises(ValueError, match="slack must be positive"):
-                violated_events(g, labels, slack)
+                violated_events(g, exponents(g), labels, slack)
             with pytest.raises(ValueError, match="slack must be positive"):
                 size_limits(g, slack)

@@ -62,7 +62,7 @@ class TestEvents:
     def test_sort_order_is_vertex_then_kind(self):
         n, slack = INSTRUMENTED
         g = complete(n)
-        bad = violated_events(g, LabelPair([0] * n, [0] * n), slack)
+        bad = violated_events(g, exponents(g), LabelPair([0] * n, [0] * n), slack)
         assert [(e.vertex, e.kind) for e in bad] == [(v, k) for v in range(n) for k in KINDS]
         assert bad[0] == make_event(0, "A", gated_neighbours(g, 0))
 
@@ -70,9 +70,9 @@ class TestEvents:
         n, slack = INSTRUMENTED
         g = complete(n)
         labels = LabelPair([0] * n, [0] * n)  # every edge risky of all types
-        bad = violated_events(g, labels, slack)
+        bad = violated_events(g, exponents(g), labels, slack)
         assert len(bad) == 4 * n  # thresholds 3 (ABC) and 2 (F), sizes 13
-        assert violated_events(g, labels, math.inf) == []
+        assert violated_events(g, exponents(g), labels, math.inf) == []
 
 
 def reference_moser_tardos(g, seed, slack, max_rounds, observer):
@@ -82,9 +82,10 @@ def reference_moser_tardos(g, seed, slack, max_rounds, observer):
     lams = [lambda_of(d) if d >= 1 else 1 for d in g.degrees()]
     c1 = [rng.randrange(lam) for lam in lams]
     c2 = [rng.randrange(lam) for lam in lams]
+    es = exponents(g)
     trajectory = []
     for round_no in range(max_rounds):
-        bad = violated_events(g, LabelPair(c1, c2), slack)
+        bad = violated_events(g, es, LabelPair(c1, c2), slack)
         if not bad:
             return LabelPair(c1, c2)
         ev = bad[0]
@@ -171,7 +172,7 @@ class TestMoserTardos:
                               observer=lambda r, *_: rounds.append(r))
         assert len(rounds) == 35  # resampled to success, not a draw returned unchecked
         monkeypatch.undo()  # the from-scratch reference reads the sets
-        assert violated_events(g, labels, 0.15) == []
+        assert violated_events(g, exponents(g), labels, 0.15) == []
 
     def test_infinite_slack_never_classifies(self, monkeypatch):
         def fail(*args):
@@ -188,7 +189,7 @@ class TestMoserTardos:
         assert isinstance(labels, LabelPair)
         # no resampling happened: the output is exactly the initial draw
         assert labels == draw_labels(exponents(g), random.Random(42))
-        assert violated_events(g, labels, 3) == []
+        assert violated_events(g, exponents(g), labels, 3) == []
 
     def test_instrumented_run_terminates_and_satisfies_bounds(self):
         n, slack = INSTRUMENTED
@@ -199,7 +200,7 @@ class TestMoserTardos:
             labels = moser_tardos(g, exponents(g), seed, slack, 20000,
                                   observer=lambda r, ev, b, a: events.append(r))
             assert isinstance(labels, LabelPair), f"seed {seed} timed out"
-            assert violated_events(g, labels, slack) == []
+            assert violated_events(g, exponents(g), labels, slack) == []
             rounds_seen.append(len(events))
         assert all(r > 0 for r in rounds_seen)  # the instance forces work
 
@@ -681,6 +682,8 @@ class TestWorstConditional:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             worst_conditional_risk(10, 10, "type9")
+        with pytest.raises(ValueError, match=r"degree pair \(7, 1\) fails the ratio gate"):
+            worst_conditional_risk(7, 1, "type1_given_c1v")
 
 
 # verbatim copies of the loop-based worst_conditional_risk and its window
