@@ -9,7 +9,9 @@ first one that returns a Diagnostic:
 
   stage_preflight          exception components (odd paths, odd cycles,
                            the triangle family); records the minimum degree
-  stage_labels             resampled labels and their fresh classification
+  stage_labels             resampled labels and their classification (the
+                           resampler's kept risky sets, or one classify
+                           pass at slack inf)
   stage_part1              h1, carved out of g' = g - R1 (built only for the
                            solver: the windows read its degrees)
   stage_overlap_colouring  g1 = g - h1, the overlap graphs C and F, and h
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -220,9 +223,10 @@ def stage_labels(trace: PipelineTrace):
         return trace.fail("labels", "ClaimBoundsUnachieved",
                           {"rounds": labels.rounds, "trajectory_tail": labels.trajectory[-10:]},
                           rounds=labels.rounds)
-    # classified afresh from the final labels: the classification the factor
-    # stages read (tests check the resampler's counts against violated_events)
-    cls = trace.classification = classify(g, labels, es)
+    # the factor stages read the risky sets the resampler kept; at slack inf
+    # it judged no edge, so the labels are classified here, once (tests
+    # check the kept sets against a fresh classify)
+    cls = trace.classification = labels.classification or classify(g, labels, es)
     trace.labels = labels
     trace.report("labels", True, r1=len(cls.r1), r2=len(cls.r2), r3=len(cls.r3))
 
@@ -286,14 +290,20 @@ def stage_assembly(trace: PipelineTrace):
 
 
 def stage_windows(trace: PipelineTrace):
-    """A record, never a gate: the final gate alone decides success."""
+    """A record, never a gate: the final gate alone decides success.  Each
+    record window_report shares is read once and tallied by the number of
+    vertices that share it."""
     windows = ("h1_window", "h2_window", "h3_window", "final_window")
-    report = window_report(trace)
-    outside = [v for v, rec in report.items() if not all(rec[w] for w in windows)]
-    recs = report.values()
-    trace.report("windows", True, inside={w: sum(rec[w] for rec in recs) for w in windows},
+    recs = window_report(trace).values()  # in vertex order
+    shares = Counter(map(id, recs))
+    # each distinct record beside the number of vertices that share it
+    tallied = [(rec, shares[key]) for key, rec in dict(zip(map(id, recs), recs)).items()]
+    out_keys = {id(rec) for rec, _ in tallied if not all(rec[w] for w in windows)}
+    outside = [v for v, rec in enumerate(recs) if id(rec) in out_keys] if out_keys else []
+    trace.report("windows", True,
+                 inside={w: sum(k for rec, k in tallied if rec[w]) for w in windows},
                  outside=outside[:20], outside_count=len(outside),
-                 low_degree_count=sum(rec["low_degree_flag"] for rec in recs))
+                 low_degree_count=sum(k for rec, k in tallied if rec["low_degree_flag"]))
 
 
 def stage_final_gate(trace: PipelineTrace):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -72,10 +72,15 @@ def gate(du: int, dv: int) -> bool:
 
 @dataclass
 class LabelPair:
-    """Per-vertex labels c1, c2, each uniform on [0, lam(v))."""
+    """Per-vertex labels c1, c2, each uniform on [0, lam(v)).
+
+    classification is set only by lll_engine.moser_tardos: the risky edge
+    sets of the labels as returned, which it kept.  It is not compared.
+    """
 
     c1: list
     c2: list
+    classification: RiskyClassification | None = field(default=None, compare=False, repr=False)
 
     def validate(self, es: list) -> None:
         """Both arrays hold one label per vertex, in [0, 2^e(v)) for the

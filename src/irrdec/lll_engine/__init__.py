@@ -6,7 +6,9 @@ Every verdict comes from labeling.risky_types, which judges a batch of
 pairs of risk_terms in one call, and every size bound from
 labeling.violated_kinds.  violated_events classifies from scratch; the
 resampler keeps risky edge sets and per-vertex counts, no per-vertex
-containers, and a round costs about the edges it re-judges.
+containers, and hands the kept sets over with the labels it returns.  A
+round costs about the edges it re-judges: those at the resampled vertices
+whose labels changed.
 
 An edge's risk probability, over the lam(u)^2 * lam(v)^2 assignments of
 the full label space, is a share of risky residues.  Every verdict reads
@@ -32,6 +34,7 @@ from ..exact import floor_beta_mult, iroot
 from ..graph_core import Graph
 from ..labeling import (
     LabelPair,
+    RiskyClassification,
     ceil_log_beta,
     classify,
     classify_terms,
@@ -121,12 +124,18 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     mutable, and four per-vertex counts |A|, |B|, |C| and |F|, where an
     edge counts in F when it is risky of types 2 and 3; violated_kinds reads
     the counts.  A round refreshes the terms of the scope vertices, whose
-    labels alone change, and re-judges their gated edges, each once in
-    canonical orientation, in one risky_types call.  Only an edge whose
-    verdicts changed touches the sets and counts, and the events of its
-    endpoints are rechecked.  Each vertex's gated neighbours are listed once
-    per call, for its event scopes and its edges.  At slack inf no event
-    has a bound: the draw is returned unclassified.
+    labels alone change.  A redraw may return a vertex's old labels; only
+    the vertices whose terms differ have their gated edges re-judged, each
+    once in canonical orientation, in one risky_types call.  An edge's
+    verdicts read only its endpoints' terms and es, so the edges skipped
+    cannot change.  Only an edge whose verdicts changed touches the sets and
+    counts, and the events of its endpoints are rechecked.  Each vertex's
+    gated neighbours are listed once per call, for its event scopes and its
+    edges.
+
+    Returns a Timeout, or the labels with the kept sets as their
+    classification.  At slack inf no event has a bound: the draw is returned
+    unclassified, its classification None.
     """
     limits = size_limits(g, slack)
     if max_rounds < 1:
@@ -167,6 +176,7 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     trajectory = []
     for round_no in range(max_rounds):
         if not bad:
+            labels.classification = RiskyClassification(r1, r2, r3)
             return labels
         v = min(bad)
         nbrs = gated_of(v)
@@ -178,13 +188,17 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 
-        scope_verts = {v, *nbrs}  # every kind reads a slot at each of them
+        changed = set()  # scope vertices (every kind reads a slot at each) whose labels moved
+        for w in (v, *nbrs):
+            t = risk_terms(deg[w], es[w], c1[w], c2[w])
+            if t != terms[w]:
+                terms[w] = t
+                changed.add(w)
         pairs = []
-        for w in scope_verts:
-            terms[w] = risk_terms(deg[w], es[w], c1[w], c2[w])
-            # an edge inside the scope is judged once, from its lower end
+        for w in changed:
+            # an edge between two changed ends is judged once, from its lower end
             pairs += [(w, x) if w < x else (x, w)
-                      for x in gated_of(w) if w < x or x not in scope_verts]
+                      for x in gated_of(w) if w < x or x not in changed]
         marked = set()  # the endpoints of the edges whose verdicts changed
         for edge, f1, f2, f3 in zip(pairs, *risky_types(pairs, terms, es)):
             o1, o2, o3 = edge in r1, edge in r2, edge in r3

@@ -304,6 +304,54 @@ class TestOneExponentMap:
         assert moser_tardos(g, exponents(g), seed, slack, 100) == want
 
 
+class TestOneClassification:
+    """A decompose3 op classifies the whole graph once.  At finite slack
+    moser_tardos hands its kept risky sets to stage_labels on the labels it
+    returns; at slack inf no edge was judged, and stage_labels classifies."""
+
+    def test_resampled_ops_read_the_kept_sets(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("decomposer.classify called at finite slack")
+
+        rounds = []
+
+        def observed(*args):
+            return moser_tardos(*args, observer=lambda r, *_: rounds.append(r))
+
+        monkeypatch.setattr(decomposer, "classify", fail)
+        monkeypatch.setattr(decomposer, "moser_tardos", observed)
+        passed = resampled = 0
+        for d in (20, 22, 24):  # the decompose-resample regime
+            g = random_regular(240, d, seed=d)
+            for seed in range(6):
+                rounds.clear()
+                out, trace = decompose3(g, PipelineConfig(seed=seed, slack=0.21, lll_rounds=10))
+                if trace.labels is None:
+                    assert out.stage == "labels", (d, seed)
+                    continue
+                passed += 1
+                resampled += bool(rounds)
+                cls = trace.classification
+                fresh = labeling.classify(g, trace.labels, trace.exponents)
+                assert (cls.r1, cls.r2, cls.r3) == (fresh.r1, fresh.r2, fresh.r3), (d, seed)
+        assert passed == 17
+        assert resampled == 15  # sets updated by rounds, not only as first classified
+
+    def test_infinite_slack_classifies_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, labels, es):
+            calls.append(g)
+            return labeling.classify(g, labels, es)
+
+        monkeypatch.setattr(decomposer, "classify", counted)
+        g = random_regular(240, 22, seed=22)
+        out, trace = decompose3(g, PipelineConfig(seed=1, **RELAXED))
+        assert calls == [g]
+        assert trace.labels.classification is None
+        assert out.stage == "part1_factor" and trace.classification.r1
+
+
 def _manual_trace():
     """complete(4) split into its three perfect matchings; not a valid
     decomposition (every part is degree-regular), but structurally complete

@@ -21,6 +21,7 @@ from irrdec.labeling import (
     KINDS,
     LabelPair,
     ceil_log_beta,
+    classify,
     draw_labels,
     exponents,
     ratio_gate,
@@ -127,6 +128,37 @@ class TestMoserTardos:
         assert rounds > 300
         assert outcomes == {LabelPair, Timeout}
         assert irregular_instances >= 2
+
+    def test_returned_labels_carry_their_classification(self):
+        # a round re-judges only the scope vertices whose labels changed;
+        # the sets handed over must still be those of the labels returned
+        rng = random.Random(2029)
+        classified = resampled = kept_rounds = 0
+        for i in range(40):
+            if i % 2:
+                g = gnp(rng.randrange(30, 60), rng.uniform(0.08, 0.2), seed=i)
+            else:
+                g = random_regular(2 * rng.randrange(15, 35), rng.choice([8, 12, 16]), seed=i)
+            slack = rng.choice([0.1, 0.12, 0.15, 0.2, 0.3, 0.5, 1])
+            es = exponents(g)
+            kept = []  # per round: scope vertices redrawn to their old labels
+
+            def observe(round_no, ev, before, after):
+                kept.append(sum(before.c1[w] == after.c1[w] and before.c2[w] == after.c2[w]
+                                for w in {w for w, _ in ev.scope}))
+
+            out = moser_tardos(g, es, i, slack, 40, observer=observe)
+            if isinstance(out, Timeout):
+                assert len(kept) == 40
+                continue
+            fresh = classify(g, out, es)
+            cls = out.classification
+            assert (cls.r1, cls.r2, cls.r3) == (fresh.r1, fresh.r2, fresh.r3), (i, slack)
+            classified += 1
+            resampled += bool(kept)
+            kept_rounds += sum(map(bool, kept))
+        assert classified >= 10 and resampled >= 5
+        assert kept_rounds >= 10  # the skip path ran, in runs whose sets were checked
 
     @pytest.mark.parametrize("g", [complete(14), gnp(50, 0.15, seed=4)])
     def test_gated_lists_built_once_per_call(self, monkeypatch, g):
