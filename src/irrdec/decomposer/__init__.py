@@ -169,8 +169,10 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
     failing = spec.check_precondition(deg)
     capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
     n = len(deg)
-    allowed = {v: allowed_degrees(deg[v], spec.lam[v], spec.t[v]) if deg[v] else ISOLATED
-               for v in range(n)}
+    lam, t, shared = spec.lam, spec.t, {}  # one read-only set per (degree, modulus, target)
+    allowed = {v: (shared[key] if (key := (d, lam[v], t[v])) in shared
+                   else shared.setdefault(key, frozenset(allowed_degrees(*key)))) if d else ISOLATED
+               for v, d in enumerate(deg)}
     exempt = [v for v in range(n) if deg[v] == 0]
     empty = [v for v in range(n) if not allowed[v]]
     if empty:

@@ -12,10 +12,16 @@ match equals every match there, which under the pipeline's moduli
 3*4^e(d) covers every host degree below 294,914.
 
 Costs: a window is built by arithmetic, O(window/lam) for the values it
-returns.  Exact mode prunes in O(1) per endpoint through a next-allowed-
-degree table per (degree, set).  Heuristic mode keeps each edge's flip delta in
-one of five bitmask buckets and after a flip of (u, v) recomputes only the
-edges at u and v, so an accepted flip costs O(d(u) + d(v)) delta updates.
+returns.  Both searches build their per-vertex tables once per distinct
+(degree, allowed set) and share them read-only; the input checks judge a
+shared set object once per degree.  Exact mode prunes in O(1) per endpoint
+through a next-allowed-degree table and spends one Python frame per node.
+Heuristic mode keeps each edge's flip delta in one of five bitmask buckets.
+A restart sets them up in bulk passes: each edge's first delta is two reads
+of per-vertex add/drop steps, and each bucket is parsed from one digit
+string.  After a flip of (u, v) it recomputes only the edges at u and v, so
+an accepted flip costs O(d(u) + d(v)) delta updates.  Both return their
+subset of the host's edges without re-checking it as a new graph.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import hashlib
 import random
 import sys
 from dataclasses import dataclass
+from itertools import compress
+from operator import getitem
 
 from ..graph_core import Graph, InvariantViolated, incident_edges
 
@@ -134,30 +142,22 @@ def _exact_search(g: Graph, allowed: dict):
     n = g.n
     edges = sorted(g.edges)
     incident = incident_edges(n, edges)
-    cur = [0] * n
-    rem = [len(incident[v]) for v in range(n)]
+    deg = [len(a) for a in incident]
     tables = {}  # vertices of one degree and one allowed set share a read-only table
     nxt = [tables[key] if key in tables else tables.setdefault(key, _next_allowed(*key))
-           for key in zip(rem, map(allowed.__getitem__, range(n)))]
-    state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
-    nodes = 0
-
+           for key in zip(deg, map(allowed.__getitem__, range(n)))]
     for v in range(n):
         # find_degree_set_subgraph admits only allowed values in [0, d(v)]
-        if nxt[v][0] > rem[v]:
-            raise InvariantViolated(f"vertex {v} of degree {rem[v]} can reach no value of its "
+        if nxt[v][0] > deg[v]:
+            raise InvariantViolated(f"vertex {v} of degree {deg[v]} can reach no value of its "
                                     f"allowed set {sorted(allowed[v])}")
-
-    def pick_edge():
-        # fail-first: branch at the least vertex with the fewest undecided edges
-        best_rem = min(filter(None, rem), default=0)
-        best_v = rem.index(best_rem)
-        for i in incident[best_v] if best_rem else ():
-            if state[i] == 0:
-                return i
-        raise InvariantViolated(f"rem out of sync: the fewest undecided edges at a vertex is "
-                                f"{best_rem} (vertex {best_v}, cur {cur[best_v]}), but none of "
-                                f"its edges is undecided")
+    cur = [0] * n
+    # rem[v] = the undecided edges at v, or done, above every degree, when
+    # there are none, so that min(rem) is the fewest left at an open vertex
+    done = len(edges) + 1
+    rem = [d or done for d in deg]
+    state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
+    nodes = 0
 
     mid = [sum(allowed[v]) / len(allowed[v]) for v in range(n)]
 
@@ -166,24 +166,29 @@ def _exact_search(g: Graph, allowed: dict):
         nodes += 1
         if undecided == 0:
             return all(cur[v] in allowed[v] for v in range(n))
-        i = pick_edge()
+        # fail-first: branch on the first undecided edge of the least vertex
+        # with the fewest undecided edges
+        best_rem = min(rem)
+        best_v = rem.index(best_rem)
+        for i in incident[best_v] if best_rem < done else ():
+            if state[i] == 0:
+                break
+        else:
+            raise InvariantViolated(f"rem out of sync: the fewest undecided edges at a vertex is "
+                                    f"{best_rem if best_rem < done else 0} (vertex {best_v}, cur "
+                                    f"{cur[best_v]}), but none of its edges is undecided")
         u, v = edges[i]
+        cu, cv, ru, rv, nu, nv = cur[u], cur[v], rem[u] - 1, rem[v] - 1, nxt[u], nxt[v]
+        rem[u], rem[v] = ru or done, rv or done
         # try the direction that moves both endpoints toward their targets
-        include_first = cur[u] < mid[u] and cur[v] < mid[v]
-        rem[u] -= 1
-        rem[v] -= 1
-        for inc in ((1, 0) if include_first else (0, 1)):
+        for inc in ((1, 0) if cu < mid[u] and cv < mid[v] else (0, 1)):
             state[i] = 1 if inc else -1
-            cu = cur[u] = cur[u] + inc
-            cv = cur[v] = cur[v] + inc
-            if (nxt[u][cu] <= cu + rem[u] and nxt[v][cv] <= cv + rem[v]
-                    and solve(undecided - 1)):
+            xu = cur[u] = cu + inc
+            xv = cur[v] = cv + inc
+            if nu[xu] <= xu + ru and nv[xv] <= xv + rv and solve(undecided - 1):
                 return True
-            cur[u] -= inc
-            cur[v] -= inc
-        state[i] = 0
-        rem[u] += 1
-        rem[v] += 1
+        # a failed solve leaves cur, rem and state as it found them
+        cur[u], cur[v], rem[u], rem[v], state[i] = cu, cv, ru + 1, rv + 1, 0
         return False
 
     try:
@@ -191,8 +196,8 @@ def _exact_search(g: Graph, allowed: dict):
     except RecursionError:  # solve recurses once per decided edge
         return Failure("exact", f"{g.m} edges: the search recurses once per edge and passed "
                                 f"the recursion limit of {sys.getrecursionlimit()}", nodes)
-    if found:
-        return Graph(n, [edges[i] for i in range(len(edges)) if state[i] == 1])
+    if found:  # a subset of g's edges: no check to repeat
+        return Graph._canonical(n, [e for e, x in zip(edges, state) if x == 1])
     return Failure("exact", "search space exhausted", nodes)
 
 
@@ -214,14 +219,27 @@ def _penalty_table(d: int, allowed) -> list:
     return pen
 
 
+# _ONE_HOT[k] maps the byte k to b"1" and every other byte to b"0"
+_ONE_HOT = [bytes(49 if b == k else 48 for b in range(256)) for k in range(5)]
+
+
 def _local_search(g: Graph, allowed: dict, budget: int, seed):
     n = g.n
     edges = sorted(g.edges)
     m = len(edges)
-    pen = [_penalty_table(g.degree(v), allowed[v]) for v in range(n)]
     incident = incident_edges(n, edges)
-    bias = [(sum(allowed[v]) / len(allowed[v])) / g.degree(v) if g.degree(v) else 0.0
-            for v in range(n)]
+    # vertices of one degree and one allowed set share read-only tables: the
+    # penalty at each degree x, its change when an edge is added at x (up,
+    # 0 at x = d) or dropped at x (down, 0 at x = 0), and the start bias
+    keys = list(zip(g.degrees(), map(allowed.__getitem__, range(n))))
+    tables = {}
+    for d, s in keys:
+        if (d, s) not in tables:
+            pen = _penalty_table(d, s)
+            steps = [b - a for a, b in zip(pen, pen[1:])]
+            tables[d, s] = (pen, steps + [0], [0] + [-x for x in steps],
+                            (sum(s) / len(s)) / d if d else 0.0)
+    pen, up, down, bias = zip(*map(tables.__getitem__, keys))
     p_start = [(bias[u] + bias[v]) / 2 for u, v in edges]  # chance an edge starts chosen
 
     def flip_delta(i):
@@ -239,17 +257,19 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
         restart += 1
         chosen = [rng.random() < p for p in p_start]
         deg = [0] * n
-        for i, (u, v) in enumerate(edges):
-            if chosen[i]:
-                deg[u] += 1
-                deg[v] += 1
-        penalty = sum(pen[v][deg[v]] for v in range(n))
-        # each endpoint's penalty moves by at most 1, so every delta lies in
-        # -2..2; bucket[delta + 2] is the bitmask of the edges with that delta
-        delta = [flip_delta(i) for i in range(m)]
-        bucket = [0] * 5
-        for i, dl in enumerate(delta):
-            bucket[dl + 2] |= 1 << i
+        for u, v in compress(edges, chosen):
+            deg[u] += 1
+            deg[v] += 1
+        penalty = sum(map(getitem, pen, deg))
+        # an edge's first delta is two table reads: down at its ends if it is
+        # chosen, up if not.  Each endpoint's penalty moves by at most 1, so
+        # every delta lies in -2..2; bucket[delta + 2] is the bitmask of the
+        # edges with that delta, read off one digit string per bucket
+        ups, downs = list(map(getitem, up, deg)), list(map(getitem, down, deg))
+        delta = [downs[u] + downs[v] if c else ups[u] + ups[v]
+                 for (u, v), c in zip(edges, chosen)]
+        digits = bytes(map((2).__add__, reversed(delta)))  # edge i is digit m - 1 - i
+        bucket = [int(digits.translate(one), 2) for one in _ONE_HOT]
         sideways = 0
         while penalty > 0 and flips < budget and sideways <= 2 * m:
             # least index among the least delta
@@ -280,8 +300,8 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
                     bucket[delta[i] + 2] ^= 1 << i
                     bucket[new + 2] |= 1 << i
                     delta[i] = new
-        if penalty == 0:
-            return Graph(n, [e for i, e in enumerate(edges) if chosen[i]])
+        if penalty == 0:  # a subset of g's edges: no check to repeat
+            return Graph._canonical(n, compress(edges, chosen))
         if best_overall is None or penalty < best_overall:
             best_overall = penalty
     return Failure("heuristic", "flip budget exhausted", best_penalty=best_overall, flips=flips)
@@ -300,15 +320,17 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     A host without edges is answered by neither search: the checks leave
     {0} as every vertex's one allowed set, which the empty subgraph meets.
     """
+    valid = set()  # (degree, id) of the sets checked: a shared set is checked once a degree
     for v in range(g.n):
         s = spec.allowed.get(v)
-        if s is ISOLATED:  # valid at every degree
+        if s is ISOLATED or (g.degree(v), id(s)) in valid:  # ISOLATED is valid at every degree
             continue
         if s is None or len(s) == 0:
             raise ValueError(f"vertex {v}: empty allowed set")
         # integers in [0, d(v)]: _local_search's invariant rests on this
         if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
             raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in [0, d(v)]")
+        valid.add((g.degree(v), id(s)))
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if g.m == 0:
@@ -326,8 +348,10 @@ def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact"
     bad = spec.check_precondition(g.degrees())
     if bad:
         raise ValueError(f"6*lam(v) <= d(v) fails at vertices {bad}")
-    dspec = DegreeTargetSpec({v: allowed_degrees(g.degree(v), spec.lam[v], spec.t[v])
-                              for v in range(g.n)})
+    shared = {}  # one read-only set per (degree, modulus, target)
+    dspec = DegreeTargetSpec({v: shared[key] if key in shared
+                              else shared.setdefault(key, frozenset(allowed_degrees(*key)))
+                              for v, key in enumerate(zip(g.degrees(), spec.lam, spec.t))})
     h = find_degree_set_subgraph(g, dspec, mode=mode, budget=budget, seed=seed)
     if isinstance(h, Failure):
         return h

@@ -10,6 +10,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations, compress
+from operator import lt
 
 
 # parse_edge_list cap; a Graph counts degrees per vertex when built and
@@ -34,7 +35,8 @@ class Graph:
     stores it as (u, v) with u < v.  _canonical trusts its edges to be
     distinct canonical pairs in range already; only parse_edge_list (which
     checks 0 <= u < v < n over the whole id list, and duplicates by the size
-    of the edge set) and without_edges (a subset of self.edges) call it.
+    of the edge set), without_edges (a subset of self.edges) and the factor
+    solvers (a subset of the host's edges) call it.
     The edge set is frozen from the set each caller built, so equal graphs
     built by different paths may iterate in different orders; no result
     reads that order (the oracle's edge order is a function of the graph).
@@ -424,8 +426,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _batch_edges(body: str, n: int):
-    """The set of edges of a comment-free body, added in file order, or None
-    if any line breaks a rule."""
+    """The frozenset of the edges of a comment-free body, added in file order,
+    or None if any line breaks a rule."""
     if _BAD_LINE.search(body):
         return None
     try:
@@ -433,9 +435,9 @@ def _batch_edges(body: str, n: int):
     except ValueError:  # int() refuses strings of over 4,300 digits
         return None
     us, vs = ids[0::2], ids[1::2]
-    if not all(map(int.__lt__, us, vs)) or max(vs, default=-1) >= n:
+    if not all(map(lt, us, vs)) or max(vs, default=-1) >= n:
         return None
-    edges = set(zip(us, vs))
+    edges = frozenset(zip(us, vs))  # Graph._build keeps this very object
     return edges if len(edges) == len(us) else None
 
 

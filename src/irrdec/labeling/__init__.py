@@ -188,6 +188,8 @@ def classify_terms(g: Graph, deg: list, terms: list, es: list) -> RiskyClassific
 def classify(g: Graph, labels: LabelPair, es: list) -> RiskyClassification:
     """classify_terms for labels checked against es, each term built once."""
     labels.validate(es)
+    if not g.edges:  # no edge to judge: no risk term to build
+        return RiskyClassification((), (), ())
     deg = g.degrees()
     return classify_terms(g, deg, list(map(risk_terms, deg, es, labels.c1, labels.c2)), es)
 

@@ -211,7 +211,7 @@ class TestPipelineOutcomes:
         assert [r["exempt_count"] for r in trace.stage_reports if "exempt" in r] == [500, 500]
         trace = _part2_trace()
         assert stage_overlap_colouring(trace) is None and stage_part2(trace) is None
-        assert calls == [2, 2, 2]  # the triangle of g'', not its 36 isolated vertices
+        assert calls == [2]  # the triangle of g'' shares one key; its 36 isolated vertices take none
         assert trace.stage_reports[-1]["exempt_count"] == 36
 
     def test_exception_component_preflight(self):

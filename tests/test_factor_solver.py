@@ -471,6 +471,24 @@ def _outcome(r):
     return sorted(r.edges)
 
 
+def _shared_key_instance(seed):
+    """A random regular host whose vertices share two or three (degree, set)
+    keys by v mod k.  Even seeds take the sets of allowed_degrees with t(v) =
+    v mod k, as the solver's hosts from the pipeline and the benchmark do;
+    these are easy.  Odd seeds take random two-value sets, on which descents
+    stall and restart."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        n, d, lam, k = rng.choice(((14, 12, 2, 2), (16, 12, 2, 3), (18, 14, 2, 2), (20, 18, 3, 3)))
+        g = random_regular(n, d, seed=rng.getrandbits(32))
+        return g, {v: allowed_degrees(d, lam, v % k) for v in range(n)}, rng
+    n, d = rng.choice(((14, 12), (16, 12), (18, 14), (20, 10)))
+    g = random_regular(n, d, seed=rng.getrandbits(32))
+    pool = [set(p) for p in rng.sample(list(itertools.combinations(range(3, d - 2), 2)),
+                                        rng.choice((2, 3)))]
+    return g, {v: pool[v % len(pool)] for v in range(n)}, rng
+
+
 class TestAgainstReferences:
     SEEDS = range(160)
 
@@ -527,3 +545,47 @@ class TestAgainstReferences:
     def test_windows_match_brute_force(self, d, lam, t):
         assert window_candidates(d, lam, t) == _ref_window_candidates(d, lam, t)
 
+    def test_both_searches_match_on_shared_key_hosts(self):
+        # hosts whose vertices share two or three tables, in both modes, with
+        # budgets that end some descents and cut others short
+        stats = {"restarts": 0, "sideways_cut": 0}
+        kinds, keys = set(), set()
+        for seed in range(40):
+            g, allowed, rng = _shared_key_instance(seed)
+            keys.add(len({frozenset(s) for s in allowed.values()}))
+            spec = DegreeTargetSpec(allowed)
+            got = find_degree_set_subgraph(g, spec, mode="exact")
+            assert _outcome(got) == _outcome(_ref_exact_search(g, allowed)), f"seed {seed}"
+            budget = rng.choice((3, 40, 600, 3000))
+            restarts = stats["restarts"]
+            got = find_degree_set_subgraph(g, spec, mode="heuristic", budget=budget, seed=seed)
+            want = _ref_local_search(g, allowed, budget, seed, stats)
+            assert _outcome(got) == _outcome(want), f"seed {seed}"
+            kinds.add((isinstance(want, Failure), stats["restarts"] - restarts > 1))
+        assert keys == {2, 3}
+        # found and exhausted, each both within the first descent and after
+        # restarts
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class TestSharedTables:
+    def test_one_penalty_table_per_key_and_none_is_changed(self, monkeypatch):
+        # vertices of one degree and one allowed set read one table, which
+        # the descent never writes
+        made, penalty_table = [], factor_solver._penalty_table
+
+        def counted(d, allowed):
+            pen = penalty_table(d, allowed)
+            made.append(((d, allowed), pen, pen[:]))
+            return pen
+
+        monkeypatch.setattr(factor_solver, "_penalty_table", counted)
+        for seed in range(6):
+            g, allowed, _ = _shared_key_instance(seed)
+            made.clear()
+            out = find_degree_set_subgraph(g, DegreeTargetSpec(allowed), mode="heuristic",
+                                           budget=500, seed=seed)
+            assert isinstance(out, (Graph, Failure))
+            want = {(g.degree(v), frozenset(allowed[v])) for v in range(g.n)}
+            assert len(made) == len(want) and {key for key, _, _ in made} == want
+            assert all(pen == before for _, pen, before in made)

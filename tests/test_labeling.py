@@ -183,6 +183,18 @@ class TestLabels:
         classify(g, labels, es)
         assert len(calls) == 0
 
+    def test_classify_builds_no_risk_term_without_edges(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a risk term was built for a graph without edges")
+
+        g = Graph(1000)
+        es = exponents(g)
+        monkeypatch.setattr(labeling, "risk_terms", refused)
+        cls = classify(g, draw_labels(es, random.Random(7)), es)
+        assert (cls.r1, cls.r2, cls.r3) == (frozenset(),) * 3
+        with pytest.raises(ValueError, match="label array length"):  # labels are still checked
+            classify(g, LabelPair([0], [0]), es)
+
 
 class TestSymmetricModPredicate:
     def test_examples(self):
