@@ -13,9 +13,10 @@ match equals every match there, which under the pipeline's moduli
 
 Costs: a window is built by arithmetic, O(window/lam) for the values it
 returns.  Both searches build their per-vertex tables once per distinct
-(degree, allowed set) and share them read-only; the input checks judge a
-shared set object once per degree.  Exact mode prunes in O(1) per endpoint
-through a next-allowed-degree table and spends one Python frame per node.
+(degree, allowed set) and share them read-only; the input checks judge
+each set once per degree, and an equal set after it by its int test
+alone.  Exact mode prunes in O(1) per endpoint through a next-allowed-degree
+table and spends one Python frame per node.
 Heuristic mode keeps each edge's flip delta in one of five bitmask buckets.
 A restart sets them up in bulk passes: each edge's first delta is two reads
 of per-vertex add/drop steps, and each bucket is parsed from one digit
@@ -30,7 +31,7 @@ import hashlib
 import random
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import getitem
 
 from ..graph_core import Graph, InvariantViolated, incident_edges
@@ -320,17 +321,24 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     A host without edges is answered by neither search: the checks leave
     {0} as every vertex's one allowed set, which the empty subgraph meets.
     """
-    valid = set()  # (degree, id) of the sets checked: a shared set is checked once a degree
+    checked = set()  # (degree, id) of the set objects found valid
+    valid = set()  # (degree, set) of the sets found valid
     for v in range(g.n):
         s = spec.allowed.get(v)
-        if s is ISOLATED or (g.degree(v), id(s)) in valid:  # ISOLATED is valid at every degree
+        if s is ISOLATED or (g.degree(v), id(s)) in checked:  # ISOLATED is valid at every degree
             continue
         if s is None or len(s) == 0:
             raise ValueError(f"vertex {v}: empty allowed set")
-        # integers in [0, d(v)]: _local_search's invariant rests on this
-        if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
-            raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in [0, d(v)]")
-        valid.add((g.degree(v), id(s)))
+        key = (g.degree(v), frozenset(s))
+        # a set equal to a valid one holds values equal to integers in
+        # [0, d(v)], so only the int test is left for it: {1.0} equals {1}
+        if not (key in valid and all(map(isinstance, s, repeat(int)))):
+            # integers in [0, d(v)]: _local_search's invariant rests on this
+            if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
+                raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in "
+                                 f"[0, d(v)]")
+            valid.add(key)
+        checked.add((g.degree(v), id(s)))
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if g.m == 0:

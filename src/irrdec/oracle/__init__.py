@@ -17,7 +17,7 @@ Edges are decided in breadth-first order (`_edge_order`), a function of
 the graph alone.  At position i, the frontier is the set of decided edges
 that still have an open end, an end with an edge at position i or later.
 
-Each probe with k >= 4 keeps its own table of failed states, since a
+Each probe with k >= 3 keeps its own table of failed states, since a
 state that fails at one k may complete at a larger one.  A state's key is i,
 the frontier edges' colours renamed in order of first appearance, and for
 each frontier edge the frozen class degree of its finished end (an edge
@@ -39,13 +39,16 @@ its key when its subtree fails.  This is sound:
   `exhausted` are those of the search without it; only the node count
   drops.
 
-The table is kept only where it pays.  The top probe runs only after
-k = 1, 2, 3 have failed, which in practice means the exception families
-(maximum degree <= 3, a narrow frontier) and rare cacti that need 4 or more
-parts.  Feasible graphs end at k <= 3, where a key costs about as much as
-a node and seldom hits: K7's k = 2 probe takes 116,728 nodes with a table
-against 120,928 without, and about three times as long (0.50 s against
-0.15-0.19 s in process on a 2-vCPU Xeon host).
+The table is kept only where it pays, and the line falls at k = 3.  The
+exception families (odd paths, odd cycles, the triangle family) can only
+be certified by exhausting the k = 3 probe, and they do it on a narrow
+frontier (maximum degree <= 3), where keys are cheap and repeat: cycle(17)
+takes 79 nodes at k = 3 with the table against 639 without.  At k = 2 the
+graphs that exhaust are dense ones, on a wide frontier, where a key costs
+about as much as a node and seldom repeats: K7's k = 2 probe takes 116,728
+nodes with a table against 120,928 without, and about 3.5 times as long
+(0.56 s against 0.16 s in process on a 2-vCPU Xeon host).  So k = 1 and 2
+keep no table, and a graph settled at k <= 2 never builds one.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..graph_core import Decomposition, Graph
+from ..graph_core import Decomposition, Graph, InvariantViolated
 
 DEFAULT_EDGE_LIMIT = 22  # IRRDEC_EDGE_LIMIT overrides it
 
@@ -119,24 +122,35 @@ def _incidence(edges: list, n: int) -> list:
     return inc
 
 
-def _frontiers(edges: list, n: int) -> list:
-    """frontier[i] for each position i: the positions j < i of the frontier
-    edges, and the (j, finished end) pairs of those with a finished end."""
-    last = [0] * n
-    for j, (u, v) in enumerate(edges):
-        last[u] = last[v] = j
-    table = []
-    for i in range(len(edges)):
+class _Frontiers(dict):
+    """frontier[i] for a position i: the positions j < i of the frontier
+    edges, and the (j, finished end) pairs of those with a finished end.
+    A row is built the first time it is read and kept, so the probes that
+    share the table build each row once, and only where a search reads it."""
+
+    def __init__(self, edges: list, n: int):
+        super().__init__()
+        self.edges = edges
+        self.last = last = [0] * n  # the last position of an edge at each vertex
+        for j, (u, v) in enumerate(edges):
+            last[u] = last[v] = j
+
+    def __missing__(self, i: int) -> tuple:
+        edges, last = self.edges, self.last
         live = [j for j in range(i) if last[edges[j][0]] >= i or last[edges[j][1]] >= i]
-        table.append((live, [(j, x) for j in live for x in edges[j] if last[x] < i]))
-    return table
+        row = self[i] = (live, [(j, x) for j in live for x in edges[j] if last[x] < i])
+        return row
 
 
-def _search(g: Graph, k: int, edges: list, inc: list, frontier: list | None = None):
+def _search(g: Graph, k: int, edges: list, inc: list, frontier: _Frontiers | None = None):
     """Colour assignment search at exactly k available colours, over edges
     in the order given (`_edge_order`), with their `_incidence` lists.  With
-    a `_frontiers` table the search keeps a table of failed states (see the
-    module docstring); with None it keeps none.
+    a `_Frontiers` table the search keeps a table of failed states (see the
+    module docstring), as `min_parts` has it do from k = 3 on; with None it
+    keeps none.  A state's key is taken only at a position where a failure
+    is already recorded, and when its subtree fails: a key cannot be in the
+    table before some state at its position has failed, and the state a
+    failed subtree leaves is the one it entered.
 
     Returns (colour dict | None, nodes).  Symmetry breaking: colour c may be
     used on an edge only if colours 1..c-1 already appear earlier, so each
@@ -154,12 +168,19 @@ def _search(g: Graph, k: int, edges: list, inc: list, frontier: list | None = No
     colour = [0] * m
     nodes = 0
     failed = None if frontier is None else set()
+    failed_at = [False] * m  # failed_at[i]: a failed key at position i is recorded
 
     def state_key(i: int) -> tuple:
+        # plain loops: about twice as fast as comprehensions on a frontier
+        # of a few edges, since a key is taken at every recorded failure
         live, finished = frontier[i]
         names = {}
-        return (i, *[names.setdefault(colour[j], len(names)) for j in live],
-                *[class_deg[x][colour[j]] for j, x in finished])
+        key = [i]
+        for j in live:
+            key.append(names.setdefault(colour[j], len(names)))
+        for j, x in finished:
+            key.append(class_deg[x][colour[j]])
+        return tuple(key)
 
     def frozen_conflict(w) -> bool:
         # w just became finished; compare against finished neighbours
@@ -176,7 +197,8 @@ def _search(g: Graph, k: int, edges: list, inc: list, frontier: list | None = No
         nodes += 1
         if i == m:
             return True
-        if failed is not None:
+        key = None
+        if failed is not None and failed_at[i]:
             key = state_key(i)
             if key in failed:
                 return False
@@ -198,12 +220,27 @@ def _search(g: Graph, k: int, edges: list, inc: list, frontier: list | None = No
             dv[c] -= 1
         colour[i] = 0
         if failed is not None:
-            failed.add(key)
+            failed.add(state_key(i) if key is None else key)
+            failed_at[i] = True
         return False
 
     if rec(0, 0):
         return {e: colour[i] for i, e in enumerate(edges)}, nodes
     return None, nodes
+
+
+def _check_irregular(dec: Decomposition) -> None:
+    """Every edge joins two vertices of different degree in its own colour
+    class, checked on its own in O(m): class degrees first, then each edge."""
+    class_deg = [[0] * (dec.k + 1) for _ in range(dec.graph.n)]
+    items = dec.colour.items()
+    for (u, v), c in items:
+        class_deg[u][c] += 1
+        class_deg[v][c] += 1
+    for (u, v), c in items:
+        if class_deg[u][c] == class_deg[v][c]:
+            raise InvariantViolated(f"witness edge {u}-{v} of colour {c}: both ends have "
+                                    f"class degree {class_deg[u][c]}")
 
 
 def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
@@ -222,8 +259,11 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
     would return: `_search` returns the least valid colouring among those
     with at most k colours, and a least one with exactly k* colours found
     at some k >= k* is also least among those with at most k* colours.
-    The probes past k = 3 share one `_frontiers` table, built when the
-    first of them starts.  searches lists every probe as (k, nodes, found).
+    The probes from k = 3 on share one `_Frontiers` table, made just
+    before the k = 3 probe; k = 1 and 2 run without one.  The witness is
+    re-checked on its own: `Decomposition.validate` for the edge cover and
+    the colour range, then `_check_irregular` for local irregularity.
+    searches lists every probe as (k, nodes, found).
     """
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -255,15 +295,20 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
             return OracleResult(None, None, top >= m, nodes, searches)
         witness = Decomposition(g, k, colouring)
         witness.validate()
+        _check_irregular(witness)
         return OracleResult(k, witness, True, nodes, searches)
 
-    for k in range(1, min(3, top) + 1):
+    for k in range(1, min(2, top) + 1):
         colouring = probe(k)
         if colouring is not None:
             return finish(k, colouring)
-    if top <= 3:
+    if top <= 2:
         return finish(None, None)
-    frontier = _frontiers(edges, g.n)
+    frontier = _Frontiers(edges, g.n)
+    if (colouring := probe(3, frontier)) is not None:
+        return finish(3, colouring)
+    if top == 3:
+        return finish(None, None)
     if (best := probe(top, frontier)) is None:
         return finish(None, None)
     lo, hi = 4, max(best.values())

@@ -443,6 +443,37 @@ class TestWindowReport:
             window_report(trace)
 
 
+class TestWindowBoundaries:
+    """Verdicts on both sides of a bound, with the expected values taken
+    from integer 50th powers: d^0.62 = d^(31/50), so q <= c * d^0.62 for
+    q = a/9 >= 0 and c = b/9 reads a^50 <= b^50 * d^31."""
+
+    def test_low_degree_flag_flips_at_the_printed_threshold(self):
+        # d^0.38 < 44 reads d^19 < 44^50; the paper prints 44^(1/0.38) as 21,129
+        assert lll_engine.AUDIT_PRINTED["window_upper_threshold_44"] == 21129
+        assert 21128 ** 19 < 44 ** 50 <= 21129 ** 19
+        assert decomposer._window_verdicts(21128, 0, 0, 0)["low_degree_flag"] is True
+        assert decomposer._window_verdicts(21129, 0, 0, 0)["low_degree_flag"] is False
+
+    def test_h2_upper_coefficient(self):
+        # d2 - 4d/9 <= (88/9) d^0.62 at d = 3000 holds up to d2 = 2733; at
+        # 2734 it fails, though (89/9) d^0.62 would still admit it
+        d = 3000
+        assert (9 * 2733 - 4 * d) ** 50 <= 88 ** 50 * d ** 31
+        assert 88 ** 50 * d ** 31 < (9 * 2734 - 4 * d) ** 50 <= 89 ** 50 * d ** 31
+        assert decomposer._window_verdicts(d, 0, 2733, 0)["h2_window"] is True
+        assert decomposer._window_verdicts(d, 0, 2734, 0)["h2_window"] is False
+
+    def test_h3_lower_coefficient(self):
+        # d/9 - d3 <= 8 d^0.62 at d = 100,000 holds from d3 = 1040 up; at
+        # 1039 it fails, though 9 d^0.62 would still admit it
+        d = 100000
+        assert (d - 9 * 1040) ** 50 <= 72 ** 50 * d ** 31
+        assert 72 ** 50 * d ** 31 < (d - 9 * 1039) ** 50 <= 81 ** 50 * d ** 31
+        assert decomposer._window_verdicts(d, 0, 0, 1040)["h3_window"] is True
+        assert decomposer._window_verdicts(d, 0, 0, 1039)["h3_window"] is False
+
+
 def _octahedron_trace():
     """K6 minus a perfect matching, handed to the late stages as if parts 1
     and 2 had been carved: each part is two disjoint paths of length 2, so
@@ -596,6 +627,22 @@ class TestLateStages:
         assert (out.stage, out.code) == ("final_gate", "PartNotIrregular")
         assert out.detail == {"parts": {"1": [(1, 2)]}}
         assert trace.decomposition is None
+
+    @pytest.mark.parametrize("parts,message", [
+        # path(4) with its last two edges in no part
+        ([[(0, 1), (1, 2)], [], []], "uncoloured edges"),
+        # every edge of path(4) covered, plus the non-edge 0-2 in part 3
+        ([[(0, 1), (1, 2)], [(2, 3), (3, 4)], [(0, 2), (2, 5)]], "coloured non-edges"),
+    ], ids=["gap", "non-edge"])
+    def test_final_gate_refuses_parts_that_do_not_partition(self, parts, message):
+        # each part is locally irregular (paths of length 2), so only the
+        # gate's own partition check can see the fault
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        trace = PipelineTrace(g, PipelineConfig(seed=0))
+        trace.h1, trace.h2_prime, trace.h3_prime = (Graph(6, es) for es in parts)
+        with pytest.raises(ValueError, match=message):
+            stage_final_gate(trace)
+        assert trace.decomposition is None and trace.stage_reports == []
 
     def test_windows_record_names_the_vertices_outside(self):
         # K1,3 in one part: each vertex has degree 0 in parts 2 and 3,

@@ -195,6 +195,20 @@ class TestExactSearch:
             with pytest.raises(ValueError, match="not integers"):
                 find_degree_set_subgraph(g, DegreeTargetSpec({0: {0.5}, 1: {0}}), mode=mode)
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_equal_sets_keep_their_own_int_test(self, mode):
+        # vertices 0 and 2 of path(2) both have degree 1; {1.0} equals {1} as
+        # a set but is refused whichever of the two comes first
+        g = path(2)
+        for first, second in (({1}, {1.0}), ({1.0}, {1})):
+            spec = DegreeTargetSpec({0: first, 1: {2}, 2: second})
+            with pytest.raises(ValueError, match=r"vertex [02]: allowed set \[1(\.0)?\] is not"):
+                find_degree_set_subgraph(g, spec, mode=mode)
+        # two distinct but equal int sets pass, as one shared object does
+        for spec in (DegreeTargetSpec({0: {1}, 1: {2}, 2: {1}}),
+                     DegreeTargetSpec({0: (one := frozenset({1})), 1: {2}, 2: one})):
+            assert find_degree_set_subgraph(g, spec, mode=mode) == g
+
     @given(st.integers(0, 10**9), st.integers(4, 7))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_brute_force(self, seed, n):
@@ -304,6 +318,29 @@ class TestVerify:
         # empty subgraph violates the interval 3*dh >= d
         report = verify_factor(g, g.spanning([]), spec)
         assert not report.ok and len(report.bad_vertices()) == 8
+
+    def test_modular_residue_boundary(self):
+        # K7 (d = 6) and a Hamiltonian cycle of it, d_H = 2 in [d/3, 2d/3]:
+        # at lam = 4, 2 = t or t + 1 passes for t = 2 and t = 1, and 2 = t + 2
+        # fails for t = 0
+        g = complete(7)
+        h = g.spanning([(v, (v + 1) % 7) for v in range(7)])
+        for t, ok in ((2, True), (1, True), (0, False)):
+            report = verify_factor(g, h, ModularTargetSpec([t] * 7, [4] * 7))
+            assert report.ok is ok
+            assert report.bad_vertices() == ([] if ok else list(range(7)))
+
+    def test_modular_interval_is_closed(self):
+        # d_H = 2 = d/3 and d_H = 4 = 2d/3 exactly at d = 6 both pass (lam = 1
+        # admits every residue); 1 and 5 lie outside
+        g = complete(7)
+        for chords in (1, 2):  # the 7 chords v-(v+s) for s = 1, ..., chords
+            h = g.spanning([(v, (v + s) % 7) for v in range(7) for s in range(1, chords + 1)])
+            assert {h.degree(v) for v in range(7)} == {2 * chords}
+            assert verify_factor(g, h, ModularTargetSpec([0] * 7, [1] * 7)).ok
+        for es in ([(0, 1)], [(u, v) for u in range(6) for v in range(u + 1, 6)]):
+            report = verify_factor(g, g.spanning(es), ModularTargetSpec([0] * 7, [1] * 7))
+            assert report.bad_vertices() == list(range(7))  # degrees 1 and 0, or 5 and 0
 
     def test_non_subgraph_rejected(self):
         g = path(2)

@@ -15,6 +15,7 @@ import irrdec.oracle as oracle
 from irrdec.graph_core import (
     Decomposition,
     Graph,
+    InvariantViolated,
     complete,
     cycle,
     gnp,
@@ -29,7 +30,7 @@ from irrdec.graph_core import (
 from irrdec.oracle import (
     OracleResult,
     _edge_order,
-    _frontiers,
+    _Frontiers,
     _incidence,
     _search,
     atlas_connected_graphs,
@@ -161,6 +162,18 @@ class TestMinParts:
         assert [k for k, _, _ in min_parts(cycle(7), k_max=2).searches] == [1, 2]
         assert [k for k, _, _ in min_parts(spider(2)).searches] == [1, 2, 3]
 
+    def test_witness_is_rechecked(self, monkeypatch):
+        # a search that returned a cover breaking local irregularity: on
+        # path(5), colour 1 on 0-1-2 is irregular but colour 2 on 2-3-4-5
+        # gives 3-4 class degree 2 at both ends
+        def broken_search(g, k, edges, inc, frontier=None):
+            return ({e: 1 if e[1] <= 2 else 2 for e in edges} if k >= 2 else None), 1
+
+        monkeypatch.setattr(oracle, "_search", broken_search)
+        with pytest.raises(InvariantViolated,
+                           match="witness edge 3-4 of colour 2: both ends have class degree 2"):
+            min_parts(path(5))
+
     def test_to_json(self):
         js = min_parts(path(2)).to_json()
         assert js["k"] == 1 and js["exhausted"] is True
@@ -267,7 +280,7 @@ def _plain_and_tabled(g, ks=None):
     failed-state table, for each k in ks (default 1..|E|)."""
     edges = _edge_order(g)
     inc = _incidence(edges, g.n)
-    frontier = _frontiers(edges, g.n)
+    frontier = _Frontiers(edges, g.n)
     for k in ks or range(1, g.m + 1):
         yield k, _search(g, k, edges, inc), _search(g, k, edges, inc, frontier)
 
@@ -296,13 +309,29 @@ class TestFailedStateTable:
                     assert is_locally_irregular_decomposition(Decomposition(g, k, plain))
         assert found > 1000 and cut > 100  # neither side of the comparison is vacuous
 
+    def test_rows_only_where_a_failure_is_recorded(self):
+        # spider(2)'s k = 3 probe succeeds after failing at positions 6-8
+        # only, so a feasible probe pays for three rows, not all nine
+        g = spider(2)
+        edges = _edge_order(g)
+        inc = _incidence(edges, g.n)
+        frontier = _Frontiers(edges, g.n)
+        assert _search(g, 3, edges, inc, frontier) == _search(g, 3, edges, inc)
+        assert sorted(frontier) == [6, 7, 8]
+        # at position 7 edges 5 = 1-6 and 6 = 1-8 still have an open end
+        # (6 and 8), and vertex 1 has had its last edge
+        assert frontier[7] == ([5, 6], [(5, 1), (6, 1)])
+
     def test_node_ceilings(self):
-        # measured with the breadth-first order and the table on every k >= 4 probe
-        assert min_parts(cycle(17)).nodes_explored <= 764
+        # measured with the breadth-first order and the table on every k >= 3 probe
+        assert min_parts(cycle(17)).nodes_explored <= 204
         members = t_family_members(13)
-        assert max(min_parts(g).nodes_explored for g in members if g.m == 13) <= 1382
+        assert max(min_parts(g).nodes_explored for g in members if g.m == 13) <= 822
         assert max(min_parts(g).nodes_explored
-                   for g in members + [cycle(19), path(21)]) <= 1422
+                   for g in members + [cycle(19), path(21)]) <= 822
+        # no table at k <= 2: K7's k = 2 probe takes the plain search's count
+        # (116,728 with a table)
+        assert min_parts(complete(7), k_max=2).searches == [(1, 11, False), (2, 120928, False)]
 
     def test_verdicts_match_the_previous_search(self, atlas7):
         # (least k, exhausted) as the search over the degree-ascending,
@@ -340,19 +369,21 @@ class TestBisection:
         probes = []
 
         def fake_search(g, k, edges, inc, frontier=None):
-            assert (frontier is None) == (k <= 3)  # the table only past k = 3
+            assert (frontier is None) == (k <= 2)  # the table from k = 3 on
             probes.append(k)
             if k < k_star:
                 return None, 1
             used = max(r for r in records if r <= k)
             return {e: min(i + 1, used) for i, e in enumerate(edges)}, 1
 
-        real = oracle._search
-        oracle._search = fake_search
+        # the stand-in colourings are not locally irregular, so the witness
+        # re-check (tested on its own in TestMinParts) is stood down as well
+        real = oracle._search, oracle._check_irregular
+        oracle._search, oracle._check_irregular = fake_search, lambda dec: None
         try:
             res = min_parts(path(m), k_max)
         finally:
-            oracle._search = real
+            oracle._search, oracle._check_irregular = real
         top = m if k_max is None else min(k_max, m)
         head = list(range(1, min(3, top, k_star) + 1)) + ([top] if min(top, k_star) > 3 else [])
         assert probes[:len(head)] == head
