@@ -1,7 +1,9 @@
 """Command line entry point.
 
 Every command produces one JSON record {"manifest": ..., "result": ...};
-the human-readable output is a rendering of the same record.  The manifest
+the human-readable output is a rendering of the same record.  `--json`
+prints the record as one line of sorted-key JSON, and `--out FILE` writes
+that line to FILE; `python -m json.tool` pretty-prints it.  The manifest
 carries a sha256 digest of the canonically serialized result (sorted keys,
 no whitespace), so identical inputs are byte-checkable; timings live in the
 manifest, outside the digest.
@@ -83,13 +85,19 @@ def make_record(command: str, parameters: dict, seed, result: dict, seconds: flo
     }
 
 
+def record_line(record: dict) -> str:
+    """The record as one line of JSON.  `indent` would force CPython's
+    pure-Python encoder, and json.dump to a file always uses it."""
+    return json.dumps(record, sort_keys=True)
+
+
 def _emit(record: dict, args, human_lines: list) -> None:
-    if getattr(args, "out", None):
+    json_line = record_line(record) if args.json or args.out else None
+    if args.out:
         with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_line + "\n")
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(json_line)
     else:
         for line in human_lines:
             print(line)
@@ -137,7 +145,7 @@ def cmd_gen(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(record_line(record))
     elif not args.out:
         sys.stdout.write(text)
     else:
@@ -279,6 +287,7 @@ class CommandError(Exception):
 def build_parser() -> _Parser:
     top = _Parser(prog="irrdec", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices  # name -> that command's parser, filled below
 
     p = sub.add_parser("gen", help="generate a graph and print/write its edge list")
     p.add_argument("family", choices=sorted(GENERATORS))
@@ -322,7 +331,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top = build_parser()
+    # a command's own parser reads its arguments, so they are parsed once;
+    # only help, a missing command or an unknown one go through the top parser
+    sub = top.commands.get(argv[0]) if argv else None
+    args = sub.parse_args(argv[1:]) if sub else top.parse_args(argv)
     try:
         return args.fn(args)
     except CommandError as exc:

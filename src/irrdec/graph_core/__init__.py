@@ -395,10 +395,12 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
 # rejected body is walked line by line, to name the first line at fault.
 
 _COMMENT = re.compile(r"#[^\n]*")
-# a line that is neither blank nor two ASCII-digit tokens; [^\S\n] is any
-# whitespace but '\n'.  Each line start costs time linear in its line: no
+# a line that is neither blank nor two ASCII-digit tokens, in a body that
+# starts with the header's '\n'; [^\S\n] is any whitespace but '\n'.
+# Anchoring on a literal '\n', not on `^` under re.M, lets the engine jump
+# from line to line.  Each line costs time linear in its length: no
 # quantifier nests, so a failed match backtracks one step per character.
-_BAD_LINE = re.compile(r"^(?![^\S\n]*(?:[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?$)", re.M)
+_BAD_LINE = re.compile(r"\n(?![^\S\n]*(?:[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?$)", re.M)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -418,16 +420,17 @@ def parse_edge_list(text: str) -> Graph:
     if len(count) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
         raise ValueError(f"line {hdr_no}: vertex count {count} exceeds the limit {MAX_VERTICES}")
     n = int(count)
-    body = _COMMENT.sub("", text[end + 1:]) if end >= 0 else ""
+    body = _COMMENT.sub("", text[end:]) if end >= 0 else ""  # keeps the header's '\n'
     edges = _batch_edges(body, n)
-    if edges is None:
-        _raise_line_fault(enumerate(body.split("\n"), start=hdr_no + 1), n)
+    if edges is None:  # split's first piece is the empty rest of the header line
+        _raise_line_fault(enumerate(body.split("\n"), start=hdr_no), n)
     return Graph._canonical(n, edges)
 
 
 def _batch_edges(body: str, n: int):
-    """The frozenset of the edges of a comment-free body, added in file order,
-    or None if any line breaks a rule."""
+    """The frozenset of the edges of a comment-free body that is empty or
+    starts with a newline, added in file order, or None if any line breaks a
+    rule."""
     if _BAD_LINE.search(body):
         return None
     try:

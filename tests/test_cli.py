@@ -283,6 +283,74 @@ class TestRepeatedCalls:
         assert code == 0 and err == "" and json.loads(out)["result"]["k"] == 3
 
 
+class TestOneArgumentPass:
+    """A command's own parser reads its arguments; the top parser answers
+    only help, a missing command and an unknown one."""
+
+    @pytest.fixture
+    def top_calls(self, monkeypatch):
+        top = build_parser()
+        calls, parse = [], top.parse_args
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(top, "parse_args", spy)
+        return calls
+
+    @pytest.mark.parametrize("argv,code", [([], 64), (["-h"], 0), (["frobnicate"], 64)])
+    def test_top_parser_answers_the_rest(self, capsys, top_calls, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and top_calls == [(argv,)]
+        capsys.readouterr()
+
+    def test_commands_skip_the_top_parser(self, capsys, top_calls, graph_file):
+        src = graph_file("sp.txt", spider(2))
+        for argv in (["gen", "path", "3"], ["decompose", src, "--seed", "1"], ["oracle", src],
+                     ["audit", "--claim", "f10"], ["riskprob", "100", "120", "--json"]):
+            assert run(capsys, *argv)[0] in (0, 2), argv
+        assert top_calls == []
+
+    def test_unrecognized_argument_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["riskprob", "1", "2", "--bogus"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err == "irrdec riskprob: error: unrecognized arguments: --bogus\n"
+
+
+class TestRecordLines:
+    """`--json` prints the record as one line of JSON, and `--out` writes
+    that same line."""
+
+    @pytest.fixture
+    def argvs(self, graph_file):
+        src = graph_file("k5.txt", complete(5))
+        return {"gen": ["gen", "random_regular", "8", "3", "--seed", "1"],
+                "decompose": ["decompose", src, "--seed", "1"], "oracle": ["oracle", src],
+                "audit": ["audit"], "riskprob": ["riskprob", "100", "120", "--type", "23"]}
+
+    @pytest.mark.parametrize("command", ["gen", "decompose", "oracle", "audit", "riskprob"])
+    def test_json_is_one_line(self, capsys, argvs, command):
+        code, out, _ = run(capsys, *argvs[command], "--json")
+        assert code in (0, 2) and out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["manifest"]["command"] == command
+
+    @pytest.mark.parametrize("command", ["decompose", "oracle", "audit", "riskprob"])
+    def test_out_holds_the_printed_line(self, capsys, argvs, command, tmp_path):
+        dest = tmp_path / "rec.json"
+        _, out, _ = run(capsys, *argvs[command], "--json", "--out", str(dest))
+        assert dest.read_text() == out
+        _, human, _ = run(capsys, *argvs[command], "--out", str(dest))
+        assert human.splitlines()[-1].startswith("digest: sha256:")
+        first, second = json.loads(out), json.loads(dest.read_text())
+        for rec in (first, second):
+            del rec["manifest"]["timing"]
+            rec["manifest"].pop("stage_seconds", None)  # decompose's per-stage wall times
+        assert first == second
+
+
 class TestParseTiming:
     """decompose and oracle time the read and parse of their input in the
     manifest, outside the result digest."""

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -400,6 +401,19 @@ class TestParserCost:
         with pytest.raises(ValueError, match="line 3: expected 'u v'"):
             parse_edge_list("3\n0 1\n" + line + "\n")
         assert time.perf_counter() - t0 < 2.0
+
+
+# the bad-line scan as it read when the body started after the header's '\n':
+# `^` under re.M is tried at every character of the body
+_BAD_LINE_AT_EVERY_START = re.compile(r"^(?![^\S\n]*(?:[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?$)", re.M)
+
+
+@given(st.text(st.sampled_from("0123456789 \t\r\n\x0b\x1c٣ab-"), max_size=40))
+@settings(max_examples=1000, deadline=None)
+def test_bad_line_scan_matches_the_line_start_scan(body):
+    # parse_edge_list hands the scan its body with the header's '\n' in front
+    assert (graph_core._BAD_LINE.search("\n" + body) is None) == (
+        _BAD_LINE_AT_EVERY_START.search(body) is None)
 
 
 def _eager_neighbours(g: Graph) -> list:
