@@ -37,6 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from ..exact import le_scaled_pow
 from ..factor_solver import (
@@ -250,8 +251,8 @@ def stage_part1(trace: PipelineTrace):
 def stage_overlap_colouring(trace: PipelineTrace):
     g, cls = trace.graph, trace.classification
     g1 = trace.g1 = g.without_edges(trace.h1.edges)
-    trace.overlap_c = g.spanning(g1.edges & cls.r3)
-    trace.overlap_f = g.spanning(g1.edges & cls.r2 & cls.r3)
+    trace.overlap_c = g.spanning(g1.edges.intersection(cls.r3))
+    trace.overlap_f = g.spanning(g1.edges.intersection(cls.r2, cls.r3))
     caps = [max((1 << e) // 2 - 1, 0) for e in trace.exponents]
     h = greedy_proper_colouring(trace.overlap_f, caps)
     if isinstance(h, ColouringFailure):
@@ -267,7 +268,7 @@ def stage_overlap_colouring(trace: PipelineTrace):
 
 def stage_part2(trace: PipelineTrace):
     g1, cls = trace.g1, trace.classification
-    g_dprime = trace.g_dprime = g1.without_edges(g1.edges & (cls.r2 | cls.r3))
+    g_dprime = trace.g_dprime = g1.without_edges(g1.edges.intersection(chain(cls.r2, cls.r3)))
     spec = _residue_spec(trace, [
         3 * (c << e) + 3 * trace.h[v] - trace.overlap_c.degree(v)
         for v, (c, e) in enumerate(zip(trace.labels.c2, trace.exponents))])
@@ -281,7 +282,7 @@ def stage_assembly(trace: PipelineTrace):
     g, h1 = trace.graph, trace.h1
     h2_prime = trace.h2_prime = g.spanning(trace.h2.edges | trace.overlap_c.edges)
     h3_prime = trace.h3_prime = g.spanning(trace.g1.edges - h2_prime.edges)
-    risky3 = h3_prime.edges & trace.classification.r3
+    risky3 = h3_prime.edges.intersection(trace.classification.r3)
     if risky3:
         raise InvariantViolated(f"{len(risky3)} type-3 risky edge(s) in part 3")
     covered = h1.edges | h2_prime.edges | h3_prime.edges

@@ -390,8 +390,9 @@ def generate(family: str, params: dict, seed: int | None = None) -> Graph:
 # Lines break at '\n' only (a trailing '\r' is whitespace, so "\r\n" works);
 # the count and the vertex ids are strings of ASCII digits.  The body after
 # the header loses its comments in one pass and is then checked in a few
-# passes over the whole text: one search for a bad line, one int() per id,
-# then the order, range and duplicate tests over the id slices.  Only a
+# passes over the whole text: one search for a bad line, one int() per
+# distinct id spelling (a table the ids are then looked up in), then the
+# order, range and duplicate tests over the id slices.  Only a
 # rejected body is walked line by line, to name the first line at fault.
 
 _COMMENT = re.compile(r"#[^\n]*")
@@ -433,10 +434,12 @@ def _batch_edges(body: str, n: int):
     rule."""
     if _BAD_LINE.search(body):
         return None
-    try:
-        ids = list(map(int, body.split()))
+    tokens = body.split()
+    try:  # each distinct spelling once: a vertex's id recurs about once per edge at it
+        value = {t: int(t) for t in set(tokens)}
     except ValueError:  # int() refuses strings of over 4,300 digits
         return None
+    ids = list(map(value.__getitem__, tokens))
     us, vs = ids[0::2], ids[1::2]
     if not all(map(lt, us, vs)) or max(vs, default=-1) >= n:
         return None

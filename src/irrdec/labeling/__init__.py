@@ -10,24 +10,29 @@ The risk congruences split into a per-vertex part and a per-pair part.
 risk_terms gives each vertex three integers once; risky_types, the one
 statement of the congruences, compares the terms of both endpoints over a
 whole batch of pairs in one call, so a batch of m edges costs m loop steps
-and no Python call per edge.  The ratio gate is decided once per degree
-pair through one bounded cache, gate.
+and no Python call per edge.  A batch shares one emin = min(e(u), e(v)),
+and so one set of moduli: when every vertex with an edge has the same
+exponent (shared_exponent, one O(n) pass) the gated edges form one batch,
+and otherwise emin_batches splits them by emin.  The ratio gate is decided
+once per degree pair through one bounded cache, gate.
 
-A classification is the risky edge sets r1, r2, r3; risky_neighbours gives
-the per-vertex sets A(v), B(v), C(v), and F(v) = B(v) & C(v).  size_limits
-bounds the four sizes and violated_kinds, the one size rule, reads the
-sizes alone, so the resampler can keep them as counts.
+A classification is the risky edges r1, r2, r3, each edge once: lists from
+classify, the resampler's own sets from lll_engine.moser_tardos.
+risky_neighbours gives the per-vertex sets A(v), B(v), C(v), and F(v) =
+B(v) & C(v).  size_limits bounds the four sizes and violated_kinds, the
+one size rule, reads the sizes alone, so the resampler can keep them as
+counts.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
 
 from ..exact import BETA_POW, BETA_SHIFT, floor_scaled_pow
 from ..graph_core import Graph
@@ -124,10 +129,11 @@ class _Moduli(dict):
 _MODULI = _Moduli()
 
 
-def risky_types(pairs, terms: list, es: list) -> tuple:
+def risky_types(pairs, terms: list, emin: int) -> tuple:
     """The (type 1, type 2, type 3) verdict lists over the vertex pairs
-    (u, v) of pairs, from the risk_terms and exponents of their endpoints;
-    the ratio gate is not checked here.  With emin = min(e(u), e(v)):
+    (u, v) of pairs, from the risk_terms of their endpoints, for a batch
+    whose every pair has emin = min(e(u), e(v)); the ratio gate is not
+    checked here.
 
     Type i in (1, 2) asks that 4^emin divides ci(u)*2^eu - ci(v)*2^ev, the
     difference of the i-th terms.  Type 3 asks that su - sv, the difference
@@ -136,14 +142,13 @@ def risky_types(pairs, terms: list, es: list) -> tuple:
     3*2^emin-1: shifted by 3*2^emin - 1, its residue is below 6*2^emin - 1.
 
     This is the only statement of the three congruences.  It runs the loop
-    itself: a batch costs one call, not one call per pair.
+    itself and reads the moduli once: a batch costs one call, not one call
+    per pair.
     """
+    mask, k, shift, width = _MODULI[emin]
     t1, t2, t3 = [], [], []
     add1, add2, add3 = t1.append, t2.append, t3.append
-    moduli = _MODULI
     for u, v in pairs:
-        eu, ev = es[u], es[v]
-        mask, k, shift, width = moduli[eu if eu < ev else ev]
         a1u, a2u, su = terms[u]
         a1v, a2v, sv = terms[v]
         add1(not (a1u - a1v) & mask)
@@ -152,15 +157,39 @@ def risky_types(pairs, terms: list, es: list) -> tuple:
     return t1, t2, t3
 
 
+def shared_exponent(deg: list, es: list):
+    """The exponent every vertex of positive degree has, or None when two
+    of them differ or no vertex has an edge: one pass over the vertices."""
+    found = set(compress(es, deg))
+    return found.pop() if len(found) == 1 else None
+
+
+def emin_batches(pairs: list, es: list, shared=None) -> list:
+    """The pairs as [(emin, batch)], each pair in the batch of its emin =
+    min(e(u), e(v)), in pair order within a batch and in ascending emin.
+    shared, when not None, is the exponent of every endpoint: one batch,
+    no split."""
+    if shared is not None:
+        return [(shared, pairs)]
+    batches = defaultdict(list)
+    for pair in pairs:  # a plain loop: a map over the pairs costs several times more
+        u, v = pair
+        eu = es[u]
+        ev = es[v]
+        batches[eu if eu < ev else ev].append(pair)
+    return sorted(batches.items())
+
+
 class RiskyClassification:
-    """The risky edges of each type, r1, r2 and r3, as frozensets."""
+    """The risky edges of each type, r1, r2 and r3, each edge once: lists
+    from classify, or the resampler's own sets, kept as given."""
 
     __slots__ = ("r1", "r2", "r3")
 
     def __init__(self, r1, r2, r3):
-        self.r1 = frozenset(r1)
-        self.r2 = frozenset(r2)
-        self.r3 = frozenset(r3)
+        self.r1 = r1
+        self.r2 = r2
+        self.r3 = r3
 
 
 def risky_neighbours(n: int, cls: RiskyClassification) -> list:
@@ -175,21 +204,26 @@ def risky_neighbours(n: int, cls: RiskyClassification) -> list:
 
 
 def classify_terms(g: Graph, deg: list, terms: list, es: list) -> RiskyClassification:
-    """The risky edges of each type: the gated edges, judged in one
-    risky_types call.  The gate bounds a degree ratio, so when the extreme
-    positive degrees pass it every edge does; only otherwise is each gated."""
+    """The risky edges of each type, as lists: the gated edges, judged in
+    one risky_types call per emin batch, one batch in all when the vertices
+    with edges share their exponent.  The gate bounds a degree ratio, so
+    when the extreme positive degrees pass it every edge does; only
+    otherwise is each gated."""
     gated = list(g.edges)
     if gated and not gate(min(filter(None, deg)), max(deg)):
-        ends = (map(deg.__getitem__, map(itemgetter(i), gated)) for i in (0, 1))
-        gated = list(compress(gated, map(gate, *ends)))
-    return RiskyClassification(*(compress(gated, t) for t in risky_types(gated, terms, es)))
+        gated = [e for e in gated if gate(deg[e[0]], deg[e[1]])]
+    risky = [], [], []
+    for emin, batch in emin_batches(gated, es, shared_exponent(deg, es)):
+        for edges, verdicts in zip(risky, risky_types(batch, terms, emin)):
+            edges += compress(batch, verdicts)
+    return RiskyClassification(*risky)
 
 
 def classify(g: Graph, labels: LabelPair, es: list) -> RiskyClassification:
     """classify_terms for labels checked against es, each term built once."""
     labels.validate(es)
     if not g.edges:  # no edge to judge: no risk term to build
-        return RiskyClassification((), (), ())
+        return RiskyClassification([], [], [])
     deg = g.degrees()
     return classify_terms(g, deg, list(map(risk_terms, deg, es, labels.c1, labels.c2)), es)
 

@@ -3,9 +3,9 @@ risk probabilities, and the numeric audit of every closed-form constant the
 machinery relies on.
 
 Every verdict comes from labeling.risky_types, which judges a batch of
-pairs of risk_terms in one call, and every size bound from
-labeling.violated_kinds.  violated_events classifies from scratch; the
-resampler keeps risky edge sets and per-vertex counts, no per-vertex
+pairs of risk_terms that share one emin in one call, and every size bound
+from labeling.violated_kinds.  violated_events classifies from scratch;
+the resampler keeps risky edge sets and per-vertex counts, no per-vertex
 containers, and hands the kept sets over with the labels it returns.  A
 round costs about the edges it re-judges: those at the resampled vertices
 whose labels changed.
@@ -40,10 +40,12 @@ from ..labeling import (
     classify_terms,
     draw_label,
     draw_labels,
+    emin_batches,
     gate,
     risk_terms,
     risky_neighbours,
     risky_types,
+    shared_exponent,
     size_limits,
     violated_kinds,
 )
@@ -64,10 +66,11 @@ class BadEvent:
     scope: frozenset
 
 
-def gated_neighbours(g: Graph, v: int) -> list:
-    """The neighbours u of v that pass the ratio gate, ascending."""
-    dv = g.degree(v)
-    return [u for u in sorted(g.neighbours(v)) if gate(g.degree(u), dv)]
+def gated_neighbours(g: Graph, v: int, deg: list) -> list:
+    """The neighbours u of v that pass the ratio gate, ascending, with deg
+    the degree list the caller holds."""
+    dv = deg[v]
+    return [u for u in sorted(g.neighbours(v)) if gate(deg[u], dv)]
 
 
 _KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels each kind reads
@@ -75,7 +78,7 @@ _KIND_SLOTS = {"A": (1,), "B": (2,), "C": (1, 2), "F": (1, 2)}  # the labels eac
 
 def event_scope(v: int, kind: str, nbrs: list) -> frozenset:
     """The label slots that event (v, kind) reads, where nbrs is
-    gated_neighbours(g, v)."""
+    gated_neighbours(g, v, deg)."""
     if kind not in _KIND_SLOTS:
         raise ValueError(f"unknown event kind {kind!r}")
     return frozenset((w, s) for w in [v, *nbrs] for s in _KIND_SLOTS[kind])
@@ -92,12 +95,13 @@ def violated_events(g: Graph, es: list, labels: LabelPair, slack) -> list:
     sizes as counts and is tested against this function."""
     risky = risky_neighbours(g.n, classify(g, labels, es))
     limits = size_limits(g, slack)
+    deg = g.degrees()
     events = []
     for v in range(g.n):
         a, b, c = risky[v]
         kinds = violated_kinds(limits[v], (len(a), len(b), len(c), len(b & c)))
         if kinds:
-            nbrs = gated_neighbours(g, v)
+            nbrs = gated_neighbours(g, v, deg)
             events.extend(make_event(v, kind, nbrs) for kind in kinds)
     return events
 
@@ -126,16 +130,17 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     the counts.  A round refreshes the terms of the scope vertices, whose
     labels alone change.  A redraw may return a vertex's old labels; only
     the vertices whose terms differ have their gated edges re-judged, each
-    once in canonical orientation, in one risky_types call.  An edge's
-    verdicts read only its endpoints' terms and es, so the edges skipped
-    cannot change.  Only an edge whose verdicts changed touches the sets and
-    counts, and the events of its endpoints are rechecked.  Each vertex's
-    gated neighbours are listed once per call, for its event scopes and its
-    edges.
+    once in canonical orientation, in one risky_types call per emin batch
+    (one in all when the vertices with edges share their exponent, which
+    the call learns once).  An edge's verdicts read only its endpoints'
+    terms and es, so the edges skipped cannot change.  Only an edge whose
+    verdicts changed touches the sets and counts, and the events of its
+    endpoints are rechecked.  Each vertex's gated neighbours are listed once
+    per call, for its event scopes and its edges.
 
-    Returns a Timeout, or the labels with the kept sets as their
-    classification.  At slack inf no event has a bound: the draw is returned
-    unclassified, its classification None.
+    Returns a Timeout, or the labels with the kept sets, not copied, as
+    their classification.  At slack inf no event has a bound: the draw is
+    returned unclassified, its classification None.
     """
     limits = size_limits(g, slack)
     if max_rounds < 1:
@@ -147,10 +152,11 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     c1, c2 = labels.c1, labels.c2
     deg = g.degrees()
     terms = list(map(risk_terms, deg, es, c1, c2))
+    shared = shared_exponent(deg, es)
     cls = classify_terms(g, deg, terms, es)
     r1, r2, r3 = set(cls.r1), set(cls.r2), set(cls.r3)
     na, nb, nc, nf = counts = [[0] * g.n for _ in range(4)]
-    for size, edges in zip(counts, (r1, r2, r3, cls.r2 & cls.r3)):
+    for size, edges in zip(counts, (r1, r2, r3, r2 & r3)):
         for u, v in edges:
             size[u] += 1
             size[v] += 1
@@ -169,7 +175,7 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
     def gated_of(w):
         nbrs = gated.get(w)
         if nbrs is None:
-            nbrs = gated[w] = gated_neighbours(g, w)
+            nbrs = gated[w] = gated_neighbours(g, w, deg)
         return nbrs
 
     recheck(range(g.n))
@@ -200,31 +206,32 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
             pairs += [(w, x) if w < x else (x, w)
                       for x in gated_of(w) if w < x or x not in changed]
         marked = set()  # the endpoints of the edges whose verdicts changed
-        for edge, f1, f2, f3 in zip(pairs, *risky_types(pairs, terms, es)):
-            o1, o2, o3 = edge in r1, edge in r2, edge in r3
-            if f1 == o1 and f2 == o2 and f3 == o3:
-                continue
-            u, x = edge
-            # unrolled per type, as this loop is most of a round; a bool
-            # difference is the step, +1 or -1
-            if f1 != o1:
-                (r1.add if f1 else r1.discard)(edge)
-                na[u] += f1 - o1
-                na[x] += f1 - o1
-            if f2 != o2:
-                (r2.add if f2 else r2.discard)(edge)
-                nb[u] += f2 - o2
-                nb[x] += f2 - o2
-            if f3 != o3:
-                (r3.add if f3 else r3.discard)(edge)
-                nc[u] += f3 - o3
-                nc[x] += f3 - o3
-            step = (f2 and f3) - (o2 and o3)
-            if step:
-                nf[u] += step
-                nf[x] += step
-            marked.add(u)
-            marked.add(x)
+        for emin, batch in emin_batches(pairs, es, shared):
+            for edge, f1, f2, f3 in zip(batch, *risky_types(batch, terms, emin)):
+                o1, o2, o3 = edge in r1, edge in r2, edge in r3
+                if f1 == o1 and f2 == o2 and f3 == o3:
+                    continue
+                u, x = edge
+                # unrolled per type, as this loop is most of a round; a bool
+                # difference is the step, +1 or -1
+                if f1 != o1:
+                    (r1.add if f1 else r1.discard)(edge)
+                    na[u] += f1 - o1
+                    na[x] += f1 - o1
+                if f2 != o2:
+                    (r2.add if f2 else r2.discard)(edge)
+                    nb[u] += f2 - o2
+                    nb[x] += f2 - o2
+                if f3 != o3:
+                    (r3.add if f3 else r3.discard)(edge)
+                    nc[u] += f3 - o3
+                    nc[x] += f3 - o3
+                step = (f2 and f3) - (o2 and o3)
+                if step:
+                    nf[u] += step
+                    nf[x] += step
+                marked.add(u)
+                marked.add(x)
         recheck(marked)
     return Timeout(rounds=max_rounds, trajectory=trajectory)
 
@@ -250,7 +257,7 @@ def _risky_residues(du: int, dv: int) -> tuple:
     # a pair of residue r: x = r when pu = 1, else y = -r mod m, as pv = 1
     reps = [(r, 0) if eu == emin else (0, -r % m) for r in range(m)]
     terms = [t for x, y in reps for t in (risk_terms(du, eu, x, 0), risk_terms(dv, ev, y, 0))]
-    t1, _, t3 = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, [eu, ev] * m)
+    t1, _, t3 = risky_types([(2 * r, 2 * r + 1) for r in range(m)], terms, emin)
     return list(compress(range(m), t1)), list(compress(range(m), t3))
 
 

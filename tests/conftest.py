@@ -67,3 +67,14 @@ def exceptions_never_decompose(max_edges: int, others) -> dict:
         "feasible_k_histogram": {str(k): v for k, v in sorted(feasible_hist.items())},
         "recognizer_agreement": True,
     }
+
+
+def risky_sets(cls) -> tuple:
+    """The risky edges r1, r2, r3 of a classification as three sets, after
+    checking that no collection holds an edge twice: classify returns lists
+    and the resampler its own sets, so only the sets compare."""
+    sets = tuple(set(r) for r in (cls.r1, cls.r2, cls.r3))
+    for edges, unique in zip((cls.r1, cls.r2, cls.r3), sets):
+        if len(edges) != len(unique):
+            raise AssertionError(f"an edge repeats among {len(edges)} risky edges")
+    return sets

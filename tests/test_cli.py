@@ -641,9 +641,9 @@ class TestRiskProb:
         assert (lu, lv) == (4, 8)
         judged = []
 
-        def counted(pairs, terms, es):
+        def counted(pairs, terms, emin):
             judged.extend(pairs)
-            return risky_types(pairs, terms, es)
+            return risky_types(pairs, terms, emin)
 
         monkeypatch.setattr(lll_engine, "risky_types", counted)
         lll_engine._WORST_CACHE.clear()

@@ -37,6 +37,8 @@ from irrdec.graph_core import (
 from irrdec.labeling import LabelPair, RiskyClassification, exponents
 from irrdec.lll_engine import moser_tardos
 
+from conftest import risky_sets
+
 RELAXED = dict(slack=math.inf)
 WINDOWS = ("h1_window", "h2_window", "h3_window", "final_window")
 
@@ -331,9 +333,8 @@ class TestOneClassification:
                     continue
                 passed += 1
                 resampled += bool(rounds)
-                cls = trace.classification
                 fresh = labeling.classify(g, trace.labels, trace.exponents)
-                assert (cls.r1, cls.r2, cls.r3) == (fresh.r1, fresh.r2, fresh.r3), (d, seed)
+                assert risky_sets(trace.classification) == risky_sets(fresh), (d, seed)
         assert passed == 17
         assert resampled == 15  # sets updated by rounds, not only as first classified
 

@@ -403,6 +403,39 @@ class TestParserCost:
         assert time.perf_counter() - t0 < 2.0
 
 
+class TestIdSpellings:
+    """parse_edge_list converts each distinct id spelling once: zero-padded
+    spellings of one id are one vertex, and the checks read the values."""
+
+    def test_padded_spellings_are_one_vertex(self):
+        g = parse_edge_list("9\n0 7\n1 07\n2 007\n")
+        assert g.edges == {(0, 7), (1, 7), (2, 7)} and g.degree(7) == 3
+
+    def test_duplicate_across_spellings_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list("9\n0 7\n00 07\n")
+        assert str(err.value) == "line 3: duplicate edge 0 7"
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 2), st.integers(1, n - 1),
+                  st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e[0] < e[1]),
+        max_size=40))))
+    @settings(max_examples=300, deadline=None)
+    def test_random_digit_bodies_match_int_per_id(self, case):
+        n, rows = case
+        body = "".join(f"{'0' * pu}{u} {'0' * pv}{v}\n" for u, v, pu, pv in rows)
+        ids = list(map(int, body.split()))  # the reference: one int() per id
+        edges = list(zip(ids[0::2], ids[1::2]))
+        if len(set(edges)) == len(edges):
+            _same_graph(parse_edge_list(f"{n}\n{body}"), Graph(n, edges))
+        else:
+            first = next(i for i, e in enumerate(edges) if e in edges[:i])
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(f"{n}\n{body}")
+            u, v = edges[first]
+            assert str(err.value) == f"line {first + 2}: duplicate edge {u} {v}"
+
+
 # the bad-line scan as it read when the body started after the header's '\n':
 # `^` under re.M is tried at every character of the body
 _BAD_LINE_AT_EVERY_START = re.compile(r"^(?![^\S\n]*(?:[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?$)", re.M)

@@ -1,12 +1,12 @@
 import math
 import random
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrdec import labeling
+from irrdec import labeling, lll_engine
 from irrdec.exact import floor_beta_mult, iroot
 from irrdec.graph_core import Graph, complete, gnp, path
 from irrdec.labeling import (
@@ -14,16 +14,20 @@ from irrdec.labeling import (
     ceil_log_beta,
     classify,
     draw_labels,
+    emin_batches,
     exponents,
     gate,
     ratio_gate,
     risk_terms,
     risky_neighbours,
     risky_types,
+    shared_exponent,
     size_limits,
     violated_kinds,
 )
-from irrdec.lll_engine import violated_events
+from irrdec.lll_engine import moser_tardos, violated_events
+
+from conftest import risky_sets
 
 
 def lambda_of(d: int) -> int:
@@ -41,7 +45,7 @@ def symmetric_mod_predicate(a: int, b: int, k: int) -> bool:
 def pair_flags(du, dv, eu, ev, c1u, c1v, c2u, c2v) -> tuple:
     """One pair's (type 1, type 2, type 3) verdicts, as a batch of one."""
     terms = [risk_terms(du, eu, c1u, c2u), risk_terms(dv, ev, c1v, c2v)]
-    return tuple(verdicts[0] for verdicts in risky_types([(0, 1)], terms, [eu, ev]))
+    return tuple(verdicts[0] for verdicts in risky_types([(0, 1)], terms, min(eu, ev)))
 
 
 def is_risky(g: Graph, labels: LabelPair, u: int, v: int, rtype: int) -> bool:
@@ -78,6 +82,12 @@ def _holds(rtype, du, dv, eu, ev, c1u, c1v, c2u, c2v) -> bool:
             3, du, dv, eu, ev, c1u, c1v, c2u, c2v
         )
     raise ValueError(f"risk type must be 1, 2, 3 or '23', got {rtype!r}")
+
+
+def threshold_graph(n: int) -> Graph:
+    """Vertex i joins j when i + j >= n: every degree 0..n-1 but one, about
+    n^2/4 edges over as many distinct degree pairs, many failing the gate."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if i + j >= n])
 
 
 class TestCeilLogBeta:
@@ -191,7 +201,7 @@ class TestLabels:
         es = exponents(g)
         monkeypatch.setattr(labeling, "risk_terms", refused)
         cls = classify(g, draw_labels(es, random.Random(7)), es)
-        assert (cls.r1, cls.r2, cls.r3) == (frozenset(),) * 3
+        assert risky_sets(cls) == (set(),) * 3
         with pytest.raises(ValueError, match="label array length"):  # labels are still checked
             classify(g, LabelPair([0], [0]), es)
 
@@ -251,9 +261,8 @@ class TestRisky:
         at_v = list(product(range(1 << ev), repeat=2))
         terms = ([risk_terms(du, eu, c1, c2) for c1, c2 in at_u]
                  + [risk_terms(dv, ev, c1, c2) for c1, c2 in at_v])
-        es = [eu] * len(at_u) + [ev] * len(at_v)
         pairs = list(product(range(len(at_u)), range(len(at_u), len(terms))))
-        for (i, j), *flags in zip(pairs, *risky_types(pairs, terms, es)):
+        for (i, j), *flags in zip(pairs, *risky_types(pairs, terms, min(eu, ev))):
             (c1u, c2u), (c1v, c2v) = at_u[i], at_v[j - len(at_u)]
             args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
             assert tuple(flags) == tuple(_holds(t, *args) for t in (1, 2, 3)), args
@@ -267,8 +276,8 @@ class TestRisky:
         # random degree pairs (mixed bands, and pairs the gate rejects: the
         # congruences do not read the gate) with labels reduced into
         # [0, 2lam - 1), which covers every label value and every sum
-        # c1 + c2 the riskprob tables judge; all pairs go in one batch
-        terms, es, pairs, want = [], [], [], []
+        # c1 + c2 the riskprob tables judge; the pairs go in one batch per emin
+        terms, es, pairs, want = [], [], [], {}
         for du, dv, c1u, c1v, c2u, c2v in rows:
             eu, ev = ceil_log_beta(du), ceil_log_beta(dv)
             c1u, c2u = c1u % ((2 << eu) - 1), c2u % ((2 << eu) - 1)
@@ -277,15 +286,17 @@ class TestRisky:
             terms += [risk_terms(du, eu, c1u, c2u), risk_terms(dv, ev, c1v, c2v)]
             es += [eu, ev]
             args = (du, dv, eu, ev, c1u, c1v, c2u, c2v)
-            want.append(tuple(_holds(t, *args) for t in (1, 2, 3)))
-        assert list(zip(*risky_types(pairs, terms, es))) == want
+            want[pairs[-1]] = tuple(_holds(t, *args) for t in (1, 2, 3))
+        got = {}
+        for emin, batch in emin_batches(pairs, es):
+            got.update(zip(batch, zip(*risky_types(batch, terms, emin))))
+        assert got == want
 
     def test_gate_cache_stays_bounded(self):
         # vertex i joins j when i + j >= n: about n^2/4 edges over as many
         # distinct degree pairs, more than the cache holds, many of them
         # failing the gate
-        n = 200
-        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if i + j >= n])
+        g = threshold_graph(200)
         deg = g.degrees()
         pairs = {(deg[u], deg[v]) for u, v in g.edges}
         info = gate.cache_info()
@@ -295,7 +306,7 @@ class TestRisky:
         gate.cache_clear()
         cls = classify(g, labels, exponents(g))
         assert gate.cache_info().currsize == info.maxsize
-        for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
+        for rset, rtype in zip(risky_sets(cls), (1, 2, 3)):
             assert rset == {e for e in g.edges if is_risky(g, labels, *e, rtype)}
 
     def test_rejects_unknown_type(self):
@@ -309,7 +320,7 @@ class TestRisky:
         labels = draw_labels(exponents(g), random.Random(seed))
         cls = classify(g, labels, exponents(g))
         assert cls.__slots__ == ("r1", "r2", "r3")
-        for rset, rtype in ((cls.r1, 1), (cls.r2, 2), (cls.r3, 3)):
+        for rset, rtype in zip(risky_sets(cls), (1, 2, 3)):
             expected = {e for e in g.edges if is_risky(g, labels, *e, rtype)}
             assert rset == expected
         risky = risky_neighbours(g.n, cls)
@@ -318,6 +329,84 @@ class TestRisky:
             assert risky[v] == [
                 {u for u in g.neighbours(v) if is_risky(g, labels, u, v, rtype)}
                 for rtype in (1, 2, 3)]
+
+
+def reference_sets(g: Graph, labels: LabelPair) -> tuple:
+    """Per type, the set of edges that pass the ratio gate and _holds, the
+    verbatim reference copy of the congruences, judged edge by edge."""
+    deg, es = g.degrees(), exponents(g)
+    out = (set(), set(), set())
+    for u, v in g.edges:
+        if ratio_gate(deg[u], deg[v]):
+            args = (deg[u], deg[v], es[u], es[v],
+                    labels.c1[u], labels.c1[v], labels.c2[u], labels.c2[v])
+            for edges, rtype in zip(out, (1, 2, 3)):
+                if _holds(rtype, *args):
+                    edges.add((u, v))
+    return out
+
+
+class TestMixedExponents:
+    """Graphs whose vertices with edges have more than one exponent, so
+    their edges fall into more than one emin batch."""
+
+    @pytest.fixture(params=["gnp", "threshold"], scope="class")
+    def g(self, request):
+        # gnp has e in {2, 3}; the threshold graph has e in {0, 1, 2, 3}
+        return gnp(120, 0.3, seed=3) if request.param == "gnp" else threshold_graph(200)
+
+    def test_no_shared_exponent(self, g):
+        deg, es = g.degrees(), exponents(g)
+        assert len(set(compress(es, deg))) > 1
+        assert shared_exponent(deg, es) is None
+
+    def test_emin_batches_cover_every_pair_once(self, g):
+        es = exponents(g)
+        pairs = sorted(g.edges)
+        batches = emin_batches(pairs, es)
+        assert len(batches) > 1
+        assert [e for e, _ in batches] == sorted({min(es[u], es[v]) for u, v in pairs})
+        assert sorted(pair for _, batch in batches for pair in batch) == pairs
+        for emin, batch in batches:
+            assert all(min(es[u], es[v]) == emin for u, v in batch)
+
+    def test_classify_matches_reference(self, g):
+        es = exponents(g)
+        for seed in range(3):
+            labels = draw_labels(es, random.Random(seed))
+            assert risky_sets(classify(g, labels, es)) == reference_sets(g, labels), seed
+
+    def test_resampler_matches_reference(self, g, monkeypatch):
+        # every round splits its re-judged pairs; each split is recorded
+        splits = []
+
+        def recorded(pairs, es, shared=None):
+            batches = emin_batches(pairs, es, shared)
+            splits.append((sorted(pairs), batches))
+            return batches
+
+        monkeypatch.setattr(lll_engine, "emin_batches", recorded)
+        out = moser_tardos(g, exponents(g), 0, 0.3, 60)
+        assert isinstance(out, LabelPair) and len(splits) >= 10
+        assert risky_sets(out.classification) == reference_sets(g, out)
+        assert any(len(batches) > 1 for _, batches in splits)
+        for pairs, batches in splits:
+            assert sorted(pair for _, batch in batches for pair in batch) == pairs
+
+
+class TestSharedExponent:
+    def test_regular_graph_is_one_batch(self):
+        g = complete(9)
+        deg, es = g.degrees(), exponents(g)
+        pairs = sorted(g.edges)
+        assert shared_exponent(deg, es) == ceil_log_beta(8) == 2
+        ((emin, batch),) = emin_batches(pairs, es, shared_exponent(deg, es))
+        assert emin == 2 and batch is pairs
+
+    def test_isolated_vertices_do_not_count(self):
+        g = Graph(5, [(0, 1), (1, 2), (0, 2)])  # a triangle and two isolated vertices
+        assert shared_exponent(g.degrees(), exponents(g)) == ceil_log_beta(2)
+        assert shared_exponent([0] * 4, [0] * 4) is None
 
 
 class TestBounds:
