@@ -37,16 +37,16 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, islice
+from operator import not_
 
 from ..exact import le_scaled_pow
 from ..factor_solver import (
-    ISOLATED,
     SOLVER_MODES,
     DegreeTargetSpec,
     Failure,
     ModularTargetSpec,
-    allowed_degrees,
+    allowed_sets,
     find_degree_set_subgraph,
     windows,
 )
@@ -154,28 +154,23 @@ def _residue_spec(trace: PipelineTrace, label_terms: list) -> ModularTargetSpec:
 def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
                   spec: ModularTargetSpec):
     """Carve a spanning subgraph of the host over the sets
-    factor_solver.allowed_degrees gives (degrees spec.t or spec.t+1 mod
-    spec.lam in the windows of the host degrees deg); returns it or a
-    Diagnostic.  Only pipeline policy lives here: the degree-0 exemption
-    and the diagnostics.  Every check reads deg, so build_host() is called
-    for the host graph only when the solver runs.  The solver is seeded by
-    the config seed and stage.
+    factor_solver.allowed_sets gives (degrees spec.t or spec.t+1 mod
+    spec.lam in the windows of the host degrees deg, and {0} at degree 0);
+    returns it or a Diagnostic.  Only pipeline policy lives here: the
+    diagnostics and the reports.  Every check reads deg, so build_host() is
+    called for the host graph only when the solver runs.  The solver is
+    seeded by the config seed and stage.
 
     The report's exempt lists vertices released from the residue contract
-    because the host leaves them no edges at all (degree 0 gets the
-    singleton {0}).  Like precondition_failing (6*lam > d, an observation,
-    never a stop), it keeps the first 20 ids and a count.
+    because the host leaves them no edges at all.  Like
+    precondition_failing (6*lam > d, an observation, never a stop), it
+    keeps the first 20 ids and a count.
     """
     cfg = trace.config
     failing = spec.check_precondition(deg)
     capped = {"precondition_failing": failing[:20], "precondition_failing_count": len(failing)}
-    n = len(deg)
-    lam, t, shared = spec.lam, spec.t, {}  # one read-only set per (degree, modulus, target)
-    allowed = {v: (shared[key] if (key := (d, lam[v], t[v])) in shared
-                   else shared.setdefault(key, frozenset(allowed_degrees(*key)))) if d else ISOLATED
-               for v, d in enumerate(deg)}
-    exempt = [v for v in range(n) if deg[v] == 0]
-    empty = [v for v in range(n) if not allowed[v]]
+    allowed = allowed_sets(deg, spec.lam, spec.t)
+    empty = [v for v, s in allowed.items() if not s]
     if empty:
         v = empty[0]
         d = deg[v]
@@ -190,7 +185,8 @@ def _stage_factor(trace: PipelineTrace, stage: str, deg: list, build_host,
         build_host(), DegreeTargetSpec(allowed), mode=cfg.solver_mode,
         budget=cfg.solver_budget, seed=f"{cfg.seed}:{stage.removesuffix('_factor')}",
     )
-    report = dict(exempt=exempt[:20], exempt_count=len(exempt), **capped)
+    exempt = list(islice(compress(range(len(deg)), map(not_, deg)), 20))
+    report = dict(exempt=exempt, exempt_count=deg.count(0), **capped)
     if isinstance(result, Failure):
         return trace.fail(stage, "FactorSolverFailure", {
             "mode": result.mode, "reason": result.reason,

@@ -3,20 +3,22 @@
 Two target languages: an explicit per-vertex allowed-degree set, or the
 two-residue modular contract (degree congruent to t(v) or t(v)+1 mod
 lam(v), landing in the middle-third interval).  `allowed_degrees` is the
-one translation of the modular form, for `find_modular_subgraph` and the
-pipeline alike: the paper's {a-, a-+1, a+, a++1}, a- and a+ the least
-matches of t mod lam in the `windows` (d/3, d/2] and [d/2, 2d/3).  Each
-window holds >= lam(v) consecutive integers once 6*lam(v) <= d(v), so both
-have a match then; one of under 2*lam integers holds at most one, so least
-match equals every match there, which under the pipeline's moduli
-3*4^e(d) covers every host degree below 294,914.
+one translation of the modular form: the paper's {a-, a-+1, a+, a++1}, a-
+and a+ the least matches of t mod lam in the `windows` (d/3, d/2] and
+[d/2, 2d/3).  `allowed_sets` applies it per vertex, for
+`find_modular_subgraph` and the pipeline alike, and gives a vertex of
+degree 0 the set `ISOLATED`.  Each window holds >= lam(v) consecutive
+integers once 6*lam(v) <= d(v), so both have a match then; one of under
+2*lam integers holds at most one, so least match equals every match
+there, which under the pipeline's moduli 3*4^e(d) covers every host
+degree below 294,914.
 
 Costs: a window is built by arithmetic, O(window/lam) for the values it
 returns.  Both searches build their per-vertex tables once per distinct
 (degree, allowed set) and share them read-only; the input checks judge
-each set once per degree, and an equal set after it by its int test
-alone.  Exact mode prunes in O(1) per endpoint through a next-allowed-degree
-table and spends one Python frame per node.
+each set object once per degree, by one C-level value test.  Exact mode
+prunes in O(1) per endpoint through a next-allowed-degree table and spends
+one Python frame per node.
 Heuristic mode keeps each edge's flip delta in one of five bitmask buckets.
 A restart sets them up in bulk passes: each edge's first delta is two reads
 of per-vertex add/drop steps, and each bucket is parsed from one digit
@@ -110,6 +112,16 @@ def allowed_degrees(d: int, lam: int, t: int) -> set:
     return out
 
 
+def allowed_sets(deg: list, lam: list, t: list) -> dict:
+    """Vertex -> frozenset(allowed_degrees(deg[v], lam[v], t[v])), one shared
+    read-only object per (degree, modulus, target); a vertex of degree 0
+    takes ISOLATED, and its modulus and target are not read."""
+    shared = {}
+    return {v: (shared[key] if (key := (d, lam[v], t[v])) in shared
+                else shared.setdefault(key, frozenset(allowed_degrees(*key)))) if d else ISOLATED
+            for v, d in enumerate(deg)}
+
+
 def choose_window_targets(g: Graph, spec: ModularTargetSpec) -> dict:
     """Least residue-matching element of each window, per vertex."""
     bad = spec.check_precondition(g.degrees())
@@ -139,14 +151,14 @@ def _next_allowed(d: int, allowed) -> list:
     return nxt
 
 
-def _exact_search(g: Graph, allowed: dict):
+def _exact_search(g: Graph, allowed: list):
     n = g.n
     edges = sorted(g.edges)
     incident = incident_edges(n, edges)
     deg = [len(a) for a in incident]
     tables = {}  # vertices of one degree and one allowed set share a read-only table
     nxt = [tables[key] if key in tables else tables.setdefault(key, _next_allowed(*key))
-           for key in zip(deg, map(allowed.__getitem__, range(n)))]
+           for key in zip(deg, allowed)]
     for v in range(n):
         # find_degree_set_subgraph admits only allowed values in [0, d(v)]
         if nxt[v][0] > deg[v]:
@@ -160,7 +172,7 @@ def _exact_search(g: Graph, allowed: dict):
     state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
     nodes = 0
 
-    mid = [sum(allowed[v]) / len(allowed[v]) for v in range(n)]
+    mid = [sum(s) / len(s) for s in allowed]
 
     def solve(undecided):
         nonlocal nodes
@@ -224,7 +236,7 @@ def _penalty_table(d: int, allowed) -> list:
 _ONE_HOT = [bytes(49 if b == k else 48 for b in range(256)) for k in range(5)]
 
 
-def _local_search(g: Graph, allowed: dict, budget: int, seed):
+def _local_search(g: Graph, allowed: list, budget: int, seed):
     n = g.n
     edges = sorted(g.edges)
     m = len(edges)
@@ -232,7 +244,7 @@ def _local_search(g: Graph, allowed: dict, budget: int, seed):
     # vertices of one degree and one allowed set share read-only tables: the
     # penalty at each degree x, its change when an edge is added at x (up,
     # 0 at x = d) or dropped at x (down, 0 at x = 0), and the start bias
-    keys = list(zip(g.degrees(), map(allowed.__getitem__, range(n))))
+    keys = list(zip(g.degrees(), allowed))
     tables = {}
     for d, s in keys:
         if (d, s) not in tables:
@@ -321,29 +333,28 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     A host without edges is answered by neither search: the checks leave
     {0} as every vertex's one allowed set, which the empty subgraph meets.
     """
+    get = spec.allowed.get
     checked = set()  # (degree, id) of the set objects found valid
-    valid = set()  # (degree, set) of the sets found valid
     for v in range(g.n):
-        s = spec.allowed.get(v)
-        if s is ISOLATED or (g.degree(v), id(s)) in checked:  # ISOLATED is valid at every degree
+        s = get(v)
+        if s is ISOLATED:  # valid at every degree
             continue
-        if s is None or len(s) == 0:
+        key = (d := g.degree(v), id(s))
+        if key in checked:
+            continue
+        if not s:
             raise ValueError(f"vertex {v}: empty allowed set")
-        key = (g.degree(v), frozenset(s))
-        # a set equal to a valid one holds values equal to integers in
-        # [0, d(v)], so only the int test is left for it: {1.0} equals {1}
-        if not (key in valid and all(map(isinstance, s, repeat(int)))):
-            # integers in [0, d(v)]: _local_search's invariant rests on this
-            if any(not (isinstance(x, int) and 0 <= x <= g.degree(v)) for x in s):
-                raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in "
-                                 f"[0, d(v)]")
-            valid.add(key)
-        checked.add((g.degree(v), id(s)))
+        # integers in [0, d(v)]: _local_search's invariant rests on this
+        if not (all(map(isinstance, s, repeat(int))) and min(s) >= 0 and max(s) <= d):
+            raise ValueError(f"vertex {v}: allowed set {sorted(s)} is not integers in "
+                             f"[0, d(v)]")
+        checked.add(key)
     if mode not in SOLVER_MODES:
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if g.m == 0:
         return Graph(g.n)
-    allowed = {v: frozenset(spec.allowed[v]) for v in range(g.n)}
+    # the searches index one frozen set per vertex
+    allowed = list(map(frozenset, map(get, range(g.n))))
     if mode == "exact":
         return _exact_search(g, allowed)
     return _local_search(g, allowed, budget, seed)
@@ -352,14 +363,12 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
 def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact",
                           budget: int = 10000, seed=0):
     """Realize the two-residue contract by solving for the four-value
-    allowed sets of allowed_degrees; the result is re-verified."""
-    bad = spec.check_precondition(g.degrees())
+    allowed sets of allowed_sets; the result is re-verified."""
+    deg = g.degrees()
+    bad = spec.check_precondition(deg)
     if bad:
         raise ValueError(f"6*lam(v) <= d(v) fails at vertices {bad}")
-    shared = {}  # one read-only set per (degree, modulus, target)
-    dspec = DegreeTargetSpec({v: shared[key] if key in shared
-                              else shared.setdefault(key, frozenset(allowed_degrees(*key)))
-                              for v, key in enumerate(zip(g.degrees(), spec.lam, spec.t))})
+    dspec = DegreeTargetSpec(allowed_sets(deg, spec.lam, spec.t))
     h = find_degree_set_subgraph(g, dspec, mode=mode, budget=budget, seed=seed)
     if isinstance(h, Failure):
         return h

@@ -31,24 +31,20 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress
 
 from ..exact import BETA_POW, BETA_SHIFT, floor_scaled_pow
 from ..graph_core import Graph
 
-_CLB_CACHE = {}
 
-
+@cache
 def ceil_log_beta(d: int) -> int:
     """Least k >= 0 with d <= beta^k, i.e. with d^19 <= 2^(50k), i.e. with
     d^19 - 1 < 2^(50k): k = ceil(bitlen(d^19 - 1) / 50)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    k = _CLB_CACHE.get(d)
-    if k is None:
-        k = _CLB_CACHE[d] = -(-(d ** BETA_POW - 1).bit_length() // BETA_SHIFT)
-    return k
+    return -(-(d ** BETA_POW - 1).bit_length() // BETA_SHIFT)
 
 
 def exponents(g: Graph) -> list:

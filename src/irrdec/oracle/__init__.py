@@ -53,13 +53,12 @@ keep no table, and a graph settled at k <= 2 never builds one.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..graph_core import Decomposition, Graph, InvariantViolated
 
-DEFAULT_EDGE_LIMIT = 22  # IRRDEC_EDGE_LIMIT overrides it
+DEFAULT_EDGE_LIMIT = 22  # min_parts refuses a graph with more edges
 
 
 @dataclass
@@ -268,15 +267,8 @@ def min_parts(g: Graph, k_max: int | None = None) -> OracleResult:
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m = g.m
-    raw = os.environ.get("IRRDEC_EDGE_LIMIT", str(DEFAULT_EDGE_LIMIT))
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"IRRDEC_EDGE_LIMIT must be an integer, got {raw!r}") from None
-    if limit < 0:
-        raise ValueError(f"IRRDEC_EDGE_LIMIT must be >= 0, got {raw!r}")
-    if m > limit:
-        raise ValueError(f"graph has {m} edges, over the search limit {limit}")
+    if m > DEFAULT_EDGE_LIMIT:
+        raise ValueError(f"graph has {m} edges, over the search limit {DEFAULT_EDGE_LIMIT}")
     if m == 0:
         return OracleResult(0, Decomposition(g, 0, {}), True)
     top = m if k_max is None else min(k_max, m)

@@ -543,18 +543,6 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", src)
         assert code == 64 and "edge" in err
 
-    def test_bad_edge_limit_is_usage_error(self, capsys, graph_file, monkeypatch):
-        src = graph_file("p2.txt", path(2))
-        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "abc")
-        code, out, err = run(capsys, "oracle", src)
-        assert code == 64 and out == ""
-        assert "IRRDEC_EDGE_LIMIT must be an integer, got 'abc'" in err
-        # a negative limit is the setting's fault, not the edgeless graph's
-        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "-1")
-        code, out, err = run(capsys, "oracle", graph_file("e3.txt", Graph(3, [])))
-        assert code == 64 and out == ""
-        assert "IRRDEC_EDGE_LIMIT must be >= 0, got '-1'" in err and "graph has" not in err
-
     @pytest.mark.parametrize("kmax", ["-5", "0"])
     def test_kmax_below_one_is_usage_error(self, capsys, graph_file, kmax):
         src = graph_file("p4.txt", path(4))

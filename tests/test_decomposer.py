@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from irrdec import decomposer, labeling, lll_engine
+from irrdec import decomposer, factor_solver, labeling, lll_engine
 from irrdec.decomposer import (
     STAGES,
     ColouringFailure,
@@ -207,7 +207,7 @@ class TestPipelineOutcomes:
             calls.append(d)
             return allowed_degrees(d, lam, t)
 
-        monkeypatch.setattr(decomposer, "allowed_degrees", counted)
+        monkeypatch.setattr(factor_solver, "allowed_degrees", counted)
         out, trace = decompose3(Graph(500, []), PipelineConfig(seed=7))
         assert isinstance(out, Decomposition) and calls == []
         assert [r["exempt_count"] for r in trace.stage_reports if "exempt" in r] == [500, 500]

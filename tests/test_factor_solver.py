@@ -13,6 +13,7 @@ from irrdec.factor_solver import (
     Failure,
     ModularTargetSpec,
     allowed_degrees,
+    allowed_sets,
     choose_window_targets,
     derived_seed,
     find_degree_set_subgraph,
@@ -137,6 +138,31 @@ class TestTranslation:
         assert (d7, ceil_log_beta(d7)) == (294914, 7)
 
 
+class TestAllowedSets:
+    def test_one_shared_set_per_key_and_isolated_at_degree_zero(self, monkeypatch):
+        calls = []
+
+        def counted(d, lam, t):
+            calls.append((d, lam, t))
+            return allowed_degrees(d, lam, t)
+
+        monkeypatch.setattr(factor_solver, "allowed_degrees", counted)
+        deg = [0, 12, 12, 12, 18, 0, 18, 12]
+        # no entry for the vertices of degree 0: reading one raises KeyError
+        lam = {1: 2, 2: 2, 3: 2, 4: 3, 6: 3, 7: 2}
+        t = {1: 0, 2: 0, 3: 1, 4: 1, 6: 1, 7: 0}
+        out = allowed_sets(deg, lam, t)
+        assert list(out) == list(range(len(deg)))
+        assert out[0] is out[5] is ISOLATED
+        for v in (1, 2, 3, 4, 6, 7):
+            assert isinstance(out[v], frozenset)
+            assert out[v] == allowed_degrees(deg[v], lam[v], t[v])
+        # equal (degree, modulus, target) keys share one object
+        assert out[1] is out[2] is out[7] and out[4] is out[6]
+        assert len({id(out[v]) for v in (1, 3, 4)}) == 3
+        assert calls == [(12, 2, 0), (12, 2, 1), (18, 3, 1)]
+
+
 def _brute_force(g, allowed):
     edges = sorted(g.edges)
     for mask in itertools.product((0, 1), repeat=len(edges)):
@@ -208,6 +234,16 @@ class TestExactSearch:
         for spec in (DegreeTargetSpec({0: {1}, 1: {2}, 2: {1}}),
                      DegreeTargetSpec({0: (one := frozenset({1})), 1: {2}, 2: one})):
             assert find_degree_set_subgraph(g, spec, mode=mode) == g
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_shared_set_is_judged_at_each_degree(self, mode):
+        # one set object at vertices 1 and 2 of path(2): {2} lies in [0, 2]
+        # at vertex 1, of degree 2, but not in [0, 1] at vertex 2
+        one = frozenset({2})
+        spec = DegreeTargetSpec({0: {1}, 1: one, 2: one})
+        with pytest.raises(ValueError, match=r"vertex 2: allowed set \[2\] is not integers in "
+                                             r"\[0, d\(v\)\]"):
+            find_degree_set_subgraph(path(2), spec, mode=mode)
 
     @given(st.integers(0, 10**9), st.integers(4, 7))
     @settings(max_examples=40, deadline=None)

@@ -126,19 +126,9 @@ class TestMinParts:
     def test_nodes_are_counted(self):
         assert min_parts(spider(2)).nodes_explored > 0
 
-    def test_edge_limit(self, monkeypatch):
-        big = path(23)
-        with pytest.raises(ValueError):
-            min_parts(big, k_max=1)
-        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "30")
-        res = min_parts(big, k_max=1)
-        assert res.feasible_k is None and not res.exhausted
-        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "abc")
-        with pytest.raises(ValueError, match="IRRDEC_EDGE_LIMIT must be an integer, got 'abc'"):
-            min_parts(path(2))
-        monkeypatch.setenv("IRRDEC_EDGE_LIMIT", "-1")
-        with pytest.raises(ValueError, match="IRRDEC_EDGE_LIMIT must be >= 0, got '-1'"):
-            min_parts(Graph(3, []))
+    def test_edge_limit(self):
+        with pytest.raises(ValueError, match="graph has 23 edges, over the search limit 22"):
+            min_parts(path(23), k_max=1)
 
     @pytest.mark.parametrize("k_max", [-5, 0])
     def test_kmax_below_one_is_rejected(self, k_max):
