@@ -265,9 +265,11 @@ def stage_overlap_colouring(trace: PipelineTrace):
 def stage_part2(trace: PipelineTrace):
     g1, cls = trace.g1, trace.classification
     g_dprime = trace.g_dprime = g1.without_edges(g1.edges.intersection(chain(cls.r2, cls.r3)))
+    # h holds every vertex, inserted in ascending id, so its values run in vertex order
     spec = _residue_spec(trace, [
-        3 * (c << e) + 3 * trace.h[v] - trace.overlap_c.degree(v)
-        for v, (c, e) in enumerate(zip(trace.labels.c2, trace.exponents))])
+        3 * ((c << e) + hv) - dc
+        for c, e, hv, dc in zip(trace.labels.c2, trace.exponents, trace.h.values(),
+                                trace.overlap_c.degrees())])
     out = _stage_factor(trace, "part2_factor", g_dprime.degrees(), lambda: g_dprime, spec)
     if isinstance(out, Diagnostic):
         return out

@@ -94,16 +94,30 @@ class LabelPair:
                     raise ValueError(f"label {c} at vertex {v} outside [0, {1 << e})")
 
 
-def draw_label(rng: random.Random, e: int) -> int:
-    """One label uniform on [0, 2^e): the one draw every label comes from."""
-    return rng.randrange(1 << e)
+def draw_label_batch(es, rng: random.Random) -> list:
+    """One label uniform on [0, 2^e) per exponent e of es, drawn in order:
+    the one draw every label comes from.
+
+    Each is rng.randrange(1 << e), made through rng.getrandbits with the
+    calls the stdlib makes: getrandbits(k) for k = (2^e).bit_length() = e + 1,
+    redrawn while the value is >= 2^e, so even e = 0 spends at least one
+    call.  The labels and rng's state after the call are randrange's; one
+    loop spares the frames of its two wrappers per label."""
+    getrandbits = rng.getrandbits
+    labels = []
+    append = labels.append
+    for e in es:
+        k, n = e + 1, 1 << e
+        c = getrandbits(k)
+        while c >= n:
+            c = getrandbits(k)
+        append(c)
+    return labels
 
 
 def draw_labels(es: list, rng: random.Random) -> LabelPair:
     """Draw all c1 values in vertex order, then all c2 values, from rng."""
-    c1 = [draw_label(rng, e) for e in es]
-    c2 = [draw_label(rng, e) for e in es]
-    return LabelPair(c1, c2)
+    return LabelPair(draw_label_batch(es, rng), draw_label_batch(es, rng))
 
 
 def risk_terms(d: int, e: int, c1: int, c2: int) -> tuple:

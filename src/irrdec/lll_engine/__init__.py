@@ -38,7 +38,7 @@ from ..labeling import (
     ceil_log_beta,
     classify,
     classify_terms,
-    draw_label,
+    draw_label_batch,
     draw_labels,
     emin_batches,
     gate,
@@ -189,8 +189,9 @@ def moser_tardos(g: Graph, es: list, seed, slack, max_rounds: int, observer=None
         ev = make_event(v, bad[v][0], nbrs)
         trajectory.append((ev.vertex, ev.kind))
         before = LabelPair(list(c1), list(c2)) if observer else None
-        for w, slot in sorted(ev.scope):
-            (c1 if slot == 1 else c2)[w] = draw_label(rng, es[w])
+        scope = sorted(ev.scope)
+        for (w, slot), c in zip(scope, draw_label_batch([es[w] for w, _ in scope], rng)):
+            (c1 if slot == 1 else c2)[w] = c
         if observer:
             observer(round_no, ev, before, LabelPair(list(c1), list(c2)))
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 import time
@@ -14,6 +16,7 @@ from irrdec.graph_core import (
     Graph,
     InvariantViolated,
     _isomorphic,
+    _shuffle,
     canon_edge,
     complete,
     complete_bipartite,
@@ -148,6 +151,32 @@ class TestGenerators:
             random_regular(4, 4, seed=1)
         with pytest.raises(ValueError, match="n and d must be >= 0"):
             random_regular(-2, 2, 0)
+
+    @pytest.mark.parametrize("n, d, seed, digest", [
+        (240, 22, 1, "3f2944288f877710b4572a5549bc49ec889ff42c6aa23ba5550cf19c9edab62f"),
+        (30, 28, 1, "22354c79e6cf6cad4d3580b0187eb69d594623f28a2393bdc248472820f63fbb"),
+        (700, 30, 2, "a02cca8cb36068ff97be4a194feafb482db2d8902c4226c32afa0382bcf73123"),
+        (18, 16, 3, "9707ae353a70d0df7b7eddbb87b0bc4e57ebcd9073814ae42a26fc3181468f68"),
+    ], ids=["240-22-1", "30-28-1", "700-30-2", "18-16-3"])
+    def test_random_regular_frozen(self, n, d, seed, digest):
+        # frozen values: every generated graph, and so every digest over one, stays put
+        edges = sorted(random_regular(n, d, seed=seed).edges)
+        assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+
+    def test_shuffle_is_the_stdlib_shuffle(self):
+        # one stream per seed over every length, so a draw too many or too
+        # few at any length moves every later permutation and the final state
+        boundaries = {n for k in range(1, 9) for n in (2**k - 1, 2**k, 2**k + 1)}
+        for seed in range(50):
+            ref, rng = random.Random(seed), random.Random(seed)
+            for n in range(301):
+                want, got = list(range(n)), list(range(n))
+                ref.shuffle(want)
+                _shuffle(got, rng)
+                assert got == want, (seed, n)
+                if n in boundaries:
+                    assert rng.getstate() == ref.getstate(), (seed, n)
+            assert rng.getstate() == ref.getstate(), seed
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=10, deadline=None)

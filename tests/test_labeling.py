@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from itertools import compress, product
@@ -13,6 +15,7 @@ from irrdec.labeling import (
     LabelPair,
     ceil_log_beta,
     classify,
+    draw_label_batch,
     draw_labels,
     emin_batches,
     exponents,
@@ -155,6 +158,23 @@ class TestLabels:
         assert a == b
         assert a != draw_labels(exponents(g), random.Random(12))
         a.validate(exponents(g))
+
+    def test_draw_is_the_stdlib_randrange(self):
+        for e in range(13):
+            for seed in range(20):
+                ref, rng = random.Random(seed), random.Random(seed)
+                want = [ref.randrange(1 << e) for _ in range(200)]
+                assert draw_label_batch([e] * 200, rng) == want, (e, seed)
+                assert rng.getstate() == ref.getstate(), (e, seed)
+        es = [i % 13 for i in range(500)]  # exponents that change from label to label
+        ref, rng = random.Random(3), random.Random(3)
+        assert draw_label_batch(es, rng) == [ref.randrange(1 << e) for e in es]
+        assert rng.getstate() == ref.getstate()
+
+    def test_draw_labels_frozen(self):
+        labels = draw_labels([i % 9 for i in range(1000)], random.Random(5))
+        digest = hashlib.sha256(json.dumps([labels.c1, labels.c2]).encode()).hexdigest()
+        assert digest == "a29d3be74eba74c677ba63881024c2fffc7773c020b25cc87a638cd96931e24d"
 
     def test_ranges(self):
         g = Graph(3, [(0, 1)])  # degrees 1, 1, 0
