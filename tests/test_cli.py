@@ -42,6 +42,7 @@ from irrdec.graph_core import (
 )
 from irrdec.labeling import risky_types
 
+from pins import BY_NAME
 from test_labeling import lambda_of
 
 
@@ -150,8 +151,7 @@ class TestDecompose:
                            "inside": {"h1_window": 5, "h2_window": 5, "h3_window": 5,
                                       "final_window": 5},
                            "low_degree_count": 5}
-        assert rec["manifest"]["result_digest"] == \
-            "sha256:96064f39a5c4151fce2ca4d89c8bd1ba9ab435fabffc91bd25e22be6382c1b70"
+        assert rec["manifest"]["result_digest"] == BY_NAME["decompose-edgeless-5"].digest
 
     def test_exception_component_preflight(self, capsys, graph_file):
         src = graph_file("p3.txt", path(3))
@@ -177,8 +177,7 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", src, "--seed", "1", "--slack", "0.5", "--json")
         assert code == 2
         rec = json.loads(out)
-        assert rec["manifest"]["result_digest"] == \
-            "sha256:ab314974f0f215ed3eebfb91b8ac7638641147b54d357a17708155d5b79646dc"
+        assert rec["manifest"]["result_digest"] == BY_NAME["decompose-gnp-30"].digest
         assert rec["result"]["edge_counts"] == {"g_prime": 155}
         # three stages ran (the last stopped at part 1), one timing each
         seconds = rec["manifest"]["stage_seconds"]
@@ -355,20 +354,17 @@ class TestParseTiming:
     """decompose and oracle time the read and parse of their input in the
     manifest, outside the result digest."""
 
-    @pytest.mark.parametrize("argv,g,digest", [
+    @pytest.mark.parametrize("argv,g,pin", [
         (("decompose", "--seed", "1", "--slack", "0.5"), gnp(30, 0.5, seed=3),
-         "ab314974f0f215ed3eebfb91b8ac7638641147b54d357a17708155d5b79646dc"),
-        (("oracle",), spider(2),
-         "cb254d91102754c306fd42621794159c1081ed993755e75fcb57fad73d9fe8d2"),
+         "decompose-gnp-30"),
+        (("oracle",), spider(2), "oracle-spider-2"),
     ], ids=["decompose", "oracle"])
-    def test_parse_seconds_sit_outside_the_digest(self, capsys, graph_file, argv, g, digest):
-        # the digests are the ones these runs had before parse times were
-        # recorded; the oracle's is re-pinned for its breadth-first edge order,
-        # which moved the witness and the node count
+    def test_parse_seconds_sit_outside_the_digest(self, capsys, graph_file, argv, g, pin):
+        # the digests are the ones these runs had before parse times were recorded
         src = graph_file("g.txt", g)
         _, out, _ = run(capsys, argv[0], src, *argv[1:], "--json")
         rec = json.loads(out)
-        assert rec["manifest"]["result_digest"] == f"sha256:{digest}"
+        assert rec["manifest"]["result_digest"] == BY_NAME[pin].digest
         timing = rec["manifest"]["timing"]
         assert sorted(timing) == ["parse_seconds", "seconds"]
         assert all(isinstance(s, float) and s >= 0 for s in timing.values())
@@ -607,19 +603,6 @@ class TestRiskProb:
         code, out, _ = run(capsys, "riskprob", str(d - 10**11), str(d), "--type", "23", "--json")
         assert code == 0
         assert json.loads(out)["result"]["bound_holds"] is True
-
-    @pytest.mark.parametrize("rtype,digest", [
-        ("1", "e65ffeca2067610ec1879b1d170e3052635376d162dbc4a219958da9664c06a1"),
-        ("2", "554b99009302e01e65feb46341d55428ef8bbf54e38602517d94c56000792353"),
-        ("3", "8d6c452e155a5064aa1a2512a656ccc38b62cd37ca12b5a7002c2d88b08b4ad6"),
-        ("23", "8099ede25fd8291d9655e6f8833b8499939336c570b69b2e72944ea9385165bb"),
-    ])
-    def test_records_at_e8_are_frozen(self, capsys, rtype, digest):
-        # 10^6 and 2*10^6 both have e = 8
-        code, out, _ = run(capsys, "riskprob", str(10**6), str(2 * 10**6), "--type", rtype,
-                           "--json")
-        assert code == 0
-        assert json.loads(out)["manifest"]["result_digest"] == f"sha256:{digest}"
 
     @pytest.mark.parametrize("rtype", ["1", "2", "3", "23"])
     def test_one_residue_batch_per_op(self, capsys, monkeypatch, rtype):
