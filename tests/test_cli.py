@@ -604,6 +604,17 @@ class TestRiskProb:
         assert code == 0
         assert json.loads(out)["result"]["bound_holds"] is True
 
+    @pytest.mark.parametrize("rtype,digest", [
+        (rtype, BY_NAME[f"riskprob-e8-type-{rtype}"].digest.removeprefix("sha256:"))
+        for rtype in ("1", "2", "3", "23")
+    ])
+    def test_records_at_e8_are_frozen(self, capsys, rtype, digest):
+        # 10^6 and 2*10^6 both have e = 8; the digests are the table's rows
+        code, out, _ = run(capsys, "riskprob", str(10**6), str(2 * 10**6), "--type", rtype,
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["manifest"]["result_digest"] == f"sha256:{digest}"
+
     @pytest.mark.parametrize("rtype", ["1", "2", "3", "23"])
     def test_one_residue_batch_per_op(self, capsys, monkeypatch, rtype):
         # both probabilities read one batch of verdicts, one pair per
