@@ -302,7 +302,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--slack", type=float, default=PipelineConfig.slack)
     p.add_argument("--mode", choices=SOLVER_MODES, default=PipelineConfig.solver_mode)
-    p.add_argument("--budget", type=int, default=PipelineConfig.solver_budget)
+    p.add_argument("--budget", type=int, default=PipelineConfig.solver_budget,
+                   help="heuristic flips or exact search nodes")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_decompose)

@@ -17,8 +17,8 @@ Costs: a window is built by arithmetic, O(window/lam) for the values it
 returns.  Both searches build their per-vertex tables once per distinct
 (degree, allowed set) and share them read-only; the input checks judge
 each set object once per degree, by one C-level value test.  Exact mode
-prunes in O(1) per endpoint through a next-allowed-degree table and spends
-one Python frame per node.
+is a loop over a stack of decided edges, one frame per edge, that prunes in
+O(1) per endpoint through a next-allowed-degree table; budget caps its nodes.
 Heuristic mode keeps each edge's flip delta in one of five bitmask buckets.
 A restart sets them up in bulk passes: each edge's first delta is two reads
 of per-vertex add/drop steps, and each bucket is parsed from one digit
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import getitem
@@ -151,9 +150,10 @@ def _next_allowed(d: int, allowed) -> list:
     return nxt
 
 
-def _exact_search(g: Graph, allowed: list):
+def _exact_search(g: Graph, allowed: list, budget: int):
     n = g.n
     edges = sorted(g.edges)
+    m = len(edges)
     incident = incident_edges(n, edges)
     deg = [len(a) for a in incident]
     tables = {}  # vertices of one degree and one allowed set share a read-only table
@@ -167,18 +167,18 @@ def _exact_search(g: Graph, allowed: list):
     cur = [0] * n
     # rem[v] = the undecided edges at v, or done, above every degree, when
     # there are none, so that min(rem) is the fewest left at an open vertex
-    done = len(edges) + 1
+    done = m + 1
     rem = [d or done for d in deg]
-    state = [0] * len(edges)  # 0 undecided, 1 in, -1 out
-    nodes = 0
-
+    state = [0] * m  # 0 undecided, 1 in, -1 out
     mid = [sum(s) / len(s) for s in allowed]
-
-    def solve(undecided):
-        nonlocal nodes
+    stack = []  # per decided edge: its endpoints, their cur and rem before it, its branches left
+    nodes = 0
+    while True:  # each pass enters one node: every edge on the stack passed the pruning
+        if nodes == budget:
+            return Failure("exact", f"node budget of {budget} exhausted", budget)
         nodes += 1
-        if undecided == 0:
-            return all(cur[v] in allowed[v] for v in range(n))
+        if len(stack) == m:  # each vertex's last edge landed it on an allowed degree
+            return Graph._canonical(n, [e for e, x in zip(edges, state) if x == 1])
         # fail-first: branch on the first undecided edge of the least vertex
         # with the fewest undecided edges
         best_rem = min(rem)
@@ -191,27 +191,24 @@ def _exact_search(g: Graph, allowed: list):
                                     f"{best_rem if best_rem < done else 0} (vertex {best_v}, cur "
                                     f"{cur[best_v]}), but none of its edges is undecided")
         u, v = edges[i]
-        cu, cv, ru, rv, nu, nv = cur[u], cur[v], rem[u] - 1, rem[v] - 1, nxt[u], nxt[v]
+        cu, cv, ru, rv = cur[u], cur[v], rem[u] - 1, rem[v] - 1
         rem[u], rem[v] = ru or done, rv or done
-        # try the direction that moves both endpoints toward their targets
-        for inc in ((1, 0) if cu < mid[u] and cv < mid[v] else (0, 1)):
-            state[i] = 1 if inc else -1
-            xu = cur[u] = cu + inc
-            xv = cur[v] = cv + inc
-            if nu[xu] <= xu + ru and nv[xv] <= xv + rv and solve(undecided - 1):
-                return True
-        # a failed solve leaves cur, rem and state as it found them
-        cur[u], cur[v], rem[u], rem[v], state[i] = cu, cv, ru + 1, rv + 1, 0
-        return False
-
-    try:
-        found = solve(len(edges))
-    except RecursionError:  # solve recurses once per decided edge
-        return Failure("exact", f"{g.m} edges: the search recurses once per edge and passed "
-                                f"the recursion limit of {sys.getrecursionlimit()}", nodes)
-    if found:  # a subset of g's edges: no check to repeat
-        return Graph._canonical(n, [e for e, x in zip(edges, state) if x == 1])
-    return Failure("exact", "search space exhausted", nodes)
+        # try first the direction that moves both endpoints toward their targets
+        left = iter((1, 0) if cu < mid[u] and cv < mid[v] else (0, 1))
+        while True:  # this edge's next branch that passes the pruning
+            for inc in left:
+                state[i] = 1 if inc else -1
+                xu, xv = cur[u], cur[v] = cu + inc, cv + inc
+                if nxt[u][xu] <= xu + ru and nxt[v][xv] <= xv + rv:
+                    break
+            else:  # none left: undo the edge and resume its parent's branches
+                cur[u], cur[v], rem[u], rem[v], state[i] = cu, cv, ru + 1, rv + 1, 0
+                if not stack:
+                    return Failure("exact", "search space exhausted", nodes)
+                i, u, v, cu, cv, ru, rv, left = stack.pop()
+                continue
+            break
+        stack.append((i, u, v, cu, cv, ru, rv, left))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +318,14 @@ def _local_search(g: Graph, allowed: list, budget: int, seed):
 
 
 def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exact",
-                             budget: int = 10000, seed=0):
+                             budget: int = 1000000, seed=0):
     """Spanning H <= g with d_H(v) in spec.allowed[v] for every v, or Failure.
 
     Exact mode branches over edges (most-constrained vertex first) with
-    per-endpoint reachability pruning and is complete while its depth, one
-    level per edge, stays within Python's recursion limit; past it, it
-    returns a Failure naming the edge count and the limit.
+    per-endpoint reachability pruning, in a loop over a stack of decided
+    edges; budget caps the nodes it enters, and below it the search is complete.
     Heuristic mode runs penalty descent with sideways moves and seeded
-    restarts; budget caps the total number of accepted flips.
+    restarts; budget caps its accepted flips.  A spent budget is a Failure.
     A host without edges is answered by neither search: the checks leave
     {0} as every vertex's one allowed set, which the empty subgraph meets.
     """
@@ -356,12 +352,12 @@ def find_degree_set_subgraph(g: Graph, spec: DegreeTargetSpec, mode: str = "exac
     # the searches index one frozen set per vertex
     allowed = list(map(frozenset, map(get, range(g.n))))
     if mode == "exact":
-        return _exact_search(g, allowed)
+        return _exact_search(g, allowed, budget)
     return _local_search(g, allowed, budget, seed)
 
 
 def find_modular_subgraph(g: Graph, spec: ModularTargetSpec, mode: str = "exact",
-                          budget: int = 10000, seed=0):
+                          budget: int = 1000000, seed=0):
     """Realize the two-residue contract by solving for the four-value
     allowed sets of allowed_sets; the result is re-verified."""
     deg = g.degrees()

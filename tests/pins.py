@@ -53,6 +53,14 @@ def exact_modular_solve() -> str:
     return _edges_digest(find_modular_subgraph(random_regular(18, 12, seed=1), spec, mode="exact"))
 
 
+def exact_every_degree_solve() -> str:
+    """The exact search on 1,000 edges with every degree allowed: its branch
+    order, pinned past the depth a once-per-edge recursion could reach."""
+    g = random_regular(200, 10, seed=1)
+    spec = DegreeTargetSpec({v: set(range(11)) for v in range(g.n)})
+    return _edges_digest(find_degree_set_subgraph(g, spec, mode="exact"))
+
+
 @dataclass(frozen=True)
 class Pin:
     """One frozen run.  `fields` are (key, value) pairs that some object of
@@ -117,6 +125,9 @@ PINS = (
         digest="sha256:87e8b3e7ec737e7f242f741938fcff1d725c17af8b8b512eb365131f385bdf25"),
     Pin("exact-modular-solve", call=exact_modular_solve,
         digest="sha256:5381d8e0c1860ece1a501b05e0ed7ae3c6a9a182fdc0c0c778666da803e28b21",
+        hash_seeds=(0, 1)),
+    Pin("exact-every-degree-solve", call=exact_every_degree_solve,
+        digest="sha256:e0a590c972e64e103e45dba536ed1503f448a688ec2f2af8fcca4db74a249467",
         hash_seeds=(0, 1)),
     Pin("gen-cycle-17", ("gen", "cycle", "17", "--out", "c17.el")),
     Pin("oracle-cycle-17", ("oracle", "c17.el", "--json"), code=2, fields=(("k", None),)),

@@ -588,7 +588,10 @@ class TestLateStages:
         (1, PipelineConfig(solver_mode="heuristic", solver_budget=0), "FactorSolverFailure",
          {"mode": "heuristic", "reason": "flip budget exhausted", "nodes_explored": 0,
           "best_penalty": None, "flips": 0}),
-    ], ids=["window", "budget"])
+        (1, PipelineConfig(solver_mode="exact", solver_budget=0), "FactorSolverFailure",
+         {"mode": "exact", "reason": "node budget of 0 exhausted", "nodes_explored": 0,
+          "best_penalty": None, "flips": 0}),
+    ], ids=["window", "budget", "exact-budget"])
     def test_part2_diagnostic_stops_the_pipeline(self, c2_at_3, cfg, code, detail):
         trace = _part2_trace()
         trace.config = cfg

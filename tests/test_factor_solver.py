@@ -1,5 +1,8 @@
+import ast
 import itertools
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -191,21 +194,52 @@ class TestExactSearch:
         assert isinstance(out, Failure)
         assert out.mode == "exact" and out.nodes_explored >= 1
 
-    def test_past_the_recursion_limit_returns_failure(self):
-        # one recursion level per edge: rr(200, 10) has 1,000 edges and used
-        # to raise RecursionError even with every degree allowed
-        for g in (random_regular(200, 10, seed=1), random_regular(300, 8, seed=1), complete(60)):
+    def test_solves_past_the_old_recursion_limit(self):
+        # rr(200, 10), rr(300, 8) and K60 have 1,000 to 1,770 edges, more
+        # than Python's default recursion limit of 1,000; rr(100, 12) has 600
+        for g in (random_regular(200, 10, seed=1), random_regular(300, 8, seed=1), complete(60),
+                  random_regular(100, 12, seed=1)):
             every = DegreeTargetSpec({v: set(range(g.degree(v) + 1)) for v in range(g.n)})
-            out = find_degree_set_subgraph(g, every, mode="exact")
-            assert isinstance(out, Failure)
-            assert out.mode == "exact" and out.nodes_explored >= 1
-            assert out.reason.startswith(f"{g.m} edges: ")
-            assert f"recursion limit of {sys.getrecursionlimit()}" in out.reason
-        # a search that stays within the limit still solves: 600 edges
-        g = random_regular(100, 12, seed=1)
-        every = DegreeTargetSpec({v: set(range(13)) for v in range(g.n)})
-        h = find_degree_set_subgraph(g, every, mode="exact")
-        assert not isinstance(h, Failure) and h.edges <= g.edges
+            h = find_degree_set_subgraph(g, every, mode="exact")
+            assert not isinstance(h, Failure) and h.edges <= g.edges
+            assert verify_factor(g, h, every).ok
+
+    def test_same_edges_under_a_recursion_limit_of_100(self):
+        g = random_regular(200, 10, seed=1)
+        every = DegreeTargetSpec({v: set(range(11)) for v in range(g.n)})
+        want = sorted(find_degree_set_subgraph(g, every, mode="exact").edges)
+        code = ("import sys\n"
+                "from irrdec.factor_solver import DegreeTargetSpec, find_degree_set_subgraph\n"
+                "from irrdec.graph_core import random_regular\n"
+                "g = random_regular(200, 10, seed=1)\n"
+                "every = DegreeTargetSpec({v: set(range(11)) for v in range(g.n)})\n"
+                "sys.setrecursionlimit(100)\n"
+                "print(sorted(find_degree_set_subgraph(g, every, mode='exact').edges))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(factor_solver.__file__)))
+        path_var = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path_var), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == want
+
+    def test_budget_zero_explores_no_node(self):
+        spec = DegreeTargetSpec({0: {0, 1}, 1: {0, 1}})
+        out = find_degree_set_subgraph(path(1), spec, mode="exact", budget=0)
+        assert (out.mode, out.reason, out.nodes_explored) == \
+            ("exact", "node budget of 0 exhausted", 0)
+        # a host without edges needs no search, so no budget
+        edgeless = DegreeTargetSpec({0: {0}, 1: {0}})
+        assert find_degree_set_subgraph(Graph(2), edgeless, mode="exact", budget=0) == Graph(2)
+
+    def test_large_infeasible_host_stops_at_the_budget(self):
+        # 2,001 vertices of degree 3 have an odd degree sum: no subgraph of
+        # the 6,003 edges exists, and the search stops after 10,000 nodes
+        g = random_regular(2001, 6, seed=1)
+        assert g.m == 6003
+        out = find_degree_set_subgraph(g, DegreeTargetSpec({v: {3} for v in range(g.n)}),
+                                       mode="exact", budget=10000)
+        assert (out.mode, out.reason, out.nodes_explored) == \
+            ("exact", "node budget of 10000 exhausted", 10000)
 
     def test_validates_allowed_sets(self):
         g = path(1)
@@ -569,12 +603,21 @@ class TestAgainstReferences:
         infeasible, infeasible_nodes = 0, 0
         for seed in self.SEEDS:
             g, allowed, _ = _differential_instance(seed)
-            got = find_degree_set_subgraph(g, DegreeTargetSpec(allowed), mode="exact")
+            spec = DegreeTargetSpec(allowed)
+            got = find_degree_set_subgraph(g, spec, mode="exact")
             want = _ref_exact_search(g, allowed)
             assert _outcome(got) == _outcome(want), f"seed {seed}"
             if isinstance(want, Failure):
+                nodes = want.nodes_explored
                 infeasible += 1
-                infeasible_nodes += want.nodes_explored
+                infeasible_nodes += nodes
+                # the budget caps nodes: the reference's own count still
+                # exhausts the space, and one node fewer stops the search
+                got = find_degree_set_subgraph(g, spec, mode="exact", budget=nodes)
+                assert _outcome(got) == _outcome(want), f"seed {seed}"
+                got = find_degree_set_subgraph(g, spec, mode="exact", budget=nodes - 1)
+                assert (got.mode, got.reason, got.nodes_explored) == \
+                    ("exact", f"node budget of {nodes - 1} exhausted", nodes - 1), f"seed {seed}"
         # both outcomes occur, and the node counts compared on infeasible
         # instances come from real searches
         assert 20 <= infeasible <= len(self.SEEDS) - 40 and infeasible_nodes >= 1000
